@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands evaluate the closed forms (`pure`, `bipartition0`,
-`disjoint`, `adjacent`, `pbc`, `mutual-info`), run the Monte Carlo
-battery (`mc`), run every oracle suite (`verify`), or sweep one
-geometry parameter (`sweep`).  Output is CSV or JSON; reruns with the
+One subcommand per entry of the geometry table (`pure`,
+`bipartition0`, `disjoint`, `adjacent`, `pbc`, `mutual-info`) prints
+its spectra and measures; the others run the Monte Carlo battery
+(`mc`), run every oracle suite (`verify`), or sweep one flag of a
+geometry (`sweep`).  Output is CSV or JSON; reruns with the
 same arguments and seed are byte identical.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments.
@@ -21,11 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import closed_forms as cf
-from . import effective_rho as er
 from . import sphere_mc as mc
 from . import verify as vf
-from .linalg import EIG_CLAMP, HERMITICITY_TOL, spectrum_report
+from .geometry import GEOMETRIES
+from .linalg import EIG_CLAMP, HERMITICITY_TOL
 
 GROUP_DISPLAY_TOL = 1e-9
 SIGMA_BOUND = 4.0
@@ -145,7 +145,7 @@ def _json_envelope(args, results) -> dict:
             "hermiticity": HERMITICITY_TOL,
             "eigenvalue_clamp": EIG_CLAMP,
             "display_grouping": GROUP_DISPLAY_TOL,
-            "verification": getattr(args, "tol", None) or 1e-10,
+            "verification": getattr(args, "tol", 1e-10),
         },
         "versions": {
             "artifact": __version__,
@@ -158,124 +158,33 @@ def _json_envelope(args, results) -> dict:
 # ------------------------------------------------------------ geometry runs
 
 
-def _pure_tables(length: int):
-    label = f"pure length={length}"
-    block = cf.pure_block_spectrum(length)
-    pt = cf.pure_pt_spectrum(length)
-    spectra = _spectra_rows(f"{label} block", block)
-    spectra += _spectra_rows(f"{label} transpose", pt)
-    # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
-    measures = [
-        _measures_row(
-            label,
-            negativity=pt.negativity,
-            log_negativity=pt.log_negativity,
-            entropy=block.entropy,
-            purity=block.purity,
-            mutual_information=2.0 * block.entropy,
-        )
-    ]
-    return spectra, measures
+def _reports_row(label: str, block, pt, mutual: float) -> dict:
+    return _measures_row(
+        label,
+        negativity=pt.negativity,
+        log_negativity=pt.log_negativity,
+        entropy=block.entropy,
+        purity=block.purity,
+        mutual_information=mutual,
+    )
 
 
-def _bipartition0_tables():
-    label = "bipartition0"
-    block = spectrum_report([0.5, 0.5])
-    pt = cf.bipartition_L0_pt_spectrum()
-    spectra = _spectra_rows(f"{label} block", block)
-    spectra += _spectra_rows(f"{label} transpose", pt)
-    measures = [
-        _measures_row(
-            label,
-            negativity=pt.negativity,
-            log_negativity=pt.log_negativity,
-            entropy=block.entropy,
-            purity=block.purity,
-            mutual_information=2.0 * block.entropy,
-        )
-    ]
-    return spectra, measures
-
-
-def _operator_tables(label: str, op):
-    report = op.spectrum()
-    pt = er.mode_partial_transpose(op).spectrum()
-    m = er.measures(op)
-    spectra = _spectra_rows(f"{label} block", report)
-    spectra += _spectra_rows(f"{label} transpose", pt)
-    measures = [
-        _measures_row(
-            label,
-            negativity=pt.negativity,
-            log_negativity=pt.log_negativity,
-            entropy=report.entropy,
-            purity=report.purity,
-            mutual_information=m.mutual_information,
-        )
-    ]
-    return spectra, measures
-
-
-def cmd_pure(args) -> int:
-    spectra, measures = _pure_tables(args.length)
-    _emit_tables(args, [(SPECTRA_HEADER, spectra), (MEASURES_HEADER, measures)])
-    return 0
-
-
-def cmd_bipartition0(args) -> int:
-    spectra, measures = _bipartition0_tables()
-    _emit_tables(args, [(SPECTRA_HEADER, spectra), (MEASURES_HEADER, measures)])
-    return 0
-
-
-def cmd_disjoint(args) -> int:
-    label = f"disjoint la={args.la} gap={args.gap} lb={args.lb}"
-    op = er.rho_ab_open(args.la, args.gap, args.lb)
-    spectra, measures = _operator_tables(label, op)
-    _emit_tables(args, [(SPECTRA_HEADER, spectra), (MEASURES_HEADER, measures)])
-    return 0
-
-
-def cmd_adjacent(args) -> int:
-    label = f"adjacent la={args.la} lb={args.lb}"
-    op = er.rho_ab_adjacent(args.la, args.lb)
-    spectra, measures = _operator_tables(label, op)
-    _emit_tables(args, [(SPECTRA_HEADER, spectra), (MEASURES_HEADER, measures)])
-    return 0
-
-
-def cmd_pbc(args) -> int:
-    label = f"pbc la={args.la} lb={args.lb} lc={args.lc} ld={args.ld}"
-    op = er.rho_ab_pbc(args.la, args.lb, args.lc, args.ld)
-    spectra, measures = _operator_tables(label, op)
-    _emit_tables(args, [(SPECTRA_HEADER, spectra), (MEASURES_HEADER, measures)])
-    return 0
-
-
-def cmd_mutual_info(args) -> int:
-    la, lb = args.la, args.lb
-    if la != lb:
-        raise ValueError("mutual-info compares equal blocks; pass --la equal to --lb")
-    op = er.rho_ab_open(la, args.gap, lb)
-    m = er.measures(op)
-    pt = er.mode_partial_transpose(op).spectrum()
-    asymptotic = cf.mutual_information(cf.decay_parameter(args.gap))
-    finite_label = f"finite la={la} lb={lb} gap={args.gap}"
+def cmd_geometry(args) -> int:
+    geo = GEOMETRIES[args.subcommand]
+    params = geo.params(**{name: getattr(args, name) for name in geo.names})
+    block, pt, mutual = geo.reports(**params)
+    if geo.limit is None:
+        label = geo.label(params)
+        spectra = _spectra_rows(f"{label} block", block)
+        spectra += _spectra_rows(f"{label} transpose", pt)
+        measures = [_reports_row(label, block, pt, mutual)]
+        _emit_tables(args, [(SPECTRA_HEADER, spectra), (MEASURES_HEADER, measures)])
+        return 0
+    limit = geo.limit(**params)
     rows = [
-        _measures_row(
-            finite_label,
-            negativity=pt.negativity,
-            log_negativity=pt.log_negativity,
-            entropy=m.report.entropy,
-            purity=m.report.purity,
-            mutual_information=m.mutual_information,
-        ),
-        _measures_row(
-            f"asymptotic gap={args.gap}", mutual_information=asymptotic
-        ),
-        _measures_row(
-            "difference", mutual_information=m.mutual_information - asymptotic
-        ),
+        _reports_row(geo.label(params, "finite"), block, pt, mutual),
+        _measures_row(f"asymptotic gap={params['gap']}", mutual_information=limit),
+        _measures_row("difference", mutual_information=mutual - limit),
     ]
     _emit_tables(args, [(MEASURES_HEADER, rows)])
     return 0
@@ -327,8 +236,7 @@ def _mc_overlap_rows(args) -> list[dict]:
     return rows
 
 
-def _mc_discriminate_rows(args) -> list[dict]:
-    disc = mc.sign_discrimination(samples=args.samples, seed=args.seed)
+def _mc_discriminate_rows(disc) -> list[dict]:
     common = {"task": "discriminate", "estimate": disc.estimate.mean,
               "standard_error": disc.estimate.standard_error}
     return [
@@ -349,38 +257,32 @@ def _mc_discriminate_rows(args) -> list[dict]:
 
 def cmd_mc(args) -> int:
     rows = []
-    failed = False
+    failures = []
     if args.task in ("norm", "all"):
-        batch = _mc_norm_rows(args)
-        failed |= any(r["sigmas"] > SIGMA_BOUND for r in batch)
-        rows += batch
+        rows += _mc_norm_rows(args)
     if args.task in ("overlap", "all"):
-        batch = _mc_overlap_rows(args)
-        failed |= any(r["sigmas"] > SIGMA_BOUND for r in batch)
-        rows += batch
-    if args.task in ("discriminate", "all"):
-        batch = _mc_discriminate_rows(args)
-        plus, minus = batch
-        # the check passes when the data sit on the plus reading only
-        failed |= not (
-            plus["sigmas"] <= SIGMA_BOUND and minus["sigmas"] > SIGMA_BOUND
-        )
-        rows += batch
-    _emit_tables(args, [(MC_HEADER, rows)])
-    if failed:
-        for row in rows:
-            bad = row["sigmas"] > SIGMA_BOUND and not row["parameter"].startswith(
-                "minus"
+        rows += _mc_overlap_rows(args)
+    for row in rows:
+        if row["sigmas"] > SIGMA_BOUND:
+            failures.append(
+                f"{row['task']} {row['parameter']}: "
+                f"estimate {_fmt(row['estimate'])} vs target "
+                f"{_fmt(row['target'])} ({_fmt(row['sigmas'])} sigmas)"
             )
-            if bad:
-                print(
-                    f"check failed: {row['task']} {row['parameter']}: "
-                    f"estimate {_fmt(row['estimate'])} vs target "
-                    f"{_fmt(row['target'])} ({_fmt(row['sigmas'])} sigmas)",
-                    file=sys.stderr,
-                )
-        return 1
-    return 0
+    if args.task in ("discriminate", "all"):
+        disc = mc.sign_discrimination(samples=args.samples, seed=args.seed)
+        rows += _mc_discriminate_rows(disc)
+        # the check passes when the data sit on the plus reading only
+        if not disc.rejects_minus:
+            failures.append(
+                "discriminate: the data do not single out the plus reading "
+                f"mu=2 L=1 ({_fmt(disc.sigmas_from_plus)} sigmas from plus, "
+                f"{_fmt(disc.sigmas_from_minus)} from minus)"
+            )
+    _emit_tables(args, [(MC_HEADER, rows)])
+    for failure in failures:
+        print(f"check failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ------------------------------------------------------------------- verify
@@ -417,13 +319,7 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------------- sweep
 
 
-_SWEEPABLE = {
-    "pure": ("length",),
-    "disjoint": ("la", "gap", "lb"),
-    "adjacent": ("la", "lb"),
-    "pbc": ("la", "lb", "lc", "ld"),
-    "mutual-info": ("gap",),
-}
+SWEEP_FLAGS = tuple(dict.fromkeys(n for geo in GEOMETRIES.values() for n in geo.names))
 
 
 def _parse_span(text: str):
@@ -437,54 +333,22 @@ def _parse_span(text: str):
 
 
 def cmd_sweep(args) -> int:
-    names = _SWEEPABLE[args.command]
-    values = {}
-    span_name = None
-    for name in names:
-        raw = getattr(args, name)
-        if raw is None:
-            raise ValueError(f"sweep {args.command} needs --{name}")
-        parsed = _parse_span(raw)
-        if isinstance(parsed, list):
-            if span_name is not None:
-                raise ValueError("sweep takes a range on exactly one flag")
-            span_name = name
-            values[name] = parsed
-        else:
-            values[name] = parsed
-    if span_name is None:
+    geo = GEOMETRIES[args.command]
+    given = {
+        name: _parse_span(getattr(args, name))
+        for name in SWEEP_FLAGS
+        if getattr(args, name) is not None
+    }
+    spans = [name for name, value in given.items() if isinstance(value, list)]
+    if len(spans) != 1:
         raise ValueError("sweep takes a range (lo:hi) on exactly one flag")
+    (swept,) = spans
     rows = []
-    for point in values[span_name]:
-        params = dict(values)
-        params[span_name] = point
-        rows.append(_sweep_point(args.command, params))
+    for point in given[swept]:
+        params = geo.params(**{**given, swept: point})
+        rows.append(_reports_row(geo.label(params), *geo.reports(**params)))
     _emit_tables(args, [(MEASURES_HEADER, rows)])
     return 0
-
-
-def _sweep_point(command: str, params: dict) -> dict:
-    if command == "pure":
-        _, measures = _pure_tables(params["length"])
-        return measures[0]
-    if command == "disjoint":
-        op = er.rho_ab_open(params["la"], params["gap"], params["lb"])
-        label = "disjoint " + _param_label(params)
-    elif command == "adjacent":
-        op = er.rho_ab_adjacent(params["la"], params["lb"])
-        label = "adjacent " + _param_label(params)
-    elif command == "pbc":
-        op = er.rho_ab_pbc(params["la"], params["lb"], params["lc"], params["ld"])
-        label = "pbc " + _param_label(params)
-    else:  # mutual-info sweeps the gap at fixed equal blocks
-        op = er.rho_ab_open(6, params["gap"], 6)
-        label = "mutual-info la=6 lb=6 " + _param_label(params)
-    _, measures = _operator_tables(label, op)
-    return measures[0]
-
-
-def _param_label(params: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in params.items())
 
 
 # ------------------------------------------------------------------- parser
@@ -501,44 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("pure", help="single-block bipartition closed forms")
-    p.add_argument("--length", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_pure)
-
-    p = subs.add_parser("bipartition0", help="single-bond cut (L=0)")
-    _add_common(p)
-    p.set_defaults(func=cmd_bipartition0)
-
-    p = subs.add_parser("disjoint", help="two separated blocks on the open chain")
-    p.add_argument("--la", type=int, required=True)
-    p.add_argument("--gap", type=int, required=True)
-    p.add_argument("--lb", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_disjoint)
-
-    p = subs.add_parser("adjacent", help="two touching blocks on the open chain")
-    p.add_argument("--la", type=int, required=True)
-    p.add_argument("--lb", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_adjacent)
-
-    p = subs.add_parser("pbc", help="two blocks on a ring")
-    p.add_argument("--la", type=int, required=True)
-    p.add_argument("--lb", type=int, required=True)
-    p.add_argument("--lc", type=int, required=True)
-    p.add_argument("--ld", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_pbc)
-
-    p = subs.add_parser(
-        "mutual-info", help="finite-size vs asymptotic mutual information"
-    )
-    p.add_argument("--la", type=int, default=6)
-    p.add_argument("--lb", type=int, default=6)
-    p.add_argument("--gap", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_mutual_info)
+    for name, geo in GEOMETRIES.items():
+        p = subs.add_parser(name, help=geo.help)
+        for flag, default, _ in geo.flags:
+            p.add_argument(f"--{flag}", type=int, default=default, required=default is None)
+        _add_common(p)
+        p.set_defaults(func=cmd_geometry)
 
     p = subs.add_parser("mc", help="Monte Carlo battery on the sphere sampler")
     p.add_argument(
@@ -560,13 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("sweep", help="one measures row per swept parameter value")
-    p.add_argument("command", choices=sorted(_SWEEPABLE))
-    p.add_argument("--la")
-    p.add_argument("--gap")
-    p.add_argument("--lb")
-    p.add_argument("--lc")
-    p.add_argument("--ld")
-    p.add_argument("--length")
+    p.add_argument(
+        "command", choices=sorted(n for n, geo in GEOMETRIES.items() if geo.flags)
+    )
+    for flag in SWEEP_FLAGS:
+        p.add_argument(f"--{flag}")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

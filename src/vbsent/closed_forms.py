@@ -24,12 +24,22 @@ P_DEGENERATE_TOL = 1e-14
 ARCCOS_CLAMP_TOL = 1e-12
 
 
+# 3^-L rounds to zero in binary64 from here on
+UNDERFLOW_LENGTH = 679
+
+
 def decay_parameter(length: int) -> float:
-    """z(L) = (-1/3)^L via one integer-over-integer division."""
+    """z(L) = (-1/3)^L via one integer-over-integer division.
+
+    Past the underflow length the result is the signed zero of (-1)^L,
+    returned at once instead of after an exact L-digit power.
+    """
     length = int(length)
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
     sign = -1 if length % 2 else 1
+    if length >= UNDERFLOW_LENGTH:
+        return sign * 0.0
     return sign / 3**length
 
 

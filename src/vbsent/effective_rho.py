@@ -21,7 +21,7 @@ from .linalg import (
     partial_trace,
     spectrum_report,
 )
-from .pauli_algebra import PARITY, calibrated_epsilon
+from .pauli_algebra import PARITY, calibrated_epsilon, m4_tensor
 
 TRACE_TOL = 1e-12
 
@@ -32,93 +32,23 @@ _S_PAIR = (_SIGNS[:, None] + _SIGNS[None, :]) / 2.0
 
 
 @dataclass(frozen=True)
-class BlockGeometry:
-    """Two marked blocks on an open chain (one gap) or a ring (two gaps)."""
-
-    boundary: str
-    block_a: int
-    block_b: int
-    gap: int | None = None
-    gap_c: int | None = None
-    gap_d: int | None = None
-
-    def __post_init__(self):
-        if self.boundary not in ("open", "periodic"):
-            raise ValueError(f"boundary must be open or periodic, got {self.boundary!r}")
-        if self.block_a < 1 or self.block_b < 1:
-            raise ValueError(
-                f"blocks need length >= 1, got ({self.block_a}, {self.block_b})"
-            )
-        if self.boundary == "open":
-            if self.gap is None or self.gap < 0:
-                raise ValueError(f"open geometry needs gap >= 0, got {self.gap}")
-        else:
-            if self.gap_c is None or self.gap_d is None:
-                raise ValueError("periodic geometry needs both gaps")
-            if self.gap_c < 0 or self.gap_d < 0:
-                raise ValueError(
-                    f"gaps must be >= 0, got ({self.gap_c}, {self.gap_d})"
-                )
-
-    @property
-    def total(self) -> int:
-        if self.boundary == "open":
-            return self.block_a + self.gap + self.block_b
-        return self.block_a + self.block_b + self.gap_c + self.gap_d
-
-
-def open_geometry(block_a: int, gap: int, block_b: int) -> BlockGeometry:
-    return BlockGeometry("open", block_a, block_b, gap=gap)
-
-
-def ring_geometry(block_a: int, block_b: int, gap_c: int, gap_d: int) -> BlockGeometry:
-    return BlockGeometry("periodic", block_a, block_b, gap_c=gap_c, gap_d=gap_d)
-
-
-@dataclass(frozen=True)
-class MTensor:
-    """Rank-4 coupling tensor of the three-block contraction identity."""
-
-    values: np.ndarray
-
-    def weighted_contraction(self, gap: int) -> np.ndarray:
-        """sum_{nu sigma} w_nu(gap) M_{mu nu rho sigma} M_{alpha nu beta sigma}."""
-        w = np.array(ChannelWeights.from_length(gap).weights)
-        return np.einsum("n,mnrs,anbs->mrab", w, self.values, self.values)
-
-    def contraction_defect(self, gap: int) -> float:
-        """Max |weighted contraction - closed-form coefficient tensor|."""
-        direct = self.weighted_contraction(gap)
-        closed = _obc_coefficients(decay_parameter(gap))
-        return float(np.max(np.abs(direct - closed)))
-
-
-def m_tensor() -> MTensor:
-    from .pauli_algebra import m4_tensor
-
-    return MTensor(m4_tensor())
-
-
-@dataclass(frozen=True)
 class EffectiveDensityOperator:
     """coeff over unnormalized modes, Gram weights, orthonormal matrix."""
 
     coeff: np.ndarray
     gram: np.ndarray
     normalized: np.ndarray
-    geometry: BlockGeometry
     note: str = ""
 
     def spectrum(self) -> SpectrumReport:
         return spectrum_report(np.real(hermitian_eigvals(self.normalized)))
 
-    def as_operator(self) -> HermitianOperator:
-        return HermitianOperator(self.normalized, (4, 4))
 
-
-def _assemble(coeff4: np.ndarray, geometry: BlockGeometry, note: str = "") -> EffectiveDensityOperator:
-    w_a = np.array(ChannelWeights.from_length(geometry.block_a).weights)
-    w_b = np.array(ChannelWeights.from_length(geometry.block_b).weights)
+def _assemble(
+    coeff4: np.ndarray, block_a: int, block_b: int, note: str = ""
+) -> EffectiveDensityOperator:
+    w_a = np.array(ChannelWeights.from_length(block_a).weights)
+    w_b = np.array(ChannelWeights.from_length(block_b).weights)
     gram = np.einsum("m,r->mr", w_a, w_b).reshape(16)
     coeff = coeff4.reshape(16, 16)
     half = np.sqrt(gram)
@@ -130,7 +60,6 @@ def _assemble(coeff4: np.ndarray, geometry: BlockGeometry, note: str = "") -> Ef
         coeff=coeff,
         gram=gram,
         normalized=normalized / trace,
-        geometry=geometry,
         note=note,
     )
 
@@ -155,18 +84,29 @@ def _obc_coefficients(z: float) -> np.ndarray:
     return _OBC_BASE + z * _OBC_LINEAR
 
 
+def contraction_defect(gap: int) -> float:
+    """Max |sum_{nu sigma} w_nu(gap) M_{mu nu rho sigma} M_{alpha nu beta sigma} - coeff|.
+
+    M is the rank-4 coupling tensor of the three-block contraction
+    identity; chaining two couplings across a middle block of length gap
+    must give the two-block coefficient tensor at z(gap).
+    """
+    m = m4_tensor()
+    w = np.array(ChannelWeights.from_length(gap).weights)
+    direct = np.einsum("n,mnrs,anbs->mrab", w, m, m)
+    return float(np.max(np.abs(direct - _obc_coefficients(decay_parameter(gap)))))
+
+
 def rho_ab_open(block_a: int, gap: int, block_b: int) -> EffectiveDensityOperator:
     """Two disjoint blocks on an open chain, separated by gap >= 1 bulk sites."""
     if gap < 1:
         raise ValueError("disjoint blocks need gap >= 1; use rho_ab_adjacent for 0")
-    geometry = open_geometry(block_a, gap, block_b)
-    return _assemble(_obc_coefficients(decay_parameter(gap)), geometry)
+    return _assemble(_obc_coefficients(decay_parameter(gap)), block_a, block_b)
 
 
 def rho_ab_adjacent(block_a: int, block_b: int) -> EffectiveDensityOperator:
     """Two touching blocks: the gap-dependent coefficients at z = 1."""
-    geometry = open_geometry(block_a, 0, block_b)
-    return _assemble(_obc_coefficients(1.0), geometry)
+    return _assemble(_obc_coefficients(1.0), block_a, block_b)
 
 
 def rho_ce_spectra(middle_length: int) -> tuple[SpectrumReport, SpectrumReport]:
@@ -222,14 +162,13 @@ def rho_ab_pbc(
     since the positivity guarantee for transposed ring states needs both
     gaps >= 1.
     """
-    geometry = ring_geometry(block_a, block_b, gap_c, gap_d)
     coeff4 = _pbc_coefficients(
         decay_parameter(gap_c),
         decay_parameter(gap_d),
-        decay_parameter(geometry.total),
+        decay_parameter(block_a + block_b + gap_c + gap_d),
     )
     note = "" if gap_c >= 1 and gap_d >= 1 else "touching blocks on a ring"
-    return _assemble(coeff4, geometry, note)
+    return _assemble(coeff4, block_a, block_b, note)
 
 
 def convexity_coefficients(gap_c: int, gap_d: int) -> tuple[float, float, float, float]:

@@ -1,0 +1,144 @@
+"""The block geometries of the paper, as one table.
+
+Every case is one construction, two blocks A and B of the chain set by a
+few lengths: a block cut from the open chain (`pure`), the cut between
+the boundary spin and the chain (`bipartition0`), two blocks at a
+distance (`disjoint`) or touching (`adjacent`) on the open chain, two
+blocks on a ring (`pbc`), and two equal blocks whose mutual information
+is set against its limit (`mutual-info`).  `GEOMETRIES` is keyed by
+subcommand name; the CLI subcommands, `sweep` and the verify suites all
+read it.
+
+A route points at one derivation, the closed forms or the 16x16 mode
+operator.  The table never merges routes: verify's cross-check between
+them and the dense oracle is the point.
+"""
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+from . import closed_forms as cf
+from . import effective_rho as er
+from .linalg import SpectrumReport, spectrum_report
+
+Reports = tuple[SpectrumReport, SpectrumReport, float]
+Sites = tuple[int, list[int], list[int]]
+
+
+class Geometry(NamedTuple):
+    """One geometry: its flags, help, validator, routes and site map.
+
+    `flags` holds (name, default, minimum) in label order; a default of
+    None makes the flag required.  Each callable takes the validated
+    params as keywords.  `reports` returns the block spectrum, the
+    partial-transpose spectrum and I(A:B).  `sites` returns the dense
+    oracle's bulk-site count and the sites of blocks A and B.  `limit` is
+    the closed-form asymptotic I(A:B) that the finite pair is set against.
+    """
+
+    name: str
+    help: str
+    flags: tuple[tuple[str, int | None, int], ...]
+    reports: Callable[..., Reports]
+    sites: Callable[..., Sites] | None = None
+    limit: Callable[..., float] | None = None
+    equal_blocks: bool = False
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(name for name, _, _ in self.flags)
+
+    def params(self, **given) -> dict:
+        """Fill defaults into the given flag values and validate them."""
+        extra = sorted(set(given) - set(self.names))
+        if extra:
+            raise ValueError(f"{self.name} takes no --{extra[0]}")
+        params = {}
+        for name, default, low in self.flags:
+            value = given.get(name, default)
+            if value is None:
+                raise ValueError(f"{self.name} needs --{name}")
+            if value < low:
+                raise ValueError(f"{self.name} needs --{name} >= {low}, got {value}")
+            params[name] = value
+        if self.equal_blocks and params["la"] != params["lb"]:
+            raise ValueError(
+                f"{self.name} compares equal blocks; pass --la equal to --lb"
+            )
+        return params
+
+    def label(self, params: dict, head: str | None = None) -> str:
+        return " ".join([head or self.name] + [f"{k}={params[k]}" for k in self.names])
+
+
+def _pure(block: SpectrumReport, pt: SpectrumReport) -> Reports:
+    # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
+    return block, pt, 2.0 * block.entropy
+
+
+def _operator(op: er.EffectiveDensityOperator) -> Reports:
+    m = er.measures(op)
+    return m.report, er.mode_partial_transpose(op).spectrum(), m.mutual_information
+
+
+def _open_sites(la: int, gap: int, lb: int) -> Sites:
+    """Bulk sites start at 1, after the boundary spin at site 0."""
+    start_b = 1 + la + gap
+    return la + gap + lb, list(range(1, 1 + la)), list(range(start_b, start_b + lb))
+
+
+def _ring_sites(la: int, lb: int, lc: int, ld: int) -> Sites:
+    """The arcs run C, A, D, B from site 0."""
+    start_b = lc + la + ld
+    return start_b + lb, list(range(lc, lc + la)), list(range(start_b, start_b + lb))
+
+
+GEOMETRIES = {
+    g.name: g
+    for g in (
+        Geometry(
+            "pure",
+            "single-block bipartition closed forms",
+            (("length", None, 1),),
+            lambda length: _pure(
+                cf.pure_block_spectrum(length), cf.pure_pt_spectrum(length)
+            ),
+        ),
+        Geometry(
+            "bipartition0",
+            "single-bond cut (L=0)",
+            (),
+            lambda: _pure(spectrum_report([0.5, 0.5]), cf.bipartition_L0_pt_spectrum()),
+        ),
+        Geometry(
+            "disjoint",
+            "two separated blocks on the open chain",
+            (("la", None, 1), ("gap", None, 1), ("lb", None, 1)),
+            lambda la, gap, lb: _operator(er.rho_ab_open(la, gap, lb)),
+            _open_sites,
+        ),
+        Geometry(
+            "adjacent",
+            "two touching blocks on the open chain",
+            (("la", None, 1), ("lb", None, 1)),
+            lambda la, lb: _operator(er.rho_ab_adjacent(la, lb)),
+            lambda la, lb: _open_sites(la, 0, lb),
+        ),
+        Geometry(
+            "pbc",
+            "two blocks on a ring",
+            (("la", None, 1), ("lb", None, 1), ("lc", None, 0), ("ld", None, 0)),
+            lambda la, lb, lc, ld: _operator(er.rho_ab_pbc(la, lb, lc, ld)),
+            _ring_sites,
+        ),
+        Geometry(
+            "mutual-info",
+            "finite-size vs asymptotic mutual information",
+            (("la", 6, 1), ("lb", 6, 1), ("gap", None, 1)),
+            lambda la, lb, gap: _operator(er.rho_ab_open(la, gap, lb)),
+            _open_sites,
+            lambda la, lb, gap: cf.mutual_information(cf.decay_parameter(gap)),
+            equal_blocks=True,
+        ),
+    )
+}

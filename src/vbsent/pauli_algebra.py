@@ -30,17 +30,6 @@ MODES = range(4)
 
 
 @dataclass(frozen=True)
-class SigmaBasis:
-    sigma: np.ndarray
-    sigma_bar: np.ndarray
-    parity: tuple[int, int, int, int]
-    metric: tuple[int, int, int, int]
-
-
-SIGMA_BASIS = SigmaBasis(SIGMA, SIGMA_BAR, PARITY, METRIC)
-
-
-@dataclass(frozen=True)
 class Epsilon4:
     """Totally antisymmetric rank-4 tensor with a chosen sign for e_0123."""
 
@@ -137,7 +126,7 @@ def _id3_residual() -> float:
     # product of three bond contractions
     eps = calibrated_epsilon().values
     coeff_trace = np.zeros((4, 4, 4), dtype=complex)
-    m_tensor = np.zeros((4, 4, 4), dtype=complex)
+    m_form = np.zeros((4, 4, 4), dtype=complex)
     for mu, nu, lam in itertools.product(MODES, repeat=3):
         coeff_trace[mu, nu, lam] = (
             0.125 * PARITY[nu] * METRIC[nu] * trace4(mu, nu, 2, lam)
@@ -148,8 +137,8 @@ def _id3_residual() -> float:
             - METRIC[lam] * (lam == nu) * (mu == 2)
             + METRIC[nu] * eps[mu, nu, 2, lam]
         )
-        m_tensor[mu, nu, lam] = PARITY[nu] * m
-    worst = float(np.max(np.abs(coeff_trace - m_tensor)))
+        m_form[mu, nu, lam] = PARITY[nu] * m
+    worst = float(np.max(np.abs(coeff_trace - m_form)))
     for idx in itertools.product(range(2), repeat=6):
         a1, b1, a2, b2, a3, b3 = idx
         lhs = SIGMA[2][a1, b1] * SIGMA[2][a2, b2] * SIGMA[2][a3, b3]

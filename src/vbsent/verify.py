@@ -19,6 +19,7 @@ from . import effective_rho as er
 from . import mps_oracle as mo
 from . import pauli_algebra as pa
 from . import sphere_mc as mc
+from .geometry import GEOMETRIES
 from .linalg import hermitian_eigvals
 
 EXACT = 0.0
@@ -184,12 +185,6 @@ def _disjoint_geometries(max_total: int = 6):
             yield l1, gap, l2
 
 
-def _open_block_sites(l1: int, gap: int, l2: int):
-    a = [1 + k for k in range(l1)]
-    b = [1 + l1 + gap + k for k in range(l2)]
-    return a, b
-
-
 def suite_disjoint_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
     rows = []
     worst_poly_mode, worst_mode_ed, worst_anchor = 0.0, 0.0, 0.0
@@ -200,8 +195,8 @@ def suite_disjoint_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
         worst_poly_mode = max(
             worst_poly_mode, _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
         )
-        state = _open_chain(l1 + gap + l2)
-        a, b = _open_block_sites(l1, gap, l2)
+        n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
+        state = _open_chain(n)
         ed, _ = mo.entanglement_report(state, a, b)
         worst_mode_ed = max(
             worst_mode_ed, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
@@ -235,8 +230,8 @@ def suite_open_transpose_positivity(tol: float = 1e-10, **_) -> list[CheckResult
             worst_flip,
             float(np.max(np.abs(pt.coeff - flipped.reshape(16, 16)))),
         )
-        state = _open_chain(l1 + gap + l2)
-        a, b = _open_block_sites(l1, gap, l2)
+        n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
+        state = _open_chain(n)
         _, ed_pt = mo.entanglement_report(state, a, b)
         worst_ed = min(worst_ed, min(ed_pt.eigenvalues))
     rows.append(_result("open-transpose", "mode transpose min eigenvalue", -worst_mode, 1e-12))
@@ -250,8 +245,8 @@ def suite_adjacent_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
     worst_ed, worst_mode = 0.0, 0.0
     for l1, l2 in product(range(1, 4), repeat=2):
         closed = cf.adjacent_pt_negativity(l1, l2)
-        state = _open_chain(l1 + l2)
-        a, b = _open_block_sites(l1, 0, l2)
+        n, a, b = GEOMETRIES["adjacent"].sites(la=l1, lb=l2)
+        state = _open_chain(n)
         _, ed_pt = mo.entanglement_report(state, a, b)
         worst_ed = max(worst_ed, abs(closed.negativity - ed_pt.negativity))
         op = er.mode_partial_transpose(er.rho_ab_adjacent(l1, l2))
@@ -285,12 +280,6 @@ def _ring_partitions(n: int):
             yield la, lb, lc, ld
 
 
-def _ring_block_sites(la: int, lb: int, lc: int, ld: int):
-    a = [lc + k for k in range(la)]
-    b = [lc + la + ld + k for k in range(lb)]
-    return a, b
-
-
 def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> list[CheckResult]:
     rows = []
     worst_ed, worst_pt_mode, worst_pt_ed = 0.0, 0.0, 0.0
@@ -299,7 +288,7 @@ def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> list[Check
         state = _ring(n)
         for la, lb, lc, ld in _ring_partitions(n):
             op = er.rho_ab_pbc(la, lb, lc, ld)
-            a, b = _ring_block_sites(la, lb, lc, ld)
+            _, a, b = GEOMETRIES["pbc"].sites(la=la, lb=lb, lc=lc, ld=ld)
             ed, ed_pt = mo.entanglement_report(state, a, b)
             worst_ed = max(
                 worst_ed, _spectrum_gap(op.spectrum().eigenvalues, ed.eigenvalues)
@@ -326,10 +315,10 @@ def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> list[Check
 def suite_hamiltonian(max_sites: int = 8, **_) -> list[CheckResult]:
     rows = []
     worst_open = max(
-        mo.hamiltonian_residual(_open_chain(n)) for n in range(1, max_sites + 1)
+        abs(mo.hamiltonian_residual(_open_chain(n))) for n in range(1, max_sites + 1)
     )
     worst_ring = max(
-        mo.hamiltonian_residual(_ring(n)) for n in range(3, max_sites + 1)
+        abs(mo.hamiltonian_residual(_ring(n))) for n in range(3, max_sites + 1)
     )
     kernel_defect = max(
         abs(mo.zero_energy_degeneracy((2,) + (3,) * n + (2,)) - 1)
@@ -470,8 +459,10 @@ def run_suites(
     samples: int = 20_000,
     seed: int = 7,
 ) -> list[CheckResult]:
-    if max_sites < 3:
-        raise ValueError("battery needs max_sites >= 3 (ring checks start at 3)")
+    if max_sites < 4:
+        raise ValueError(
+            "battery needs max_sites >= 4 (the smallest ring with four nonempty arcs)"
+        )
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

@@ -7,11 +7,13 @@ same way a shell user would hit them.
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+import vbsent.cli
 from vbsent.cli import _fmt, group_spectrum, main
 
 
@@ -216,11 +218,25 @@ def test_mc_discriminate_rejects_wrong_sign():
     assert minus[5] == "inf"
 
 
+def test_mc_names_a_failed_discrimination(monkeypatch):
+    real = vbsent.cli.mc.sign_discrimination
+
+    def minus_not_rejected(**kwargs):
+        disc = real(**kwargs)
+        return dataclasses.replace(disc, sigmas_from_minus=0.5)
+
+    monkeypatch.setattr(vbsent.cli.mc, "sign_discrimination", minus_not_rejected)
+    code, _, err = run_cli(["mc", "--task", "discriminate", "--samples", "2000"])
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("check failed: discriminate:")
+
+
 # ------------------------------------------------------------------- verify
 
 
 def test_verify_small_battery_passes():
-    code, out, err = run_cli(["verify", "--max-sites", "3", "--samples", "1000"])
+    code, out, err = run_cli(["verify", "--max-sites", "4", "--samples", "1000"])
     assert code == 0 and err == ""
     (rows,) = csv_tables(out)
     assert rows[0] == ["suite", "check", "passed", "worst", "bound"]
@@ -231,7 +247,7 @@ def test_verify_small_battery_passes():
 
 
 def test_verify_zero_tolerance_reports_failures():
-    code, out, err = run_cli(["verify", "--max-sites", "3", "--samples", "1000", "--tol", "0"])
+    code, out, err = run_cli(["verify", "--max-sites", "4", "--samples", "1000", "--tol", "0"])
     assert code == 1
     assert "check failed:" in err
     (rows,) = csv_tables(out)
@@ -239,9 +255,22 @@ def test_verify_zero_tolerance_reports_failures():
 
 
 def test_verify_rejects_tiny_site_budget():
-    code, _, err = run_cli(["verify", "--max-sites", "2", "--samples", "1000"])
-    assert code == 2
-    assert "max_sites >= 3" in err
+    code, out, err = run_cli(["verify", "--max-sites", "3", "--samples", "1000"])
+    assert code == 2 and out == ""
+    assert "max_sites >= 4" in err
+
+
+def test_verify_reports_the_values_it_used():
+    code, out, _ = run_cli(
+        ["verify", "--max-sites", "4", "--samples", "1000", "--tol", "0", "--format", "json"]
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["tolerances"]["verification"] == 0
+    code, out, _ = run_cli(["verify", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert all(row["worst"] >= 0 for row in doc["results"]["checks"])
 
 
 # -------------------------------------------------------------------- sweep
@@ -262,10 +291,22 @@ def test_sweep_error_paths():
         (["sweep", "adjacent", "--la", "1:2", "--lb", "1:2"], "exactly one"),
         (["sweep", "adjacent", "--la", "1", "--lb", "2"], "range"),
         (["sweep", "pure", "--length", "4:1"], "empty range"),
+        (["sweep", "pure", "--length", "1:2", "--la", "9"], "takes no --la"),
+        (["sweep", "mutual-info", "--la", "2", "--lb", "3", "--gap", "1:2"], "equal"),
     ]:
         code, _, err = run_cli(argv)
         assert code == 2, argv
         assert err.startswith("error:") and fragment in err
+
+
+def test_sweep_mutual_info_honours_block_flags():
+    code, out, _ = run_cli(["sweep", "mutual-info", "--la", "2", "--lb", "2", "--gap", "1:2"])
+    assert code == 0
+    (rows,) = csv_tables(out)
+    assert [r[0] for r in rows[1:]] == [
+        "mutual-info la=2 lb=2 gap=1",
+        "mutual-info la=2 lb=2 gap=2",
+    ]
 
 
 def test_missing_required_flag_exits_via_argparse():

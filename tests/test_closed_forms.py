@@ -1,6 +1,8 @@
 """Unit tests for the closed-form spectra, negativities and entropies."""
 
 import math
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +44,16 @@ def test_decay_parameter_values():
     assert decay_parameter(1) == -1.0 / 3.0
     assert decay_parameter(2) == 1.0 / 9.0
     assert decay_parameter(3) == -1.0 / 27.0
+
+
+def test_decay_parameter_underflow_is_exact_and_immediate():
+    # the signed zero past underflow equals the exact ratio bit for bit
+    for length in range(600, 801):
+        exact = (-1 if length % 2 else 1) / 3**length
+        assert struct.pack("<d", decay_parameter(length)) == struct.pack("<d", exact)
+    start = time.perf_counter()
+    assert struct.pack("<d", decay_parameter(10**8)) == struct.pack("<d", 0.0)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_channel_signs():

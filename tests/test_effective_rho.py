@@ -19,21 +19,19 @@ from vbsent.closed_forms import (
     mutual_information,
 )
 from vbsent.effective_rho import (
-    BlockGeometry,
     _obc_coefficients,
     _pbc_coefficients,
+    contraction_defect,
     convexity_coefficients,
-    m_tensor,
     measures,
     mode_partial_trace,
     mode_partial_transpose,
-    open_geometry,
     rho_ab_adjacent,
     rho_ab_open,
     rho_ab_pbc,
     rho_ce_spectra,
-    ring_geometry,
 )
+from vbsent.geometry import GEOMETRIES
 from vbsent.linalg import hermitian_eigvals
 
 
@@ -41,25 +39,35 @@ from vbsent.linalg import hermitian_eigvals
 
 
 def test_open_geometry_total():
-    g = open_geometry(2, 3, 1)
-    assert g.total == 6
-    assert g.boundary == "open"
+    # bulk sites start at 1, after the boundary spin at site 0
+    assert GEOMETRIES["disjoint"].sites(la=2, gap=3, lb=1) == (6, [1, 2], [6])
+    assert GEOMETRIES["adjacent"].sites(la=2, lb=1) == (3, [1, 2], [3])
 
 
 def test_ring_geometry_total():
-    g = ring_geometry(1, 2, 1, 3)
-    assert g.total == 7
+    # the arcs run C, A, D, B from site 0
+    assert GEOMETRIES["pbc"].sites(la=1, lb=2, lc=1, ld=3) == (7, [1], [5, 6])
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError, match="length >= 1"):
-        open_geometry(0, 1, 1)
-    with pytest.raises(ValueError, match="gap >= 0"):
-        open_geometry(1, -1, 1)
-    with pytest.raises(ValueError, match="both gaps"):
-        BlockGeometry("periodic", 1, 1, gap_c=1)
-    with pytest.raises(ValueError, match="boundary"):
-        BlockGeometry("twisted", 1, 1, gap=1)
+    # every block is nonempty
+    for geo in GEOMETRIES.values():
+        for flag in set(geo.names) & {"length", "la", "lb"}:
+            with pytest.raises(ValueError, match=f"--{flag} >= 1"):
+                geo.params(**{**dict.fromkeys(geo.names, 1), flag: 0})
+    # the open gap is 0 only for adjacent blocks, whose site map has no gap
+    with pytest.raises(ValueError, match="--gap >= 1"):
+        GEOMETRIES["disjoint"].params(la=1, gap=0, lb=1)
+    assert GEOMETRIES["pbc"].params(la=1, lb=1, lc=0, ld=0)["lc"] == 0
+    with pytest.raises(ValueError, match="--lc >= 0"):
+        GEOMETRIES["pbc"].params(la=1, lb=1, lc=-1, ld=1)
+    with pytest.raises(ValueError, match="needs --ld"):
+        GEOMETRIES["pbc"].params(la=1, lb=1, lc=1)
+    with pytest.raises(ValueError, match="takes no --gap"):
+        GEOMETRIES["adjacent"].params(la=1, gap=1, lb=1)
+    with pytest.raises(ValueError, match="equal blocks"):
+        GEOMETRIES["mutual-info"].params(la=2, lb=3, gap=1)
+    assert GEOMETRIES["mutual-info"].params(gap=2) == {"la": 6, "lb": 6, "gap": 2}
 
 
 # ---------------------------------------------------- coefficient tensors
@@ -68,9 +76,8 @@ def test_geometry_validation():
 def test_m_tensor_contraction_closes():
     # chaining two three-block couplings across a middle block of any
     # length reproduces the two-block coefficients to round-off
-    m = m_tensor()
     for gap in (1, 2, 3, 4):
-        assert m.contraction_defect(gap) < 1e-15
+        assert contraction_defect(gap) < 1e-15
 
 
 def test_obc_coefficients_transpose_flip():
