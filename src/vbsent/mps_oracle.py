@@ -4,8 +4,11 @@ Builds the exact valence-bond ground state from 2x2 matrix-product
 tensors (N bulk spin-1 sites, and for open chains one spin-1/2 on each
 end contracted straight onto the virtual bond), assembles the projector
 Hamiltonian, and evaluates reduced densities, partial transposes and
-correlators with dense linear algebra.  Everything downstream is checked
-against this module.
+correlators with dense linear algebra.  Two-block reports compress each
+block to the range of its reduced density and diagonalize at most
+(r_A r_B) x (r_A r_B) matrices, 16 x 16 for contiguous blocks, so chains
+of up to MAX_BULK_SITES = 12 bulk sites are accepted.  Everything
+downstream is checked against this module.
 """
 from __future__ import annotations
 
@@ -17,10 +20,11 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import (
+    EIG_CLAMP,
     HermitianOperator,
     SpectrumReport,
+    hermitian_eig,
     hermitian_eigvals,
-    partial_transpose,
     reduced_density,
     spectrum_report,
 )
@@ -56,7 +60,7 @@ AKLT_TENSORS = np.stack(
 LEFT_BOUNDARY = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 RIGHT_BOUNDARY = np.array([[-1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-MAX_BULK_SITES = 9
+MAX_BULK_SITES = 12
 
 
 @dataclass(frozen=True)
@@ -195,18 +199,21 @@ def hamiltonian_residual(state: StateVector) -> float:
 
 
 def dense_hamiltonian(site_dims) -> np.ndarray:
-    """Full H as a matrix, column by column; guarded to small geometries."""
+    """Full H as a matrix; guarded to small geometries.
+
+    Each term acts once on the identity, read as dim columns of shape
+    site_dims; every output entry has at most one nonzero product, so the
+    result equals applying H to each unit vector in turn, bit for bit.
+    """
     dims = tuple(int(d) for d in site_dims)
     dim = math.prod(dims)
     if dim > 1000:
         raise ValueError(f"dense Hamiltonian limited to dim <= 1000, got {dim}")
-    h = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[k] = 1.0
-        col = StateVector(e, dims, 1.0)
-        h[:, k] = apply_hamiltonian(col)
-    return h
+    basis = np.eye(dim, dtype=complex).reshape(dims + (dim,))
+    h = np.zeros_like(basis)
+    for op, i, j in _hamiltonian_terms(dims):
+        h += _apply_two_site(basis, op, i, j)
+    return h.reshape(dim, dim)
 
 
 def zero_energy_degeneracy(site_dims, tol: float = 1e-10) -> int:
@@ -241,6 +248,22 @@ def reduced_block_density(state: StateVector, sites) -> HermitianOperator:
     return reduced_density(state.amplitudes, state.site_dims, sites)
 
 
+def _range_basis(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of mat mat^H, eigenvalues above EIG_CLAMP.
+
+    Diagonalizes the smaller of the two Gram matrices: mat mat^H directly,
+    or mat^H mat, whose eigenvectors v map back to the range as
+    mat v / sqrt(lambda).
+    """
+    rows, cols = mat.shape
+    if rows <= cols:
+        vals, vecs = hermitian_eig(mat @ mat.conj().T)
+        return vecs[:, vals > EIG_CLAMP]
+    vals, vecs = hermitian_eig(mat.conj().T @ mat)
+    keep = vals > EIG_CLAMP
+    return (mat @ vecs[:, keep]) / np.sqrt(vals[keep])
+
+
 def entanglement_report(
     state: StateVector, block_a, block_b
 ) -> tuple[SpectrumReport, SpectrumReport]:
@@ -248,18 +271,46 @@ def entanglement_report(
 
     block_a / block_b are site indices into the full chain; they must not
     overlap.  The transpose acts on block_a's physical indices.
+
+    rho_AB is never formed.  With Q_A, Q_B orthonormal bases of the ranges
+    of rho_A and rho_B, range(rho_AB) lies in range(Q_A x Q_B), so rho_AB
+    has the spectrum of sigma = (Q_A x Q_B)^H rho_AB (Q_A x Q_B), and
+    rho_AB^{T_A} that of sigma^{T_A} (its isometry is Q_A* x Q_B); both
+    are (r_A r_B)-dimensional.  The remaining eigenvalues, one per basis
+    state of the kept sites beyond the support, are exactly 0.0.  Raises
+    ValueError when the ranges miss more than EIG_CLAMP of the weight.
     """
     set_a = {int(s) for s in block_a}
     set_b = {int(s) for s in block_b}
     if set_a & set_b:
         raise ValueError(f"blocks overlap on sites {sorted(set_a & set_b)}")
-    kept = sorted(set_a | set_b)
-    rho = reduced_density(state.amplitudes, state.site_dims, kept)
-    a_positions = [pos for pos, s in enumerate(kept) if s in set_a]
-    rho_pt = partial_transpose(rho, a_positions)
+    dims = state.site_dims
+    kept = set_a | set_b
+    a, b = sorted(set_a), sorted(set_b)
+    rest = [s for s in range(len(dims)) if s not in kept]
+    dim_a = math.prod(dims[s] for s in a)
+    dim_b = math.prod(dims[s] for s in b)
+    psi = state.array.transpose(a + b + rest).reshape(dim_a, dim_b, -1)
+    mat_a = psi.reshape(dim_a, -1)
+    q_a = _range_basis(mat_a)
+    q_b = _range_basis(psi.transpose(1, 0, 2).reshape(dim_b, -1))
+    r_a, r_b = q_a.shape[1], q_b.shape[1]
+    phi = (q_a.conj().T @ mat_a).reshape(r_a, dim_b, -1)
+    phi = (q_b.conj().T @ phi).reshape(r_a * r_b, -1)
+    sigma = phi @ phi.conj().T
+    lost = float(np.vdot(psi, psi).real - np.trace(sigma).real)
+    if lost > EIG_CLAMP:
+        raise ValueError(
+            f"block ranges miss weight {lost:.3e} of the state "
+            f"(more than {EIG_CLAMP:.0e})"
+        )
+    sigma_pt = (
+        sigma.reshape(r_a, r_b, r_a, r_b).transpose(2, 1, 0, 3).reshape(r_a * r_b, -1)
+    )
+    zeros = np.zeros(dim_a * dim_b - r_a * r_b)
     return (
-        spectrum_report(np.real(hermitian_eigvals(rho))),
-        spectrum_report(np.real(hermitian_eigvals(rho_pt))),
+        spectrum_report(np.concatenate([hermitian_eigvals(sigma), zeros])),
+        spectrum_report(np.concatenate([hermitian_eigvals(sigma_pt), zeros])),
     )
 
 

@@ -459,9 +459,11 @@ def run_suites(
     samples: int = 20_000,
     seed: int = 7,
 ) -> list[CheckResult]:
-    if max_sites < 4:
+    if not 4 <= max_sites <= mo.MAX_BULK_SITES:
         raise ValueError(
-            "battery needs max_sites >= 4 (the smallest ring with four nonempty arcs)"
+            "battery needs max_sites >= 4 (the smallest ring with four nonempty "
+            f"arcs) and <= {mo.MAX_BULK_SITES} (the largest dense state), "
+            f"got {max_sites}"
         )
     if names is None:
         names = list(SUITES)

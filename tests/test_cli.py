@@ -14,6 +14,7 @@ import json
 import pytest
 
 import vbsent.cli
+from vbsent import verify as vf
 from vbsent.cli import _fmt, group_spectrum, main
 
 
@@ -258,6 +259,21 @@ def test_verify_rejects_tiny_site_budget():
     code, out, err = run_cli(["verify", "--max-sites", "3", "--samples", "1000"])
     assert code == 2 and out == ""
     assert "max_sites >= 4" in err
+
+
+def test_verify_rejects_site_budget_beyond_dense_states(monkeypatch):
+    code, out, err = run_cli(["verify", "--max-sites", "13", "--samples", "1000"])
+    assert code == 2 and out == ""
+    assert "max_sites >= 4" in err and "<= 12" in err
+    # the budget is checked before any suite runs
+    monkeypatch.setitem(vf.SUITES, "ring-blocks", lambda **_: pytest.fail("suite ran"))
+    with pytest.raises(ValueError, match="got 13"):
+        vf.run_suites(["ring-blocks"], max_sites=13)
+
+
+def test_ring_suite_passes_at_ten_sites():
+    rows = vf.run_suites(["ring-blocks"], max_sites=10)
+    assert rows and all(r.passed for r in rows)
 
 
 def test_verify_reports_the_values_it_used():

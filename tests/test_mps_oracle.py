@@ -3,15 +3,20 @@ properties, correlators, and the entanglement reports used to cross-check
 every closed form."""
 
 import math
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
 
+from vbsent import effective_rho as er
 from vbsent.linalg import hermitian_eigvals, partial_transpose, spectrum_report
 from vbsent.mps_oracle import (
     AKLT_TENSORS,
     DEFAULT_CHAIN,
     MAX_BULK_SITES,
+    StateVector,
+    apply_hamiltonian,
     bond_projector,
     boundary_projector,
     build_open_chain,
@@ -100,6 +105,17 @@ def test_ground_state_unique_small_sizes():
     for n in range(1, 5):
         dims = (2,) + (3,) * n + (2,)
         assert zero_energy_degeneracy(dims) == 1
+
+
+def test_dense_hamiltonian_equals_column_by_column_application():
+    for dims in ((2, 3, 3, 2), (2, 3, 3, 3, 2), (3, 3, 3, 3)):
+        dim = math.prod(dims)
+        reference = np.zeros((dim, dim), dtype=complex)
+        for k in range(dim):
+            unit = np.zeros(dim, dtype=complex)
+            unit[k] = 1.0
+            reference[:, k] = apply_hamiltonian(StateVector(unit, dims, 1.0))
+        assert np.array_equal(dense_hamiltonian(dims), reference)
 
 
 def test_dense_hamiltonian_psd():
@@ -225,11 +241,110 @@ def test_pure_pt_single_cut_has_rank_two():
     assert nonzero == pytest.approx([-0.5, 0.5, 0.5, 0.5], abs=1e-12)
 
 
+def _contiguous_pairs(n_sites: int, ring: bool):
+    """Every placement of two disjoint contiguous blocks A, B.
+
+    On a ring, A starts at site 0 and the two gaps may be empty; on an
+    open chain the boundary spins are ordinary sites of the placement.
+    """
+    for la, lb in product(range(1, n_sites), repeat=2):
+        for gap in range(n_sites - la - lb + 1):
+            starts = [0] if ring else range(n_sites - la - gap - lb + 1)
+            for start in starts:
+                b0 = start + la + gap
+                yield list(range(start, start + la)), list(range(b0, b0 + lb))
+
+
 def test_dense_pt_of_reduced_density_matches_report():
-    state = build_open_chain(3)
-    a, b = [1], [2, 3]
-    _, pt_rep = entanglement_report(state, a, b)
-    rho = reduced_block_density(state, [1, 2, 3])
-    pt = partial_transpose(rho, [0])
-    direct = spectrum_report(np.real(hermitian_eigvals(pt)))
-    assert direct.eigenvalues == pytest.approx(pt_rep.eigenvalues, abs=1e-13)
+    # the compressed report against the dense composition it replaces
+    cases = [
+        (build_open_chain(n), a, b)
+        for n in range(1, 5)
+        for a, b in _contiguous_pairs(n + 2, ring=False)
+    ]
+    cases += [
+        (build_ring(n), a, b)
+        for n in range(2, 7)
+        for a, b in _contiguous_pairs(n, ring=True)
+    ]
+    cases.append((build_open_chain(4), [1, 3], [4, 5]))  # non-contiguous A
+    cases.append((build_ring(6), [5, 0, 1], [3]))  # A wraps past site 0
+    # a z rotation by a different angle on every site makes the amplitudes
+    # complex and leaves every block rank unchanged
+    ring = build_ring(5)
+    m = np.array([1.0, 0.0, -1.0])
+    angle = sum(0.4 * (s + 1) * m.reshape((3,) + (1,) * (4 - s)) for s in range(5))
+    phased = ring.amplitudes * np.exp(1j * angle).reshape(-1)
+    cases.append((StateVector(phased, ring.site_dims, 1.0), [0, 1], [3, 4]))
+    for state, a, b in cases:
+        block_rep, pt_rep = entanglement_report(state, a, b)
+        kept = sorted(a + b)
+        rho = reduced_block_density(state, kept)
+        pt = partial_transpose(rho, [kept.index(s) for s in a])
+        for rep, dense in ((block_rep, rho), (pt_rep, pt)):
+            direct = np.sort(np.real(hermitian_eigvals(dense)))
+            assert len(rep.eigenvalues) == len(direct)
+            assert rep.eigenvalues == pytest.approx(direct, abs=1e-13)
+
+
+def test_report_rejects_lost_weight():
+    # one dominant Schmidt weight and 49 weights of 5e-14: the block ranges
+    # keep only the first, so the report would silently drop 2.45e-12
+    weights = np.array([1.0 - 49 * 5e-14] + [5e-14] * 49)
+    amps = np.diag(np.sqrt(weights)).reshape(-1)
+    state = StateVector(amps, (50, 50), 1.0)
+    with pytest.raises(ValueError, match="miss weight 2.45"):
+        entanglement_report(state, [0], [1])
+
+
+@lru_cache(maxsize=None)
+def _cached_state(ring: bool, n: int):
+    return build_ring(n) if ring else build_open_chain(n)
+
+
+def _padded(values, size: int) -> np.ndarray:
+    return np.sort(np.concatenate([values, np.zeros(size - len(values))]))
+
+
+def test_report_matches_mode_operator_at_any_placement():
+    # verify and the acceptance tests put ring arc C at site 0 and block A
+    # first; here rings are rotated and the blocks swapped at random
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def placements(draw):
+        ring = draw(st.booleans())
+        n = draw(st.integers(2, 9))
+        la = draw(st.integers(1, n - 1))
+        lb = draw(st.integers(1, n - la))
+        gap = draw(st.integers(0, n - la - lb))
+        if ring:
+            ld = n - la - lb - gap
+            rot = draw(st.integers(0, n - 1))
+            a = [(rot + gap + j) % n for j in range(la)]
+            b = [(rot + gap + la + ld + j) % n for j in range(lb)]
+            if draw(st.booleans()):
+                a, b = b, a
+            op = er.rho_ab_pbc(la, lb, gap, ld)
+            return _cached_state(True, n), a, b, op, gap >= 1 and ld >= 1
+        offset = draw(st.integers(0, n - la - lb - gap))
+        # bulk sites are 1..n, after the boundary spin at site 0
+        a = [1 + offset + j for j in range(la)]
+        b = [1 + offset + la + gap + j for j in range(lb)]
+        op = er.rho_ab_open(la, gap, lb) if gap else er.rho_ab_adjacent(la, lb)
+        return _cached_state(False, n), a, b, op, gap >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(placements())
+    def check(placement):
+        state, a, b, op, gaps_apart = placement
+        block, pt = entanglement_report(state, a, b)
+        mode = op.spectrum().eigenvalues
+        size = max(len(mode), len(block.eigenvalues))
+        worst = np.max(np.abs(_padded(block.eigenvalues, size) - _padded(mode, size)))
+        assert worst <= 1e-10
+        if gaps_apart:
+            assert min(pt.eigenvalues) >= -1e-12
+
+    check()
