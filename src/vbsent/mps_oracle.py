@@ -4,14 +4,17 @@ Builds the exact valence-bond ground state from 2x2 matrix-product
 tensors (N bulk spin-1 sites, and for open chains one spin-1/2 on each
 end contracted straight onto the virtual bond), assembles the projector
 Hamiltonian, and evaluates reduced densities, partial transposes and
-correlators with dense linear algebra.  Two-block reports compress each
-block to the range of its reduced density and diagonalize at most
-(r_A r_B) x (r_A r_B) matrices, 16 x 16 for contiguous blocks, so chains
-of up to MAX_BULK_SITES = 12 bulk sites are accepted.  Everything
-downstream is checked against this module.
+correlators with dense linear algebra.  Two-block reports project the
+state onto block ranges read off the same tensors the state is built
+from: a run of neighbouring sites spans at most the 4 entries of its
+2x2 matrix product, and a block is the product of its runs.  They
+diagonalize at most (r_A r_B) x (r_A r_B) matrices, 16 x 16 for
+contiguous blocks, so chains of up to MAX_BULK_SITES = 12 bulk sites
+are accepted.  Everything downstream is checked against this module.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ from .linalg import (
     EIG_CLAMP,
     HermitianOperator,
     SpectrumReport,
-    hermitian_eig,
     hermitian_eigvals,
     reduced_density,
     spectrum_report,
@@ -101,6 +103,21 @@ class StateVector:
         return all(d == 3 for d in self.site_dims)
 
 
+def _is_ring(site_dims: tuple[int, ...]) -> bool:
+    """True for a ring layout (3, ..., 3), False for a chain (2, 3, ..., 3, 2)."""
+    n = len(site_dims)
+    if n >= 2 and all(d == 3 for d in site_dims):
+        return True
+    if n >= 3 and site_dims[0] == site_dims[-1] == 2 and all(
+        d == 3 for d in site_dims[1:-1]
+    ):
+        return False
+    raise ValueError(
+        f"site dims {site_dims} are neither a chain (2, 3, ..., 3, 2) "
+        f"nor a ring (3, ..., 3)"
+    )
+
+
 def _guard_bulk_count(n: int, low: int, kind: str) -> None:
     if not low <= n <= MAX_BULK_SITES:
         dim = 3**n * (4 if kind == "open" else 1)
@@ -111,6 +128,22 @@ def _guard_bulk_count(n: int, low: int, kind: str) -> None:
         )
 
 
+def _mps_products(bulk: int, left_end: bool, right_end: bool) -> np.ndarray:
+    """Matrix products of DEFAULT_CHAIN over a run of neighbouring sites.
+
+    Indexed [physical, left virtual, right virtual], physical site major in
+    run order.  An end spin contracts its boundary vector onto the run's
+    outer bond, leaving that virtual index of dimension 1.
+    """
+    chain = DEFAULT_CHAIN
+    g = chain.left_boundary[:, None, :] if left_end else np.eye(2, dtype=complex)[None]
+    for _ in range(bulk):
+        g = np.einsum("pab,mbc->pmac", g, chain.tensors).reshape(-1, g.shape[1], 2)
+    if right_end:
+        g = np.einsum("pab,bq->pqa", g, chain.right_boundary).reshape(-1, g.shape[1], 1)
+    return g
+
+
 def build_open_chain(n_bulk: int) -> StateVector:
     """Exact ground state of the terminated chain: spin-1/2, N spin-1, spin-1/2.
 
@@ -118,10 +151,7 @@ def build_open_chain(n_bulk: int) -> StateVector:
     and unique at the sizes where the dense kernel is computable.
     """
     _guard_bulk_count(n_bulk, 1, "open")
-    g = LEFT_BOUNDARY
-    for _ in range(n_bulk):
-        g = np.einsum("...a,mab->...mb", g, AKLT_TENSORS)
-    amp = np.einsum("...a,ab->...b", g, RIGHT_BOUNDARY).reshape(-1)
+    amp = _mps_products(n_bulk, True, True).reshape(-1)
     raw = float(np.linalg.norm(amp))
     dims = (2,) + (3,) * n_bulk + (2,)
     return StateVector(amp / raw, dims, raw)
@@ -130,10 +160,7 @@ def build_open_chain(n_bulk: int) -> StateVector:
 def build_ring(n_bulk: int) -> StateVector:
     """Exact ground state on a ring of N spin-1 sites (trace of tensor products)."""
     _guard_bulk_count(n_bulk, 2, "ring")
-    g = AKLT_TENSORS
-    for _ in range(n_bulk - 1):
-        g = np.einsum("...ab,mbc->...mac", g, AKLT_TENSORS)
-    amp = np.trace(g, axis1=-2, axis2=-1).reshape(-1)
+    amp = np.trace(_mps_products(n_bulk, False, False), axis1=1, axis2=2)
     raw = float(np.linalg.norm(amp))
     return StateVector(amp / raw, (3,) * n_bulk, raw)
 
@@ -171,18 +198,13 @@ def _apply_single_site(arr: np.ndarray, op: np.ndarray, i: int) -> np.ndarray:
 def _hamiltonian_terms(site_dims: tuple[int, ...]):
     """(op, i, j) triples for every projector term of the geometry."""
     n = len(site_dims)
-    if all(d == 3 for d in site_dims):
-        bond = bond_projector()
+    bond = bond_projector()
+    if _is_ring(site_dims):
         return [(bond, i, (i + 1) % n) for i in range(n)]
-    if site_dims[0] == 2 and site_dims[-1] == 2 and all(
-        d == 3 for d in site_dims[1:-1]
-    ):
-        terms = [(boundary_projector("left"), 0, 1)]
-        bond = bond_projector()
-        terms += [(bond, i, i + 1) for i in range(1, n - 2)]
-        terms.append((boundary_projector("right"), n - 2, n - 1))
-        return terms
-    raise ValueError(f"unrecognized geometry with site dims {site_dims}")
+    terms = [(boundary_projector("left"), 0, 1)]
+    terms += [(bond, i, i + 1) for i in range(1, n - 2)]
+    terms.append((boundary_projector("right"), n - 2, n - 1))
+    return terms
 
 
 def apply_hamiltonian(state: StateVector) -> np.ndarray:
@@ -248,20 +270,44 @@ def reduced_block_density(state: StateVector, sites) -> HermitianOperator:
     return reduced_density(state.amplitudes, state.site_dims, sites)
 
 
-def _range_basis(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of mat mat^H, eigenvalues above EIG_CLAMP.
+def _runs(block: set[int], n: int, ring: bool) -> list[list[int]]:
+    """Maximal runs of neighbouring block sites, each in chain order.
 
-    Diagonalizes the smaller of the two Gram matrices: mat mat^H directly,
-    or mat^H mat, whose eigenvectors v map back to the range as
-    mat v / sqrt(lambda).
+    On a ring the walk starts just past a site outside the block, so a run
+    may wrap past site 0.
     """
-    rows, cols = mat.shape
-    if rows <= cols:
-        vals, vecs = hermitian_eig(mat @ mat.conj().T)
-        return vecs[:, vals > EIG_CLAMP]
-    vals, vecs = hermitian_eig(mat.conj().T @ mat)
-    keep = vals > EIG_CLAMP
-    return (mat @ vecs[:, keep]) / np.sqrt(vals[keep])
+    order = range(n)
+    if ring and len(block) < n:
+        first = next(s for s in range(n) if s not in block) + 1
+        order = [(first + k) % n for k in range(n)]
+    runs, run = [], []
+    for s in order:
+        if s in block:
+            run.append(s)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs + [run] if run else runs
+
+
+@functools.lru_cache(maxsize=None)
+def _run_range(bulk: int, left_end: bool, right_end: bool) -> np.ndarray | None:
+    """Q^H for an orthonormal basis Q of a run's range, or None for its whole space.
+
+    Every amplitude of the chain is an entry of the run's matrix product
+    times the rest, so the range lies in the span of the product's entries:
+    at most 4 columns, one per free virtual index pair.  Q of their QR is
+    orthonormal even when the columns are dependent, so the span it gives
+    can only be larger than the range.  Read-only, as it is cached; the
+    bulk count is at most MAX_BULK_SITES, so there are a few dozen keys.
+    """
+    products = _mps_products(bulk, left_end, right_end)
+    q = np.linalg.qr(products.reshape(products.shape[0], -1))[0]
+    if q.shape[0] == q.shape[1]:
+        return None
+    q_h = q.conj().T.copy()
+    q_h.flags.writeable = False
+    return q_h
 
 
 def entanglement_report(
@@ -272,42 +318,64 @@ def entanglement_report(
     block_a / block_b are site indices into the full chain; they must not
     overlap.  The transpose acts on block_a's physical indices.
 
-    rho_AB is never formed.  With Q_A, Q_B orthonormal bases of the ranges
-    of rho_A and rho_B, range(rho_AB) lies in range(Q_A x Q_B), so rho_AB
-    has the spectrum of sigma = (Q_A x Q_B)^H rho_AB (Q_A x Q_B), and
-    rho_AB^{T_A} that of sigma^{T_A} (its isometry is Q_A* x Q_B); both
-    are (r_A r_B)-dimensional.  The remaining eigenvalues, one per basis
-    state of the kept sites beyond the support, are exactly 0.0.  Raises
-    ValueError when the ranges miss more than EIG_CLAMP of the weight.
+    rho_AB is never formed.  Each block splits into maximal runs of
+    neighbouring sites (ring runs may wrap past site 0).  A run's range
+    lies in the span of the entries of its DEFAULT_CHAIN matrix product,
+    boundary vectors included at an end spin: at most 4 dimensions.  Q_A
+    and Q_B are the tensor products of the runs' QR bases; a run that is
+    a single bulk site or an end spin spans its whole space and is left
+    unprojected.  The state, with each block's axes in run order, is
+    contracted once onto Q_A x Q_B, giving sigma = (Q_A x Q_B)^H rho_AB
+    (Q_A x Q_B), and rho_AB^{T_A} has the spectrum of sigma^{T_A} (its
+    isometry is Q_A* x Q_B); both are (r_A r_B)-dimensional.  The
+    remaining eigenvalues, one per basis state of the kept sites beyond
+    the support, are exactly 0.0.
+
+    Accepts states in the span of the chain's matrix products: those of
+    build_open_chain and build_ring, up to a global phase.  Raises
+    ValueError when the site dims are not a chain or ring layout, before
+    any contraction, and when the ranges miss more than EIG_CLAMP of the
+    state's weight, as any other state does.
     """
     set_a = {int(s) for s in block_a}
     set_b = {int(s) for s in block_b}
     if set_a & set_b:
         raise ValueError(f"blocks overlap on sites {sorted(set_a & set_b)}")
     dims = state.site_dims
+    n = len(dims)
+    ring = _is_ring(dims)
     kept = set_a | set_b
-    a, b = sorted(set_a), sorted(set_b)
-    rest = [s for s in range(len(dims)) if s not in kept]
-    dim_a = math.prod(dims[s] for s in a)
-    dim_b = math.prod(dims[s] for s in b)
-    psi = state.array.transpose(a + b + rest).reshape(dim_a, dim_b, -1)
-    mat_a = psi.reshape(dim_a, -1)
-    q_a = _range_basis(mat_a)
-    q_b = _range_basis(psi.transpose(1, 0, 2).reshape(dim_b, -1))
-    r_a, r_b = q_a.shape[1], q_b.shape[1]
-    phi = (q_a.conj().T @ mat_a).reshape(r_a, dim_b, -1)
-    phi = (q_b.conj().T @ phi).reshape(r_a * r_b, -1)
+    outside = sorted(s for s in kept if not 0 <= s < n)
+    if outside:
+        raise IndexError(f"sites {outside} out of range for {n} sites")
+    runs_a, runs_b = _runs(set_a, n, ring), _runs(set_b, n, ring)
+    order = [s for run in runs_a + runs_b for s in run]
+    order += [s for s in range(n) if s not in kept]
+    phi = state.array.transpose(order)
+    # project run by run: phi is (kept rows so far, this run, the rest)
+    rows, ranks = 1, []
+    for run in runs_a + runs_b:
+        ends = (not ring and run[0] == 0, not ring and run[-1] == n - 1)
+        bulk = len(run) - sum(ends)
+        phi = phi.reshape(rows, 3**bulk * 2 ** sum(ends), -1)
+        q_h = _run_range(bulk, *ends)
+        if q_h is not None:
+            phi = q_h @ phi
+        ranks.append(phi.shape[1])
+        rows *= phi.shape[1]
+    r_a = math.prod(ranks[: len(runs_a)])
+    r_b = rows // r_a
+    phi = phi.reshape(rows, -1)
     sigma = phi @ phi.conj().T
-    lost = float(np.vdot(psi, psi).real - np.trace(sigma).real)
+    weight = np.vdot(state.amplitudes, state.amplitudes).real
+    lost = float(weight - np.trace(sigma).real)
     if lost > EIG_CLAMP:
         raise ValueError(
             f"block ranges miss weight {lost:.3e} of the state "
             f"(more than {EIG_CLAMP:.0e})"
         )
-    sigma_pt = (
-        sigma.reshape(r_a, r_b, r_a, r_b).transpose(2, 1, 0, 3).reshape(r_a * r_b, -1)
-    )
-    zeros = np.zeros(dim_a * dim_b - r_a * r_b)
+    sigma_pt = sigma.reshape(r_a, r_b, r_a, r_b).transpose(2, 1, 0, 3).reshape(rows, -1)
+    zeros = np.zeros(math.prod(dims[s] for s in kept) - rows)
     return (
         spectrum_report(np.concatenate([hermitian_eigvals(sigma), zeros])),
         spectrum_report(np.concatenate([hermitian_eigvals(sigma_pt), zeros])),

@@ -14,7 +14,9 @@ from vbsent.linalg import hermitian_eigvals, partial_transpose, spectrum_report
 from vbsent.mps_oracle import (
     AKLT_TENSORS,
     DEFAULT_CHAIN,
+    LEFT_BOUNDARY,
     MAX_BULK_SITES,
+    RIGHT_BOUNDARY,
     StateVector,
     apply_hamiltonian,
     bond_projector,
@@ -56,6 +58,23 @@ def test_ring_raw_norm_formula():
     for n in (3, 4, 5, 6):
         got = build_ring(n).raw_norm ** 2
         assert got == pytest.approx(1.0 + 3.0 * (-1 / 3.0) ** n, rel=1e-12)
+
+
+def test_builders_equal_the_explicit_contractions():
+    # the builders read DEFAULT_CHAIN through the range builder's products;
+    # the contractions they replaced are the reference, bit for bit
+    for n in range(1, 7):
+        g = LEFT_BOUNDARY
+        for _ in range(n):
+            g = np.einsum("...a,mab->...mb", g, AKLT_TENSORS)
+        amp = np.einsum("...a,ab->...b", g, RIGHT_BOUNDARY).reshape(-1)
+        assert build_open_chain(n).amplitudes.tobytes() == (amp / np.linalg.norm(amp)).tobytes()
+    for n in range(2, 7):
+        g = AKLT_TENSORS
+        for _ in range(n - 1):
+            g = np.einsum("...ab,mbc->...mac", g, AKLT_TENSORS)
+        amp = np.trace(g, axis1=-2, axis2=-1).reshape(-1)
+        assert build_ring(n).amplitudes.tobytes() == (amp / np.linalg.norm(amp)).tobytes()
 
 
 def test_size_guard():
@@ -193,6 +212,13 @@ def test_entanglement_report_rejects_overlap():
         entanglement_report(state, [0, 1], [1, 2])
 
 
+def test_entanglement_report_rejects_sites_outside_the_chain():
+    state = build_ring(4)
+    for a in ([4], [-1]):
+        with pytest.raises(IndexError, match="out of range for 4 sites"):
+            entanglement_report(state, a, [1])
+
+
 def test_schmidt_values_normalized():
     state = build_open_chain(4)
     lams = schmidt_values(state, [0, 1, 2])
@@ -269,32 +295,82 @@ def test_dense_pt_of_reduced_density_matches_report():
     ]
     cases.append((build_open_chain(4), [1, 3], [4, 5]))  # non-contiguous A
     cases.append((build_ring(6), [5, 0, 1], [3]))  # A wraps past site 0
-    # a z rotation by a different angle on every site makes the amplitudes
-    # complex and leaves every block rank unchanged
     ring = build_ring(5)
+    # a global phase makes the amplitudes complex and stays in the MPS span
+    phased = StateVector(np.exp(0.7j) * ring.amplitudes, ring.site_dims, 1.0)
+    cases.append((phased, [0, 1], [3, 4]))
+    for state, a, b in cases:
+        _assert_report_matches_dense(state, a, b, 1e-13)
+    # a z rotation by a different angle on every site keeps every block
+    # rank but takes the state off the chain's matrix products
     m = np.array([1.0, 0.0, -1.0])
     angle = sum(0.4 * (s + 1) * m.reshape((3,) + (1,) * (4 - s)) for s in range(5))
-    phased = ring.amplitudes * np.exp(1j * angle).reshape(-1)
-    cases.append((StateVector(phased, ring.site_dims, 1.0), [0, 1], [3, 4]))
-    for state, a, b in cases:
-        block_rep, pt_rep = entanglement_report(state, a, b)
-        kept = sorted(a + b)
-        rho = reduced_block_density(state, kept)
-        pt = partial_transpose(rho, [kept.index(s) for s in a])
-        for rep, dense in ((block_rep, rho), (pt_rep, pt)):
-            direct = np.sort(np.real(hermitian_eigvals(dense)))
-            assert len(rep.eigenvalues) == len(direct)
-            assert rep.eigenvalues == pytest.approx(direct, abs=1e-13)
+    rotated = ring.amplitudes * np.exp(1j * angle).reshape(-1)
+    with pytest.raises(ValueError, match="miss weight"):
+        entanglement_report(StateVector(rotated, ring.site_dims, 1.0), [0, 1], [3, 4])
+
+
+def _assert_report_matches_dense(state, a, b, tol, pt_tol=None):
+    block_rep, pt_rep = entanglement_report(state, a, b)
+    kept = sorted(a + b)
+    rho = reduced_block_density(state, kept)
+    pt = partial_transpose(rho, [kept.index(s) for s in a])
+    for rep, dense, bound in ((block_rep, rho, tol), (pt_rep, pt, pt_tol or tol)):
+        direct = np.sort(np.real(hermitian_eigvals(dense)))
+        assert len(rep.eigenvalues) == len(direct)
+        assert rep.eigenvalues == pytest.approx(direct, abs=bound)
+
+
+def _admixed_ring(weight: float) -> StateVector:
+    # the all-(m=+1) basis state is orthogonal to the S_z = 0 ground state
+    # and outside the range of every run of two or more sites
+    ring = build_ring(6)
+    up = np.zeros_like(ring.amplitudes)
+    up[0] = 1.0
+    amps = math.sqrt(1.0 - weight) * ring.amplitudes + math.sqrt(weight) * up
+    return StateVector(amps, ring.site_dims, 1.0)
 
 
 def test_report_rejects_lost_weight():
-    # one dominant Schmidt weight and 49 weights of 5e-14: the block ranges
-    # keep only the first, so the report would silently drop 2.45e-12
-    weights = np.array([1.0 - 49 * 5e-14] + [5e-14] * 49)
-    amps = np.diag(np.sqrt(weights)).reshape(-1)
-    state = StateVector(amps, (50, 50), 1.0)
     with pytest.raises(ValueError, match="miss weight 2.45"):
+        entanglement_report(_admixed_ring(2.45e-12), [0, 1], [3, 4])
+    # below the guard the report drops the admixture: the block spectrum
+    # moves by about the dropped weight, within the guard's 1e-12, and the
+    # dense transpose by the admixture's cross terms, ~sqrt(weight)
+    weight = 5e-13
+    state = _admixed_ring(weight)
+    _assert_report_matches_dense(state, [0, 1], [3, 4], 1e-12, 2 * math.sqrt(weight))
+    # a layout that is neither a chain nor a ring fails before any contraction
+    state = StateVector(np.eye(50).reshape(-1) / math.sqrt(50), (50, 50), 1.0)
+    with pytest.raises(ValueError, match=r"site dims \(50, 50\)"):
         entanglement_report(state, [0], [1])
+
+
+def test_report_matches_dense_for_blocks_of_several_runs():
+    # verify asks only for contiguous blocks; here each block is any set of
+    # sites: several runs, end spins, ring runs past site 0, either order
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    @st.composite
+    def partitions(draw):
+        ring = draw(st.booleans())
+        n = draw(st.integers(2, 7)) if ring else draw(st.integers(1, 6))
+        state = _cached_state(ring, n)
+        size = len(state.site_dims)
+        labels = draw(st.lists(st.sampled_from("AB-"), min_size=size, max_size=size))
+        a = [s for s, label in enumerate(labels) if label == "A"]
+        b = [s for s, label in enumerate(labels) if label == "B"]
+        # the dense composition diagonalizes the whole kept space
+        assume(a and b and math.prod(state.site_dims[s] for s in a + b) <= 729)
+        return state, a, b
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions())
+    def check(partition):
+        _assert_report_matches_dense(*partition, 1e-13)
+
+    check()
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +391,7 @@ def test_report_matches_mode_operator_at_any_placement():
     @st.composite
     def placements(draw):
         ring = draw(st.booleans())
-        n = draw(st.integers(2, 9))
+        n = draw(st.integers(2, MAX_BULK_SITES))
         la = draw(st.integers(1, n - 1))
         lb = draw(st.integers(1, n - la))
         gap = draw(st.integers(0, n - la - lb))
