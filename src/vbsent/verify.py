@@ -1,15 +1,24 @@
 """Named verification suites: every closed form against the dense oracle.
 
-Each suite returns a list of CheckResult rows; the CLI `verify`
-subcommand prints them and folds them into an exit code, and the test
-suite reuses them.  A check passes when its measured deviation stays
-within its bound.
+Each suite is a generator that yields one (check, bound, deviation)
+triple per case, where the deviation is computed.  The `_suite` decorator
+folds those triples into CheckResult rows: one row per check, in the
+order the checks first appear, whose worst is the largest deviation
+floored at 0.  A NaN deviation makes its row's worst NaN, so the row
+fails.  The decorator registers the eager wrapper, which returns the
+list of rows, in SUITES and under the suite's module name; the tracer in
+perfbench times each SUITES call, so the entries must not be generators.
+
+The CLI `verify` subcommand prints the rows and folds them into an exit
+code, and the test suite reuses them.  A check passes when its worst
+deviation stays within its bound.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 import numpy as np
@@ -37,8 +46,32 @@ class CheckResult:
         return self.worst <= self.bound
 
 
-def _result(suite: str, name: str, worst: float, bound: float) -> CheckResult:
-    return CheckResult(suite, name, float(worst), float(bound))
+Cases = Iterator[tuple[str, float, float]]
+
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {}
+
+
+def _suite(name: str):
+    """Register a generator of (check, bound, deviation) as suite `name`."""
+
+    def register(cases: Callable[..., Cases]) -> Callable[..., list[CheckResult]]:
+        @wraps(cases)
+        def run(**kwargs) -> list[CheckResult]:
+            bounds: dict[str, float] = {}
+            worst: dict[str, float] = {}
+            for check, bound, deviation in cases(**kwargs):
+                bounds.setdefault(check, bound)
+                # np.maximum keeps a NaN where max() would drop it
+                worst[check] = np.maximum(worst.get(check, 0.0), deviation)
+            return [
+                CheckResult(name, check, float(worst[check]), float(bound))
+                for check, bound in bounds.items()
+            ]
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 @lru_cache(maxsize=32)
@@ -69,58 +102,28 @@ def _spectrum_gap(a, b) -> float:
 # ---------------------------------------------------------------- suites
 
 
-def suite_sigma_identities(**_) -> list[CheckResult]:
-    rows = []
-    ok, worst = pa.verify_bilinear_completeness()
-    rows.append(_result("sigma-identities", "bilinear completeness", worst, EXACT))
+@_suite("sigma-identities")
+def suite_sigma_identities(**_) -> Cases:
+    yield "bilinear completeness", EXACT, pa.verify_bilinear_completeness()[1]
     for n in (2, 3, 4):
-        ok, worst = pa.verify_boundary_identity(n)
-        rows.append(
-            _result("sigma-identities", f"{n}-bond contraction identity", worst, EXACT)
-        )
-    worst = max(
-        float(
-            np.max(
-                np.abs(
-                    pa.SIGMA[2] @ pa.SIGMA[mu] @ pa.SIGMA[2]
-                    - pa.PARITY[mu] * pa.SIGMA[mu]
-                )
-            )
-        )
-        for mu in range(4)
-    )
-    rows.append(_result("sigma-identities", "sigma2 conjugation parity", worst, EXACT))
-    worst = max(
-        abs(
-            complex(np.trace(pa.SIGMA[m] @ pa.SIGMA_BAR[n])) - 2.0 * (m == n)
-        )
-        for m, n in product(range(4), repeat=2)
-    )
-    rows.append(_result("sigma-identities", "pair trace orthogonality", worst, EXACT))
+        yield f"{n}-bond contraction identity", EXACT, pa.verify_boundary_identity(n)[1]
+    for mu in range(4):
+        parity = pa.SIGMA[2] @ pa.SIGMA[mu] @ pa.SIGMA[2] - pa.PARITY[mu] * pa.SIGMA[mu]
+        yield "sigma2 conjugation parity", EXACT, float(np.max(np.abs(parity)))
+    for m, n in product(range(4), repeat=2):
+        trace = complex(np.trace(pa.SIGMA[m] @ pa.SIGMA_BAR[n]))
+        yield "pair trace orthogonality", EXACT, abs(trace - 2.0 * (m == n))
     orientation = pa.decide_epsilon_orientation()
-    worst = max(
-        abs(pa.trace4(*idx) - pa.closed_form_trace4(*idx, orientation=orientation))
-        for idx in product(range(4), repeat=4)
-    )
-    rows.append(
-        _result("sigma-identities", "calibrated four-trace closed form", worst, EXACT)
-    )
-    rows.append(
-        _result(
-            "sigma-identities",
-            "rotation-generator commutators",
-            pa.lorentz_commutator_residual(),
-            EXACT,
-        )
-    )
+    for idx in product(range(4), repeat=4):
+        closed = pa.closed_form_trace4(*idx, orientation=orientation)
+        yield "calibrated four-trace closed form", EXACT, abs(pa.trace4(*idx) - closed)
+    yield "rotation-generator commutators", EXACT, pa.lorentz_commutator_residual()
     worst = float(np.max(np.abs(pa.m4_tensor() - pa.m4_tensor_epsilon_form())))
-    rows.append(_result("sigma-identities", "M tensor: traces vs closed form", worst, EXACT))
-    return rows
+    yield "M tensor: traces vs closed form", EXACT, worst
 
 
-def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_rho, worst_pt, worst_neg1 = 0.0, 0.0, 0.0
+@_suite("pure-bipartition")
+def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
     for n in range(1, max_sites + 1):
         state = _open_chain(n)
         for block_len in range(1, min(4, n) + 1):
@@ -131,52 +134,31 @@ def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> list[
                 ed_vals = np.real(hermitian_eigvals(rho))
                 w = cf.ChannelWeights.from_length(block_len)
                 formula = [w.singlet, w.triplet, w.triplet, w.triplet]
-                worst_rho = max(worst_rho, _spectrum_gap(ed_vals, formula))
+                yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(ed_vals, formula)
                 pt_ed = mo.pure_block_pt_spectrum(state, sites)
                 pt_formula = cf.pure_pt_spectrum(block_len)
-                worst_pt = max(
-                    worst_pt,
-                    _spectrum_gap(pt_ed.eigenvalues, pt_formula.eigenvalues),
-                )
+                pt_gap = _spectrum_gap(pt_ed.eigenvalues, pt_formula.eigenvalues)
+                yield "transpose spectrum vs closed form", tol, pt_gap
                 if block_len == 1:
-                    worst_neg1 = max(worst_neg1, abs(pt_ed.negativity - 1.0))
-    rows.append(_result("pure-bipartition", "block spectrum vs channel weights", worst_rho, 1e-12))
-    rows.append(_result("pure-bipartition", "transpose spectrum vs closed form", worst_pt, tol))
-    rows.append(_result("pure-bipartition", "negativity 1 at single-site block", worst_neg1, 1e-12))
-    return rows
+                    yield "negativity 1 at single-site block", 1e-12, abs(pt_ed.negativity - 1.0)
 
 
-def suite_bond_cut(tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
+@_suite("bond-cut")
+def suite_bond_cut(tol: float = 1e-10, **_) -> Cases:
     target = [0.5, 0.5, 0.5, -0.5]
-    worst_spec, worst_neg, worst_schmidt = 0.0, 0.0, 0.0
     for n in range(2, 5):
         state = _open_chain(n)
         for cut in range(1, n + 2):
             left = list(range(cut))
             right = list(range(cut, n + 2))
             _, pt = mo.entanglement_report(state, left, right)
-            worst_spec = max(worst_spec, _spectrum_gap(pt.eigenvalues, target))
-            worst_neg = max(worst_neg, abs(pt.negativity - 0.5))
+            yield "transpose spectrum (1/2 x3, -1/2)", 1e-12, _spectrum_gap(pt.eigenvalues, target)
+            yield "negativity 1/2", 1e-12, abs(pt.negativity - 0.5)
             schmidt = mo.pure_block_pt_spectrum(state, left)
-            worst_schmidt = max(
-                worst_schmidt, _spectrum_gap(schmidt.eigenvalues, pt.eigenvalues)
-            )
-    rows.append(_result("bond-cut", "transpose spectrum (1/2 x3, -1/2)", worst_spec, 1e-12))
-    rows.append(_result("bond-cut", "negativity 1/2", worst_neg, 1e-12))
-    rows.append(
-        _result("bond-cut", "schmidt route equals dense transpose", worst_schmidt, tol)
-    )
+            schmidt_gap = _spectrum_gap(schmidt.eigenvalues, pt.eigenvalues)
+            yield "schmidt route equals dense transpose", tol, schmidt_gap
     closed = cf.bipartition_L0_pt_spectrum()
-    rows.append(
-        _result(
-            "bond-cut",
-            "closed form row",
-            _spectrum_gap(closed.eigenvalues, target),
-            EXACT,
-        )
-    )
-    return rows
+    yield "closed form row", EXACT, _spectrum_gap(closed.eigenvalues, target)
 
 
 def _disjoint_geometries(max_total: int = 6):
@@ -185,93 +167,63 @@ def _disjoint_geometries(max_total: int = 6):
             yield l1, gap, l2
 
 
-def suite_disjoint_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_poly_mode, worst_mode_ed, worst_anchor = 0.0, 0.0, 0.0
+@_suite("disjoint-blocks")
+def suite_disjoint_blocks(tol: float = 1e-10, **_) -> Cases:
     for l1, gap, l2 in _disjoint_geometries():
         closed = cf.disjoint_spectrum(l1, gap, l2)
         op = er.rho_ab_open(l1, gap, l2)
         mode = op.spectrum()
-        worst_poly_mode = max(
-            worst_poly_mode, _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
-        )
+        poly_gap = _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
+        yield "polynomial roots vs mode spectrum", tol, poly_gap
         n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
         state = _open_chain(n)
         ed, _ = mo.entanglement_report(state, a, b)
-        worst_mode_ed = max(
-            worst_mode_ed, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
-        )
+        yield "mode spectrum vs dense oracle", tol, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
     anchor = cf.disjoint_spectrum(1, 1, 1)
     target = [4.0 / 27.0] * 5 + [2.0 / 27.0] * 3 + [1.0 / 27.0] + [0.0] * 7
-    worst_anchor = _spectrum_gap(anchor.eigenvalues, target)
+    yield "anchor point (1,1,1)", tol, _spectrum_gap(anchor.eigenvalues, target)
     # blocks embedded in a longer chain see the same two-block operator
     state = _open_chain(5)
     a = [2]
     b = [4]
     ed, _ = mo.entanglement_report(state, a, b)
-    worst_pad = _spectrum_gap(ed.eigenvalues, cf.disjoint_spectrum(1, 1, 1).eigenvalues)
-    rows.append(_result("disjoint-blocks", "polynomial roots vs mode spectrum", worst_poly_mode, tol))
-    rows.append(_result("disjoint-blocks", "mode spectrum vs dense oracle", worst_mode_ed, tol))
-    rows.append(_result("disjoint-blocks", "anchor point (1,1,1)", worst_anchor, tol))
-    rows.append(_result("disjoint-blocks", "independence from surroundings", worst_pad, tol))
-    return rows
+    yield "independence from surroundings", tol, _spectrum_gap(ed.eigenvalues, anchor.eigenvalues)
 
 
-def suite_open_transpose_positivity(tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_mode, worst_ed, worst_flip = 0.0, 0.0, 0.0
+@_suite("open-transpose")
+def suite_open_transpose_positivity(tol: float = 1e-10, **_) -> Cases:
     for l1, gap, l2 in _disjoint_geometries():
         op = er.rho_ab_open(l1, gap, l2)
         pt = er.mode_partial_transpose(op)
         pt_vals = np.real(hermitian_eigvals(pt.normalized))
-        worst_mode = min(worst_mode, float(pt_vals.min()))
-        flipped = er._obc_coefficients(-cf.decay_parameter(gap))
-        worst_flip = max(
-            worst_flip,
-            float(np.max(np.abs(pt.coeff - flipped.reshape(16, 16)))),
-        )
+        yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
         n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
         state = _open_chain(n)
         _, ed_pt = mo.entanglement_report(state, a, b)
-        worst_ed = min(worst_ed, min(ed_pt.eigenvalues))
-    rows.append(_result("open-transpose", "mode transpose min eigenvalue", -worst_mode, 1e-12))
-    rows.append(_result("open-transpose", "dense transpose min eigenvalue", -worst_ed, 1e-12))
-    rows.append(_result("open-transpose", "transpose equals sign-flipped gap", worst_flip, EXACT))
-    return rows
+        yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
+        flipped = er._obc_coefficients(-cf.decay_parameter(gap)).reshape(16, 16)
+        yield "transpose equals sign-flipped gap", EXACT, float(np.max(np.abs(pt.coeff - flipped)))
 
 
-def suite_adjacent_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_ed, worst_mode = 0.0, 0.0
+@_suite("adjacent-blocks")
+def suite_adjacent_blocks(tol: float = 1e-10, **_) -> Cases:
     for l1, l2 in product(range(1, 4), repeat=2):
         closed = cf.adjacent_pt_negativity(l1, l2)
         n, a, b = GEOMETRIES["adjacent"].sites(la=l1, lb=l2)
         state = _open_chain(n)
         _, ed_pt = mo.entanglement_report(state, a, b)
-        worst_ed = max(worst_ed, abs(closed.negativity - ed_pt.negativity))
+        yield "negativity vs dense oracle", tol, abs(closed.negativity - ed_pt.negativity)
         op = er.mode_partial_transpose(er.rho_ab_adjacent(l1, l2))
         mode_vals = np.real(hermitian_eigvals(op.normalized))
         poly_vals = cf.adjacent_pt_spectrum(l1, l2).eigenvalues
-        worst_mode = max(worst_mode, _spectrum_gap(mode_vals, poly_vals))
-    worst_equal = max(
-        abs(
-            cf.adjacent_negativity_equal(l)
-            - cf.adjacent_pt_negativity(l, l).negativity
-        )
-        for l in range(1, 7)
-    )
-    worst_sine = max(
-        abs(
-            cf.cubic_min_root_sine(cf.adjacent_pt_char_polys(l1, l2)[2])
-            - cf.cubic_roots_trig(cf.adjacent_pt_char_polys(l1, l2)[2])[0]
-        )
-        for l1, l2 in product(range(1, 5), repeat=2)
-    )
-    rows.append(_result("adjacent-blocks", "negativity vs dense oracle", worst_ed, tol))
-    rows.append(_result("adjacent-blocks", "transpose spectrum vs z=-1 polynomials", worst_mode, tol))
-    rows.append(_result("adjacent-blocks", "equal-blocks radical formula", worst_equal, 1e-12))
-    rows.append(_result("adjacent-blocks", "sine-form root is the cubic minimum", worst_sine, 1e-12))
-    return rows
+        yield "transpose spectrum vs z=-1 polynomials", tol, _spectrum_gap(mode_vals, poly_vals)
+    for l in range(1, 7):
+        radical = cf.adjacent_negativity_equal(l) - cf.adjacent_pt_negativity(l, l).negativity
+        yield "equal-blocks radical formula", 1e-12, abs(radical)
+    for l1, l2 in product(range(1, 5), repeat=2):
+        cubic = cf.adjacent_pt_char_polys(l1, l2)[2]
+        sine = cf.cubic_min_root_sine(cubic) - cf.cubic_roots_trig(cubic)[0]
+        yield "sine-form root is the cubic minimum", 1e-12, abs(sine)
 
 
 def _ring_partitions(n: int):
@@ -280,97 +232,65 @@ def _ring_partitions(n: int):
             yield la, lb, lc, ld
 
 
-def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_ed, worst_pt_mode, worst_pt_ed = 0.0, 0.0, 0.0
-    worst_coeff_range, worst_coeff_sum = 0.0, 0.0
+@_suite("ring-blocks")
+def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
     for n in range(4, max_sites + 1):
         state = _ring(n)
         for la, lb, lc, ld in _ring_partitions(n):
             op = er.rho_ab_pbc(la, lb, lc, ld)
             _, a, b = GEOMETRIES["pbc"].sites(la=la, lb=lb, lc=lc, ld=ld)
             ed, ed_pt = mo.entanglement_report(state, a, b)
-            worst_ed = max(
-                worst_ed, _spectrum_gap(op.spectrum().eigenvalues, ed.eigenvalues)
-            )
+            ed_gap = _spectrum_gap(op.spectrum().eigenvalues, ed.eigenvalues)
+            yield "mode spectrum vs ring oracle", tol, ed_gap
             pt_vals = np.real(
                 hermitian_eigvals(er.mode_partial_transpose(op).normalized)
             )
-            worst_pt_mode = min(worst_pt_mode, float(pt_vals.min()))
-            worst_pt_ed = min(worst_pt_ed, min(ed_pt.eigenvalues))
+            yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
+            yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
             coeffs = er.convexity_coefficients(lc, ld)
-            worst_coeff_range = max(
-                worst_coeff_range,
-                max(max(-c, c - 1.0) for c in coeffs),
-            )
-            worst_coeff_sum = max(worst_coeff_sum, abs(sum(coeffs) - 1.0))
-    rows.append(_result("ring-blocks", "mode spectrum vs ring oracle", worst_ed, tol))
-    rows.append(_result("ring-blocks", "mode transpose min eigenvalue", -worst_pt_mode, 1e-12))
-    rows.append(_result("ring-blocks", "dense transpose min eigenvalue", -worst_pt_ed, 1e-12))
-    rows.append(_result("ring-blocks", "mixture weights within [0,1]", worst_coeff_range, EXACT))
-    rows.append(_result("ring-blocks", "mixture weights sum to 1", worst_coeff_sum, 1e-15))
-    return rows
+            yield "mixture weights within [0,1]", EXACT, max(max(-c, c - 1.0) for c in coeffs)
+            yield "mixture weights sum to 1", 1e-15, abs(sum(coeffs) - 1.0)
 
 
-def suite_hamiltonian(max_sites: int = 8, **_) -> list[CheckResult]:
-    rows = []
-    worst_open = max(
-        abs(mo.hamiltonian_residual(_open_chain(n))) for n in range(1, max_sites + 1)
-    )
-    worst_ring = max(
-        abs(mo.hamiltonian_residual(_ring(n))) for n in range(3, max_sites + 1)
-    )
-    kernel_defect = max(
-        abs(mo.zero_energy_degeneracy((2,) + (3,) * n + (2,)) - 1)
-        for n in range(1, 5)
-    )
-    injectivity = mo.DEFAULT_CHAIN.injectivity_defect()
-    rows.append(_result("hamiltonian", "open-chain energy", worst_open, 1e-12))
-    rows.append(_result("hamiltonian", "ring energy", worst_ring, 1e-12))
-    rows.append(_result("hamiltonian", "kernel dimension 1 (N<=4)", kernel_defect, EXACT))
-    rows.append(_result("hamiltonian", "tensor completeness", injectivity, EXACT))
-    return rows
+@_suite("hamiltonian")
+def suite_hamiltonian(max_sites: int = 8, **_) -> Cases:
+    for n in range(1, max_sites + 1):
+        yield "open-chain energy", 1e-12, abs(mo.hamiltonian_residual(_open_chain(n)))
+    for n in range(3, max_sites + 1):
+        yield "ring energy", 1e-12, abs(mo.hamiltonian_residual(_ring(n)))
+    for n in range(1, 5):
+        kernel = mo.zero_energy_degeneracy((2,) + (3,) * n + (2,))
+        yield "kernel dimension 1 (N<=4)", EXACT, abs(kernel - 1)
+    yield "tensor completeness", EXACT, mo.DEFAULT_CHAIN.injectivity_defect()
 
 
-def suite_correlations(max_sites: int = 8, tol: float = 1e-10, **_) -> list[CheckResult]:
+@_suite("correlations")
+def suite_correlations(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
     n = min(max_sites, 6)
     state = _open_chain(n)
     bulk = range(1, n + 1)
-    worst = 0.0
     for i in bulk:
         for j in bulk:
             d = abs(i - j)
             target = 2.0 / 3.0 if d == 0 else (4.0 / 3.0) * cf.decay_parameter(d)
-            worst = max(worst, abs(mo.spin_correlation(state, i, j) - target))
-    return [_result("correlations", "z-z correlator law (all bulk pairs)", worst, tol)]
+            deviation = abs(mo.spin_correlation(state, i, j) - target)
+            yield "z-z correlator law (all bulk pairs)", tol, deviation
 
 
-def suite_mutual_information(tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_identity = max(
-        abs(cf.mutual_information(z) - (4.0 * math.log(2.0) - cf.joint_entropy(z)))
-        for z in [cf.decay_parameter(L) for L in range(1, 9)] + [0.0, 1.0, -1.0 / 3.0]
-    )
-    rows.append(_result("mutual-information", "I = 4 ln 2 - S identity", worst_identity, 1e-12))
-    rows.append(
-        _result("mutual-information", "I(0) = 0", abs(cf.mutual_information(0.0)), EXACT)
-    )
-    gap1 = abs(
-        er.measures(er.rho_ab_open(6, 1, 6)).mutual_information
-        - cf.mutual_information(cf.decay_parameter(1))
-    )
-    gap2 = abs(
-        er.measures(er.rho_ab_open(6, 2, 6)).mutual_information
-        - cf.mutual_information(cf.decay_parameter(2))
-    )
-    rows.append(_result("mutual-information", "finite blocks vs limit at gap 1", gap1, 0.01))
-    rows.append(_result("mutual-information", "finite blocks vs limit at gap 2", gap2, 0.002))
-    return rows
+@_suite("mutual-information")
+def suite_mutual_information(tol: float = 1e-10, **_) -> Cases:
+    for z in [cf.decay_parameter(L) for L in range(1, 9)] + [0.0, 1.0, -1.0 / 3.0]:
+        identity = 4.0 * math.log(2.0) - cf.joint_entropy(z)
+        yield "I = 4 ln 2 - S identity", 1e-12, abs(cf.mutual_information(z) - identity)
+    yield "I(0) = 0", EXACT, abs(cf.mutual_information(0.0))
+    for gap, bound in ((1, 0.01), (2, 0.002)):
+        finite = er.measures(er.rho_ab_open(6, gap, 6)).mutual_information
+        limit = cf.mutual_information(cf.decay_parameter(gap))
+        yield f"finite blocks vs limit at gap {gap}", bound, abs(finite - limit)
 
 
-def suite_end_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
-    rows = []
-    worst_spec, worst_pt = 0.0, 0.0
+@_suite("end-blocks")
+def suite_end_blocks(tol: float = 1e-10, **_) -> Cases:
     for mid in range(1, 4):
         state = _open_chain(mid + 2)
         n_sites = mid + 4
@@ -378,78 +298,35 @@ def suite_end_blocks(tol: float = 1e-10, **_) -> list[CheckResult]:
         right = [n_sites - 2, n_sites - 1]
         formula, formula_pt = er.rho_ce_spectra(mid)
         ed, ed_pt = mo.entanglement_report(state, right, left)
-        worst_spec = max(
-            worst_spec, _spectrum_gap(formula.eigenvalues, ed.eigenvalues)
-        )
-        worst_pt = max(
-            worst_pt, _spectrum_gap(formula_pt.eigenvalues, ed_pt.eigenvalues)
-        )
-    rows.append(_result("end-blocks", "spectrum equals middle-length weights", worst_spec, tol))
-    rows.append(_result("end-blocks", "one-sided transpose spectrum", worst_pt, tol))
-    return rows
+        spec_gap = _spectrum_gap(formula.eigenvalues, ed.eigenvalues)
+        yield "spectrum equals middle-length weights", tol, spec_gap
+        pt_gap = _spectrum_gap(formula_pt.eigenvalues, ed_pt.eigenvalues)
+        yield "one-sided transpose spectrum", tol, pt_gap
 
 
-def suite_monte_carlo(samples: int = 20_000, seed: int = 7, **_) -> list[CheckResult]:
-    rows = []
+@_suite("monte-carlo")
+def suite_monte_carlo(samples: int = 20_000, seed: int = 7, **_) -> Cases:
     est = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
-    rows.append(_result("monte-carlo", "norm, open chain N=1", est.sigmas_from(1.0), 4.0))
+    yield "norm, open chain N=1", 4.0, est.sigmas_from(1.0)
     est = mc.estimate_vbs_norm(4, samples=samples, seed=seed + 1)
-    rows.append(_result("monte-carlo", "norm, open chain N=4", est.sigmas_from(1.0), 4.0))
+    yield "norm, open chain N=4", 4.0, est.sigmas_from(1.0)
     est = mc.estimate_vbs_norm(3, samples=samples, seed=seed + 2, ring=True)
-    rows.append(
-        _result(
-            "monte-carlo",
-            "ring partition N=3",
-            est.sigmas_from(mc.vbs_norm_target(3, ring=True)),
-            4.0,
-        )
-    )
-    worst_diag = 0.0
+    yield "ring partition N=3", 4.0, est.sigmas_from(mc.vbs_norm_target(3, ring=True))
     for mu, length in product(range(4), (1, 2)):
         est = mc.estimate_block_overlap(mu, mu, length, samples=samples, seed=seed + 3)
-        worst_diag = max(
-            worst_diag, est.sigmas_from(mc.block_overlap_target(mu, mu, length))
-        )
-    rows.append(_result("monte-carlo", "diagonal overlaps", worst_diag, 4.0))
-    worst_off = 0.0
+        target = mc.block_overlap_target(mu, mu, length)
+        yield "diagonal overlaps", 4.0, est.sigmas_from(target)
     for mu, nu in [(0, 1), (0, 3), (1, 2), (2, 3)]:
         est = mc.estimate_block_overlap(mu, nu, 2, samples=samples, seed=seed + 4)
-        worst_off = max(worst_off, est.sigmas_from(0.0))
-    rows.append(_result("monte-carlo", "off-diagonal overlaps vanish", worst_off, 4.0))
+        yield "off-diagonal overlaps vanish", 4.0, est.sigmas_from(0.0)
     disc = mc.sign_discrimination(samples=samples, seed=seed + 5)
-    rows.append(
-        _result(
-            "monte-carlo",
-            "sign discrimination rejects the minus reading",
-            0.0 if disc.rejects_minus else 1.0,
-            EXACT,
-        )
-    )
+    yield "sign discrimination rejects the minus reading", EXACT, 0.0 if disc.rejects_minus else 1.0
     first = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
     rerun = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
     bit_identical = (
         first.mean == rerun.mean and first.standard_error == rerun.standard_error
     )
-    rows.append(
-        _result("monte-carlo", "determinism of reruns", 0.0 if bit_identical else 1.0, EXACT)
-    )
-    return rows
-
-
-SUITES = {
-    "sigma-identities": suite_sigma_identities,
-    "pure-bipartition": suite_pure_bipartition,
-    "bond-cut": suite_bond_cut,
-    "disjoint-blocks": suite_disjoint_blocks,
-    "open-transpose": suite_open_transpose_positivity,
-    "adjacent-blocks": suite_adjacent_blocks,
-    "ring-blocks": suite_ring_blocks,
-    "hamiltonian": suite_hamiltonian,
-    "correlations": suite_correlations,
-    "mutual-information": suite_mutual_information,
-    "end-blocks": suite_end_blocks,
-    "monte-carlo": suite_monte_carlo,
-}
+    yield "determinism of reruns", EXACT, 0.0 if bit_identical else 1.0
 
 
 def run_suites(

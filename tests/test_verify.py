@@ -5,9 +5,16 @@ reordered or re-bounded a check would change what `vbsent verify` claims
 without failing any value.
 """
 
+import contextlib
+import io
+import math
+from types import SimpleNamespace
+
 import pytest
 
+from vbsent import closed_forms as cf
 from vbsent import verify as vf
+from vbsent.cli import main
 
 ROWS = [
     ("sigma-identities", "bilinear completeness", 0.0),
@@ -75,3 +82,17 @@ def test_each_suite_returns_its_rows_eagerly(name):
     rows = vf.SUITES[name](max_sites=4, tol=1e-10, samples=1000, seed=7)
     assert type(rows) is list and rows
     assert all(isinstance(r, vf.CheckResult) and r.suite == name for r in rows)
+
+
+def test_nan_deviation_fails_its_row(monkeypatch):
+    nan_spectrum = SimpleNamespace(eigenvalues=(math.nan,) * 16)
+    monkeypatch.setattr(cf, "disjoint_spectrum", lambda *_: nan_spectrum)
+    rows = {r.name: r for r in vf.run_suites(["disjoint-blocks"])}
+    row = rows["polynomial roots vs mode spectrum"]
+    assert math.isnan(row.worst) and not row.passed
+    assert rows["mode spectrum vs dense oracle"].passed
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--max-sites", "4", "--samples", "1000"])
+    assert code == 1
+    assert "disjoint-blocks: polynomial roots vs mode spectrum: worst nan" in err.getvalue()
