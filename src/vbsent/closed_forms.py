@@ -335,7 +335,11 @@ class AsymptoticSpectrum:
 
 
 def asymptotic_disjoint_spectrum(x1: float, x2: float, z: float) -> AsymptoticSpectrum:
-    """16-eigenvalue model: 11 low, 3 high, one radical-split pair."""
+    """16-eigenvalue model: 11 low, 3 high, one radical-split pair.
+
+    A level the model puts at or below 0 (the high triplet at gap 1 with
+    long blocks, where t -> -1/3) has xi = +inf.
+    """
     for name, v in (("x1", x1), ("x2", x2), ("z", z)):
         if abs(v) > 1.0 / 3.0 + 1e-15:
             raise ValueError(f"|{name}| must be <= 1/3, got {v!r}")
@@ -346,7 +350,7 @@ def asymptotic_disjoint_spectrum(x1: float, x2: float, z: float) -> AsymptoticSp
     plus = (1.0 + t) / 16.0 + radical / 8.0
     minus = (1.0 + t) / 16.0 - radical / 8.0
     eigenvalues = (low,) * 11 + (high,) * 3 + (plus, minus)
-    xi = tuple(-math.log(v) for v in eigenvalues)
+    xi = tuple(math.inf if v <= 0.0 else -math.log(v) for v in eigenvalues)
     four_ln2 = 4.0 * LOG2
     xi_linear = (
         (four_ln2 + t,) * 11

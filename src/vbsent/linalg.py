@@ -95,18 +95,12 @@ def _as_matrix(op) -> np.ndarray:
     return m
 
 
-def hermitian_eig(op):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+def hermitian_eigvals(op) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix.
 
     Accepts a HermitianOperator or a raw matrix; raw input is checked for
     Hermiticity first and rejected with the maximal asymmetry in the message.
     """
-    m = _as_matrix(op)
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-
-
-def hermitian_eigvals(op) -> np.ndarray:
     return np.linalg.eigvalsh(_as_matrix(op))
 
 

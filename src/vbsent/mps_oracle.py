@@ -393,19 +393,18 @@ def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def pure_block_pt_spectrum(
-    state: StateVector, block_sites, keep: int = 8
-) -> SpectrumReport:
+def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
     """Nonzero partial-transpose spectrum of a pure-state bipartition.
 
     For a pure state with squared Schmidt coefficients {l_i}, transposing
     the block gives eigenvalues {l_i} plus a +sqrt(l_i l_j), -sqrt(l_i l_j)
     pair for each i < j; everything else is 0.  This needs only the cut's
     Schmidt data, so it reaches sizes where the dense transpose would not
-    fit in memory.  Only the `keep` largest Schmidt values enter (the
-    bipartitions handled here have rank at most 4).
+    fit in memory.  Only Schmidt values above 1e-12 enter, so at Schmidt
+    rank r (at most 4 for a contiguous block of the chain) the spectrum
+    has r^2 entries.
     """
-    lams = schmidt_values(state, block_sites)[:keep]
+    lams = schmidt_values(state, block_sites)
     # numerical-noise Schmidt values would seed sqrt(eps * l) ~ 1e-8
     # phantom pairs, so cut at the rank rather than clamp later
     lams = lams[lams > 1e-12]

@@ -5,9 +5,10 @@ triple per case, where the deviation is computed.  The `_suite` decorator
 folds those triples into CheckResult rows: one row per check, in the
 order the checks first appear, whose worst is the largest deviation
 floored at 0.  A NaN deviation makes its row's worst NaN, so the row
-fails.  The decorator registers the eager wrapper, which returns the
-list of rows, in SUITES and under the suite's module name; the tracer in
-perfbench times each SUITES call, so the entries must not be generators.
+fails; a check that yields no case has no row.  The decorator registers
+the eager wrapper, which returns the list of rows, in SUITES and under
+the suite's module name; the tracer in perfbench times each SUITES call,
+so the entries must not be generators.
 
 The CLI `verify` subcommand prints the rows and folds them into an exit
 code, and the test suite reuses them.  A check passes when its worst
@@ -118,8 +119,8 @@ def suite_sigma_identities(**_) -> Cases:
         closed = pa.closed_form_trace4(*idx, orientation=orientation)
         yield "calibrated four-trace closed form", EXACT, abs(pa.trace4(*idx) - closed)
     yield "rotation-generator commutators", EXACT, pa.lorentz_commutator_residual()
-    worst = float(np.max(np.abs(pa.m4_tensor() - pa.m4_tensor_epsilon_form())))
-    yield "M tensor: traces vs closed form", EXACT, worst
+    m4_gap = float(np.max(np.abs(pa.m4_tensor() - pa.m4_tensor_epsilon_form())))
+    yield "M tensor: traces vs closed form", EXACT, m4_gap
 
 
 @_suite("pure-bipartition")
@@ -183,10 +184,7 @@ def suite_disjoint_blocks(tol: float = 1e-10, **_) -> Cases:
     target = [4.0 / 27.0] * 5 + [2.0 / 27.0] * 3 + [1.0 / 27.0] + [0.0] * 7
     yield "anchor point (1,1,1)", tol, _spectrum_gap(anchor.eigenvalues, target)
     # blocks embedded in a longer chain see the same two-block operator
-    state = _open_chain(5)
-    a = [2]
-    b = [4]
-    ed, _ = mo.entanglement_report(state, a, b)
+    ed, _ = mo.entanglement_report(_open_chain(5), [2], [4])
     yield "independence from surroundings", tol, _spectrum_gap(ed.eigenvalues, anchor.eigenvalues)
 
 

@@ -250,6 +250,24 @@ def test_asymptotic_xi_exact_values():
     assert spec.report().trace == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "x1, x2, z",
+    [
+        (0.0, 0.0, -1.0 / 3.0),
+        (decay_parameter(30), decay_parameter(25), decay_parameter(1)),
+    ],
+)
+def test_asymptotic_xi_is_infinite_at_vanishing_levels(x1, x2, z):
+    # gap 1 with long blocks puts the high triplet (1 + 3t)/16 at 0,
+    # or a round-off below it; the levels stay as computed
+    spec = asymptotic_disjoint_spectrum(x1, x2, z)
+    t = x1 + x2 + z
+    assert spec.eigenvalues[11:14] == ((1.0 + 3.0 * t) / 16.0,) * 3
+    assert any(lam <= 0.0 for lam in spec.eigenvalues)
+    for lam, xi in zip(spec.eigenvalues, spec.xi):
+        assert xi == (math.inf if lam <= 0.0 else -math.log(lam))
+
+
 def test_asymptotic_linear_display_defect_is_first_order():
     # the quoted linearized xi display carries the radical with
     # coefficient 1, so its split-pair rows miss the exact xi by one

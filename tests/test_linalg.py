@@ -8,7 +8,6 @@ import pytest
 from vbsent.linalg import (
     EIG_CLAMP,
     HermitianOperator,
-    hermitian_eig,
     hermitian_eigvals,
     partial_trace,
     partial_transpose,
@@ -80,19 +79,17 @@ def test_entanglement_spectrum_is_minus_log():
     )
 
 
-def test_hermitian_eig_round_trip():
+def test_hermitian_eigvals_ascending():
     rng = np.random.default_rng(11)
     op = random_hermitian(rng, (2, 3))
-    vals, vecs = hermitian_eig(op)
-    recon = (vecs * vals) @ vecs.conj().T
-    assert np.max(np.abs(recon - op.entries)) < 1e-12 * np.max(np.abs(vals))
+    vals = hermitian_eigvals(op)
     assert np.all(np.diff(vals) >= 0)
-    assert np.allclose(hermitian_eigvals(op), vals)
+    assert np.allclose(vals, np.sort(np.linalg.eigvals(op.entries).real))
 
 
-def test_hermitian_eig_rejects_raw_non_hermitian():
+def test_hermitian_eigvals_rejects_raw_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eig(np.array([[0.0, 2.0], [0.0, 0.0]]))
+        hermitian_eigvals(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
 def test_partial_trace_of_product_operator():
