@@ -16,6 +16,7 @@ only when the numeric stack changes, never to absorb a change of code.
 import contextlib
 import functools
 import io
+import itertools
 import json
 import re
 import sys
@@ -56,6 +57,20 @@ INVALID = (
     "sweep pure --length 4:1",
     "sweep pure --length 0:2",
     "sweep disjoint --la 1 --gap 0:2 --lb 1",
+    "mc --samples 999",
+    "mc --length 0",
+    "mc --ring 1",
+)
+MC_SEEDS = (0, 1)
+MC_TASKS = (
+    "--task norm",
+    "--task overlap",
+    "--task discriminate",
+    "--task all",
+    "--task norm --ring 3",
+    "--task norm --ring 6",
+    "--task overlap --length 2",
+    "--task overlap --length 3",
 )
 
 
@@ -81,6 +96,10 @@ def corpus() -> list[str]:
                 )
                 lines.append(f"sweep {command} {spans}" + tail)
         lines.append("sweep pure --length 999:1001" + tail)
+        for task, seed in itertools.product(MC_TASKS, MC_SEEDS):
+            lines.append(f"mc {task} --samples 1000 --seed {seed}" + tail)
+    # several sampler row blocks and a partial last one
+    lines.append("mc --task norm --samples 50007 --seed 3")
     return lines + list(INVALID)
 
 
