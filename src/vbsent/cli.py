@@ -193,13 +193,25 @@ def cmd_geometry(args) -> int:
 # --------------------------------------------------------------- mc battery
 
 
+def _mc_norm_cases(args) -> list[tuple[int, bool]]:
+    if args.ring is not None:
+        return [(args.ring, True)]
+    return [(n, False) for n in range(1, 5)]
+
+
+def _check_mc_args(args) -> None:
+    """Raise the error of the first estimate that would fail, before any runs."""
+    if args.task in ("norm", "all"):
+        for n, ring in _mc_norm_cases(args):
+            mc.check_norm_args(n, args.samples, ring)
+    if args.task in ("overlap", "all"):
+        mc.check_overlap_args(0, 0, args.length, args.samples)
+    mc.check_samples(args.samples)
+
+
 def _mc_norm_rows(args) -> list[dict]:
     rows = []
-    if args.ring is not None:
-        cases = [(args.ring, True)]
-    else:
-        cases = [(n, False) for n in range(1, 5)]
-    for n, ring in cases:
+    for n, ring in _mc_norm_cases(args):
         est = mc.estimate_vbs_norm(n, samples=args.samples, seed=args.seed, ring=ring)
         target = mc.vbs_norm_target(n, ring=ring)
         rows.append(
@@ -256,6 +268,7 @@ def _mc_discriminate_rows(disc) -> list[dict]:
 
 
 def cmd_mc(args) -> int:
+    _check_mc_args(args)
     rows = []
     failures = []
     if args.task in ("norm", "all"):

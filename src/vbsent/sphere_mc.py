@@ -6,6 +6,17 @@ and per-site spinors u = e^(i phi/2) cos(theta/2), v = e^(-i phi/2)
 sin(theta/2).  The estimators below sample those integrals with a
 deterministic, seedable generator; they exist to validate sign
 conventions, not to compete with the closed forms.
+
+An estimate keeps only the angles it draws, cos(theta) and phi, from one
+generator in one fixed order (every cos(theta), then every phi).  It
+evaluates them in row blocks of ``ROW_BLOCK`` samples into one array of
+per-sample values: each site's direction is formed once, and spinors only
+at the two end sites of an overlap's spin block.  Every value comes from
+its own sample by the same floating-point operations as an evaluation of
+the whole arrays at once (the bond dot product adds x, y, then z, as a sum
+over a stacked component axis does), and the mean and standard error
+reduce the one array of values, so a seed gives the same estimate bit for
+bit however the rows are blocked.
 """
 from __future__ import annotations
 
@@ -18,31 +29,53 @@ from .closed_forms import CHANNEL_SIGNS, decay_parameter
 from .pauli_algebra import SIGMA
 
 MIN_SAMPLES = 1000
+# samples evaluated together: the temporaries are a few (ROW_BLOCK, sites)
+# arrays, small enough to stay in cache, whatever the sample count
+ROW_BLOCK = 4096
+
+
+def _directions(cos_theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cartesian components (x, y, z) of the unit vectors."""
+    sin_theta = np.sqrt(1.0 - cos_theta * cos_theta)
+    return sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta
+
+
+def _spinors(cos_theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = e^(i phi/2) cos(theta/2) and v = e^(-i phi/2) sin(theta/2)."""
+    phase = np.exp(0.5j * phi)
+    u = phase * np.sqrt((1.0 + cos_theta) / 2.0)
+    v = np.conj(phase) * np.sqrt((1.0 - cos_theta) / 2.0)
+    return u, v
 
 
 @dataclass(frozen=True)
 class SphereConfig:
-    """A batch of uniform unit-sphere samples, shape (samples, sites)."""
+    """A batch of uniform unit-sphere samples, shape (samples, sites).
+
+    Only the angles are stored; ``omega``, ``u`` and ``v`` are built from
+    them on each access.
+    """
 
     cos_theta: np.ndarray
     phi: np.ndarray
-    omega: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
 
     @classmethod
     def sample(cls, rng: np.random.Generator, samples: int, sites: int) -> "SphereConfig":
         z = rng.uniform(-1.0, 1.0, size=(samples, sites))
         phi = rng.uniform(0.0, 2.0 * math.pi, size=(samples, sites))
-        sin_theta = np.sqrt(1.0 - z * z)
-        omega = np.stack(
-            [sin_theta * np.cos(phi), sin_theta * np.sin(phi), z], axis=-1
-        )
-        half_cos = np.sqrt((1.0 + z) / 2.0)
-        half_sin = np.sqrt((1.0 - z) / 2.0)
-        u = np.exp(0.5j * phi) * half_cos
-        v = np.exp(-0.5j * phi) * half_sin
-        return cls(z, phi, omega, u, v)
+        return cls(z, phi)
+
+    @property
+    def omega(self) -> np.ndarray:
+        return np.stack(_directions(self.cos_theta, self.phi), axis=-1)
+
+    @property
+    def u(self) -> np.ndarray:
+        return _spinors(self.cos_theta, self.phi)[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return _spinors(self.cos_theta, self.phi)[1]
 
 
 @dataclass(frozen=True)
@@ -60,21 +93,50 @@ class McEstimate:
         return gap / self.standard_error
 
 
-def _check_samples(samples: int) -> int:
+def check_samples(samples: int) -> int:
     samples = int(samples)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     return samples
 
 
-def _bond_product(omega: np.ndarray, ring: bool) -> np.ndarray:
-    sites = omega.shape[1]
+def check_norm_args(n_bulk: int, samples: int, ring: bool = False) -> int:
+    """Raise the ValueError ``estimate_vbs_norm`` would; return the samples."""
+    if n_bulk < 1:
+        raise ValueError(f"need at least one bulk site, got {n_bulk}")
+    if ring and n_bulk < 2:
+        raise ValueError("a ring needs at least two sites")
+    return check_samples(samples)
+
+
+def check_overlap_args(mu: int, nu: int, length: int, samples: int) -> int:
+    """Raise the ValueError ``estimate_block_overlap`` would; return the samples."""
+    for idx in (mu, nu):
+        if idx not in (0, 1, 2, 3):
+            raise ValueError(f"mode index must be 0..3, got {idx}")
+    if length < 1:
+        raise ValueError(f"block length must be >= 1, got {length}")
+    return check_samples(samples)
+
+
+def _row_blocks(samples: int):
+    """Slices of at most ``ROW_BLOCK`` consecutive samples, in order."""
+    return (slice(start, start + ROW_BLOCK) for start in range(0, samples, ROW_BLOCK))
+
+
+def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndarray:
+    sites = phi.shape[1]
     pairs = [(i, i + 1) for i in range(sites - 1)]
     if ring:
         pairs.append((sites - 1, 0))
-    weight = np.ones(omega.shape[0])
+    weight = np.ones(phi.shape[0])
+    if not pairs:
+        return weight
+    x, y, z = _directions(cos_theta, phi)
     for i, j in pairs:
-        weight = weight * (1.0 - np.sum(omega[:, i] * omega[:, j], axis=-1))
+        # x + y first, then z: the order np.sum takes a stacked omega's axis in
+        dot = x[:, i] * x[:, j] + y[:, i] * y[:, j] + z[:, i] * z[:, j]
+        weight = weight * (1.0 - dot)
     return weight
 
 
@@ -95,25 +157,24 @@ def estimate_vbs_norm(
     N+1 bond factors; the integral is exactly 1.  Ring: N vectors, N
     cyclic bond factors, integral 1 + 3(-1/3)^N.
     """
-    if n_bulk < 1:
-        raise ValueError(f"need at least one bulk site, got {n_bulk}")
-    if ring and n_bulk < 2:
-        raise ValueError("a ring needs at least two sites")
-    samples = _check_samples(samples)
+    samples = check_norm_args(n_bulk, samples, ring)
     rng = np.random.default_rng(seed)
     sites = n_bulk if ring else n_bulk + 2
     config = SphereConfig.sample(rng, samples, sites)
-    return _finish(_bond_product(config.omega, ring), samples, seed)
+    values = np.empty(samples)
+    for rows in _row_blocks(samples):
+        values[rows] = _bond_product(config.cos_theta[rows], config.phi[rows], ring)
+    return _finish(values, samples, seed)
 
 
 def vbs_norm_target(n_bulk: int, ring: bool = False) -> float:
     return 1.0 + 3.0 * decay_parameter(n_bulk) if ring else 1.0
 
 
-def _mode_amplitude(config: SphereConfig, mu: int) -> np.ndarray:
+def _mode_amplitude(first: tuple, last: tuple, mu: int) -> np.ndarray:
     """T_mu = phi_first^a (sigma_mu)_ab phi_last^b with phi = (u, v)."""
-    uf, vf = config.u[:, 0], config.v[:, 0]
-    ul, vl = config.u[:, -1], config.v[:, -1]
+    uf, vf = first
+    ul, vl = last
     s = SIGMA[mu]
     # form the spinor products before weighting by the matrix entries, and
     # write the (1, 0) product as ul * vf: on a single-site block the two
@@ -140,18 +201,20 @@ def estimate_block_overlap(
     spinor-pair measure: it is pinned by the exactly integrable case
     E|T_0|^2 = 2/3 at L = 1, whose weight must come out as 1/3.
     """
-    for idx in (mu, nu):
-        if idx not in (0, 1, 2, 3):
-            raise ValueError(f"mode index must be 0..3, got {idx}")
-    if length < 1:
-        raise ValueError(f"block length must be >= 1, got {length}")
-    samples = _check_samples(samples)
+    samples = check_overlap_args(mu, nu, length, samples)
     rng = np.random.default_rng(seed)
     config = SphereConfig.sample(rng, samples, length)
-    weight = _bond_product(config.omega, ring=False)
-    t_mu = _mode_amplitude(config, mu)
-    t_nu = _mode_amplitude(config, nu)
-    values = 0.5 * np.real(np.conj(t_mu) * t_nu) * weight
+    values = np.empty(samples)
+    for rows in _row_blocks(samples):
+        cos_theta, phi = config.cos_theta[rows], config.phi[rows]
+        weight = _bond_product(cos_theta, phi, ring=False)
+        first = _spinors(cos_theta[:, 0], phi[:, 0])
+        # a single site is both ends: the same arrays keep the singlet's
+        # bitwise cancellation in _mode_amplitude
+        last = first if length == 1 else _spinors(cos_theta[:, -1], phi[:, -1])
+        t_mu = _mode_amplitude(first, last, mu)
+        t_nu = t_mu if nu == mu else _mode_amplitude(first, last, nu)
+        values[rows] = 0.5 * np.real(np.conj(t_mu) * t_nu) * weight
     return _finish(values, samples, seed)
 
 

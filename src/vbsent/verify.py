@@ -304,8 +304,8 @@ def suite_end_blocks(tol: float = 1e-10, **_) -> Cases:
 
 @_suite("monte-carlo")
 def suite_monte_carlo(samples: int = 20_000, seed: int = 7, **_) -> Cases:
-    est = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
-    yield "norm, open chain N=1", 4.0, est.sigmas_from(1.0)
+    first = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
+    yield "norm, open chain N=1", 4.0, first.sigmas_from(1.0)
     est = mc.estimate_vbs_norm(4, samples=samples, seed=seed + 1)
     yield "norm, open chain N=4", 4.0, est.sigmas_from(1.0)
     est = mc.estimate_vbs_norm(3, samples=samples, seed=seed + 2, ring=True)
@@ -319,7 +319,6 @@ def suite_monte_carlo(samples: int = 20_000, seed: int = 7, **_) -> Cases:
         yield "off-diagonal overlaps vanish", 4.0, est.sigmas_from(0.0)
     disc = mc.sign_discrimination(samples=samples, seed=seed + 5)
     yield "sign discrimination rejects the minus reading", EXACT, 0.0 if disc.rejects_minus else 1.0
-    first = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
     rerun = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
     bit_identical = (
         first.mean == rerun.mean and first.standard_error == rerun.standard_error

@@ -234,6 +234,27 @@ def test_mc_names_a_failed_discrimination(monkeypatch):
     assert line.startswith("check failed: discriminate:")
 
 
+def test_mc_rejects_bad_arguments_before_any_estimate(monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the arguments were checked")
+
+    for name in ("estimate_vbs_norm", "estimate_block_overlap", "sign_discrimination"):
+        monkeypatch.setattr(vbsent.cli.mc, name, no_estimate)
+    cases = [
+        (["--length", "0"], "block length must be >= 1, got 0"),
+        (["--task", "overlap", "--length", "-2", "--samples", "5"], "block length"),
+        (["--ring", "1"], "a ring needs at least two sites"),
+        (["--ring", "0", "--samples", "5"], "need at least one bulk site, got 0"),
+        (["--samples", "999"], "need at least 1000 samples, got 999"),
+        (["--task", "all", "--samples", "5", "--length", "0"], "at least 1000 samples"),
+        (["--task", "discriminate", "--samples", "10"], "at least 1000 samples"),
+    ]
+    for flags, message in cases:
+        code, out, err = run_cli(["mc", *flags])
+        assert (code, out) == (2, ""), flags
+        assert err.startswith("error: ") and message in err, (flags, err)
+
+
 # ------------------------------------------------------------------- verify
 
 

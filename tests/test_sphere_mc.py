@@ -5,11 +5,17 @@ Seeds are fixed throughout, so every assertion is deterministic; the
 stream implementation details shift.
 """
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vbsent.pauli_algebra import SIGMA
 from vbsent.sphere_mc import (
     MIN_SAMPLES,
+    ROW_BLOCK,
     McEstimate,
     SphereConfig,
     block_overlap_target,
@@ -128,3 +134,99 @@ def test_different_seeds_differ():
     a = estimate_vbs_norm(3, samples=MIN_SAMPLES, seed=21)
     b = estimate_vbs_norm(3, samples=MIN_SAMPLES, seed=22)
     assert a.mean != b.mean
+
+
+# ------------------------------------------------ whole-array reference
+# The estimators as first written: every derived array built eagerly over
+# all samples at once, the bond dot product summed over a stacked component
+# axis.  Row-blocked evaluation must reproduce them bit for bit.
+
+
+def _reference_angles(samples, sites, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, size=(samples, sites))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(samples, sites))
+    sin_theta = np.sqrt(1.0 - z * z)
+    omega = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), z], axis=-1)
+    u = np.exp(0.5j * phi) * np.sqrt((1.0 + z) / 2.0)
+    v = np.exp(-0.5j * phi) * np.sqrt((1.0 - z) / 2.0)
+    return omega, u, v
+
+
+def _reference_weight(omega, ring):
+    sites = omega.shape[1]
+    pairs = [(i, i + 1) for i in range(sites - 1)] + ([(sites - 1, 0)] if ring else [])
+    weight = np.ones(omega.shape[0])
+    for i, j in pairs:
+        weight = weight * (1.0 - np.sum(omega[:, i] * omega[:, j], axis=-1))
+    return weight
+
+
+def _reference_estimate(values, samples, seed):
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+    return McEstimate(mean=mean, standard_error=se, samples=samples, seed=seed)
+
+
+def _reference_norm(n_bulk, samples, seed, ring):
+    omega, _, _ = _reference_angles(samples, n_bulk if ring else n_bulk + 2, seed)
+    return _reference_estimate(_reference_weight(omega, ring), samples, seed)
+
+
+def _reference_overlap(mu, nu, length, samples, seed):
+    omega, u, v = _reference_angles(samples, length, seed)
+
+    def amplitude(m):
+        uf, vf, ul, vl = u[:, 0], v[:, 0], u[:, -1], v[:, -1]
+        s = SIGMA[m]
+        return (
+            s[0, 0] * (uf * ul)
+            + s[0, 1] * (uf * vl)
+            + s[1, 0] * (ul * vf)
+            + s[1, 1] * (vf * vl)
+        )
+
+    values = 0.5 * np.real(np.conj(amplitude(mu)) * amplitude(nu))
+    values = values * _reference_weight(omega, ring=False)
+    return _reference_estimate(values, samples, seed)
+
+
+BLOCK_EDGE_SAMPLES = (
+    MIN_SAMPLES, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7
+)
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES)
+def test_norms_equal_the_whole_array_reference_bitwise(samples):
+    cases = [(n, False) for n in (1, 2, 3)] + [(n, True) for n in (2, 3)]
+    for (n, ring), seed in itertools.product(cases, (0, 5)):
+        got = estimate_vbs_norm(n, samples=samples, seed=seed, ring=ring)
+        assert got == _reference_norm(n, samples, seed, ring), (n, ring, seed)
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES)
+def test_overlaps_equal_the_whole_array_reference_bitwise(samples):
+    for mu, nu, length in itertools.product(range(4), range(4), (1, 2, 3)):
+        seed = 16 * length + 4 * mu + nu
+        got = estimate_block_overlap(mu, nu, length, samples=samples, seed=seed)
+        want = _reference_overlap(mu, nu, length, samples, seed)
+        assert got == want, (mu, nu, length)
+
+
+def test_config_views_equal_the_reference_arrays():
+    omega, u, v = _reference_angles(ROW_BLOCK + 1, 3, 4)
+    config = SphereConfig.sample(np.random.default_rng(4), ROW_BLOCK + 1, 3)
+    for got, want in ((config.omega, omega), (config.u, u), (config.v, v)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_norm_memory_peak_is_the_angles_plus_one_block():
+    # 16 B per sample-site of angles (16 MB here), the 8 B per-sample values
+    # and one block of temporaries; the eager arrays took 112 MB
+    tracemalloc.start()
+    try:
+        estimate_vbs_norm(8, samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak

@@ -96,3 +96,19 @@ def test_nan_deviation_fails_its_row(monkeypatch):
         code = main(["verify", "--max-sites", "4", "--samples", "1000"])
     assert code == 1
     assert "disjoint-blocks: polynomial roots vs mode spectrum: worst nan" in err.getvalue()
+
+
+def test_monte_carlo_estimates_each_norm_once_plus_one_rerun(monkeypatch):
+    calls = []
+    real = vf.mc.estimate_vbs_norm
+
+    def counted(*args, **kwargs):
+        calls.append((args, tuple(sorted(kwargs.items()))))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vf.mc, "estimate_vbs_norm", counted)
+    rows = vf.SUITES["monte-carlo"](samples=1000, seed=7)
+    assert all(r.passed for r in rows)
+    # the determinism row reruns the first estimate once and computes no third
+    assert calls.count(calls[0]) == 2
+    assert len(calls) == 4
