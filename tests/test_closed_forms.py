@@ -184,6 +184,28 @@ def test_cubic_triple_root():
     assert roots == pytest.approx((0.1, 0.1, 0.1), abs=1e-8)
 
 
+def test_cubic_root_forms_share_guards():
+    # both root forms see the same arccos range check ...
+    coeffs = CubicCoefficients(0.0, -3.0, 4.0)
+    for form in (cubic_roots_trig, cubic_min_root_sine):
+        with pytest.raises(ValueError, match=r"^arccos argument -2\.0 out of range$"):
+            form(coeffs)
+    # ... the same complex-root rejection ...
+    coeffs = CubicCoefficients(0.0, 3.0, 1.0)
+    for form in (cubic_roots_trig, cubic_min_root_sine):
+        with pytest.raises(ValueError, match=r"^cubic has complex roots"):
+            form(coeffs)
+    # ... the same triple root -b/3 at |p| <= 1e-14 ...
+    coeffs = CubicCoefficients(-0.3, 0.03, -0.001)
+    shift = 0.3 / 3.0
+    assert cubic_roots_trig(coeffs) == (shift, shift, shift)
+    assert cubic_min_root_sine(coeffs) == shift
+    # ... and the same exact root 0.0 when d == 0
+    coeffs = CubicCoefficients(-3.0, 2.0, 0.0)
+    assert cubic_roots_trig(coeffs) == (0.0, 1.0, 2.0)
+    assert cubic_min_root_sine(coeffs) == 0.0
+
+
 # -------------------------------------------------------- disjoint blocks
 
 
