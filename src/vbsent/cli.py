@@ -209,62 +209,15 @@ def _check_mc_args(args) -> None:
     mc.check_samples(args.samples)
 
 
-def _mc_norm_rows(args) -> list[dict]:
-    rows = []
-    for n, ring in _mc_norm_cases(args):
-        est = mc.estimate_vbs_norm(n, samples=args.samples, seed=args.seed, ring=ring)
-        target = mc.vbs_norm_target(n, ring=ring)
-        rows.append(
-            {
-                "task": "norm",
-                "parameter": f"{'ring' if ring else 'open'} N={n}",
-                "estimate": est.mean,
-                "standard_error": est.standard_error,
-                "target": target,
-                "sigmas": est.sigmas_from(target),
-            }
-        )
-    return rows
-
-
-def _mc_overlap_rows(args) -> list[dict]:
-    rows = []
-    for mu in range(4):
-        for nu in range(4):
-            est = mc.estimate_block_overlap(
-                mu, nu, args.length, samples=args.samples, seed=args.seed
-            )
-            target = mc.block_overlap_target(mu, nu, args.length)
-            rows.append(
-                {
-                    "task": "overlap",
-                    "parameter": f"mu={mu} nu={nu} L={args.length}",
-                    "estimate": est.mean,
-                    "standard_error": est.standard_error,
-                    "target": target,
-                    "sigmas": est.sigmas_from(target),
-                }
-            )
-    return rows
-
-
-def _mc_discriminate_rows(disc) -> list[dict]:
-    common = {"task": "discriminate", "estimate": disc.estimate.mean,
-              "standard_error": disc.estimate.standard_error}
-    return [
-        {
-            **common,
-            "parameter": "plus reading mu=2 L=1",
-            "target": disc.plus_target,
-            "sigmas": disc.sigmas_from_plus,
-        },
-        {
-            **common,
-            "parameter": "minus reading mu=2 L=1",
-            "target": disc.minus_target,
-            "sigmas": disc.sigmas_from_minus,
-        },
-    ]
+def _mc_row(task: str, parameter: str, est, target: float) -> dict:
+    return {
+        "task": task,
+        "parameter": parameter,
+        "estimate": est.mean,
+        "standard_error": est.standard_error,
+        "target": target,
+        "sigmas": est.sigmas_from(target),
+    }
 
 
 def cmd_mc(args) -> int:
@@ -272,9 +225,19 @@ def cmd_mc(args) -> int:
     rows = []
     failures = []
     if args.task in ("norm", "all"):
-        rows += _mc_norm_rows(args)
+        for n, ring in _mc_norm_cases(args):
+            est = mc.estimate_vbs_norm(n, samples=args.samples, seed=args.seed, ring=ring)
+            target = mc.vbs_norm_target(n, ring=ring)
+            rows.append(_mc_row("norm", f"{'ring' if ring else 'open'} N={n}", est, target))
     if args.task in ("overlap", "all"):
-        rows += _mc_overlap_rows(args)
+        for mu in range(4):
+            for nu in range(4):
+                est = mc.estimate_block_overlap(
+                    mu, nu, args.length, samples=args.samples, seed=args.seed
+                )
+                target = mc.block_overlap_target(mu, nu, args.length)
+                parameter = f"mu={mu} nu={nu} L={args.length}"
+                rows.append(_mc_row("overlap", parameter, est, target))
     for row in rows:
         if row["sigmas"] > SIGMA_BOUND:
             failures.append(
@@ -284,7 +247,9 @@ def cmd_mc(args) -> int:
             )
     if args.task in ("discriminate", "all"):
         disc = mc.sign_discrimination(samples=args.samples, seed=args.seed)
-        rows += _mc_discriminate_rows(disc)
+        for reading, target in (("plus", disc.plus_target), ("minus", disc.minus_target)):
+            parameter = f"{reading} reading mu=2 L=1"
+            rows.append(_mc_row("discriminate", parameter, disc.estimate, target))
         # the check passes when the data sit on the plus reading only
         if not disc.rejects_minus:
             failures.append(

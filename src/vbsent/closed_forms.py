@@ -4,6 +4,10 @@ Every function here evaluates an analytic expression; nothing diagonalizes
 a matrix.  Lengths count bulk spin-1 sites and the single decay parameter
 is z(L) = (-1/3)^L, computed as an exact integer ratio converted to float
 once so large L cannot accumulate pow() error.
+
+The two-block spectra are root multisets of monic polynomial factors,
+held as plain coefficient tuples; the quadratic is solved in Citardauq
+form and every cubic by one trigonometric core, `_trig_form`.
 """
 from __future__ import annotations
 
@@ -17,6 +21,9 @@ CHANNEL_SIGNS = (-1, -1, 3, -1)
 
 # multiplicities of (p1 root, p2 roots x2, p3 roots x3) in the 16-dim spectrum
 DISJOINT_MULTIPLICITIES = (5, 1, 1, 3, 3, 3)
+
+# monic factors of p(Y) = p1^5 p2 p3^3: p1's root, p2's (b, c), p3's (b, c, d)
+CharPolys = tuple[float, tuple[float, float], tuple[float, float, float]]
 
 LOG2 = math.log(2.0)
 
@@ -96,62 +103,21 @@ class PairWeights:
         )
 
 
-@dataclass(frozen=True)
-class LinearCoefficients:
-    """Monic linear factor y + b."""
-
-    b: float
-
-    @property
-    def root(self) -> float:
-        return -self.b
-
-
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Monic quadratic y^2 + b y + c with real roots."""
-
-    b: float
-    c: float
-
-    def roots(self) -> tuple[float, float]:
-        disc = self.b * self.b - 4.0 * self.c
-        if disc < 0.0:
-            if disc < -1e-14:
-                raise ValueError(f"quadratic has complex roots (disc={disc:.3e})")
-            disc = 0.0
-        s = math.sqrt(disc)
-        # Citardauq-style pairing avoids cancellation in the small root
-        if self.b >= 0.0:
-            r1 = (-self.b - s) / 2.0
-        else:
-            r1 = (-self.b + s) / 2.0
-        r2 = self.c / r1 if r1 != 0.0 else (-self.b - r1)
-        return (r1, r2) if r1 <= r2 else (r2, r1)
-
-    def evaluate(self, y: float) -> float:
-        return (y + self.b) * y + self.c
-
-
-@dataclass(frozen=True)
-class CubicCoefficients:
-    """Monic cubic y^3 + b y^2 + c y + d and its depressed form."""
-
-    b: float
-    c: float
-    d: float
-
-    @property
-    def p(self) -> float:
-        return (3.0 * self.c - self.b * self.b) / 3.0
-
-    @property
-    def q(self) -> float:
-        b, c, d = self.b, self.c, self.d
-        return (2.0 * b**3 - 9.0 * b * c + 27.0 * d) / 27.0
-
-    def evaluate(self, y: float) -> float:
-        return ((y + self.b) * y + self.c) * y + self.d
+def quadratic_roots(b: float, c: float) -> tuple[float, float]:
+    """Both real roots, ascending, of the monic quadratic y^2 + b y + c."""
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        if disc < -1e-14:
+            raise ValueError(f"quadratic has complex roots (disc={disc:.3e})")
+        disc = 0.0
+    s = math.sqrt(disc)
+    # Citardauq-style pairing avoids cancellation in the small root
+    if b >= 0.0:
+        r1 = (-b - s) / 2.0
+    else:
+        r1 = (-b + s) / 2.0
+    r2 = c / r1 if r1 != 0.0 else (-b - r1)
+    return (r1, r2) if r1 <= r2 else (r2, r1)
 
 
 def _arccos_clamped(value: float) -> float:
@@ -166,40 +132,32 @@ def _arccos_clamped(value: float) -> float:
     return math.acos(value)
 
 
-def cubic_roots_trig(coeffs: CubicCoefficients) -> tuple[float, float, float]:
-    """All three real roots, ascending, by the trigonometric method.
+def _trig_form(b: float, c: float, d: float) -> tuple[float, float, float]:
+    """(shift, magnitude, theta) of the cubic y^3 + b y^2 + c y + d.
 
-    Requires p <= 0 (three real roots).  |p| <= 1e-14 is treated as the
-    triple root -b/3; p > 1e-14 is rejected since the density-matrix
-    cubics handled here never develop complex roots.
+    The roots are magnitude cos((theta - 2 pi k)/3) + shift.  Requires
+    p <= 0 (three real roots).  |p| <= 1e-14 is treated as the triple root
+    -b/3, returned with magnitude 0.0; p > 1e-14 is rejected since the
+    density-matrix cubics handled here never develop complex roots.
     """
-    if coeffs.d == 0.0:
-        # vanished singlet channels zero the constant term exactly; split
-        # off the exact root instead of asking the trig form to find a
-        # double root it can only approach linearly
-        quad = QuadraticCoefficients(coeffs.b, coeffs.c).roots()
-        return tuple(sorted((0.0,) + quad))
-    p, q = coeffs.p, coeffs.q
+    p = (3.0 * c - b * b) / 3.0
+    q = (2.0 * b**3 - 9.0 * b * c + 27.0 * d) / 27.0
     if p > P_DEGENERATE_TOL:
         raise ValueError(f"cubic has complex roots (p={p:.3e} > 0)")
-    shift = -coeffs.b / 3.0
+    shift = -b / 3.0
     if abs(p) <= P_DEGENERATE_TOL:
-        return (shift, shift, shift)
+        return shift, 0.0, 0.0
     magnitude = 2.0 * math.sqrt(-p / 3.0)
     theta = _arccos_clamped(1.5 * (q / p) * math.sqrt(-3.0 / p))
-    roots = sorted(
-        _newton_polish(coeffs, magnitude * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift)
-        for k in range(3)
-    )
-    return tuple(roots)
+    return shift, magnitude, theta
 
 
-def _newton_polish(coeffs: CubicCoefficients, root: float, steps: int = 2) -> float:
+def _newton_polish(b: float, c: float, d: float, root: float) -> float:
     """Tighten a trig-method root; the arccos route loses ~1e-10 when two
     roots nearly coincide and the polish restores full precision."""
-    for _ in range(steps):
-        value = coeffs.evaluate(root)
-        slope = 3.0 * root * root + 2.0 * coeffs.b * root + coeffs.c
+    for _ in range(2):
+        value = ((root + b) * root + c) * root + d
+        slope = 3.0 * root * root + 2.0 * b * root + c
         if slope == 0.0:
             break
         step = value / slope
@@ -209,23 +167,36 @@ def _newton_polish(coeffs: CubicCoefficients, root: float, steps: int = 2) -> fl
     return root
 
 
-def cubic_min_root_sine(coeffs: CubicCoefficients) -> float:
+def cubic_roots_trig(b: float, c: float, d: float) -> tuple[float, float, float]:
+    """All three real roots, ascending, of y^3 + b y^2 + c y + d."""
+    if d == 0.0:
+        # vanished singlet channels zero the constant term exactly; split
+        # off the exact root instead of asking the trig form to find a
+        # double root it can only approach linearly
+        return tuple(sorted((0.0,) + quadratic_roots(b, c)))
+    shift, magnitude, theta = _trig_form(b, c, d)
+    if magnitude == 0.0:
+        return (shift, shift, shift)
+    roots = sorted(
+        _newton_polish(b, c, d, magnitude * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift)
+        for k in range(3)
+    )
+    return tuple(roots)
+
+
+def cubic_min_root_sine(b: float, c: float, d: float) -> float:
     """Smallest real root via the sine-offset form of the trig method.
 
-    -2 sqrt(-p/3) sin(arccos(arg)/3 + pi/6) - b/3; identical guards as
-    cubic_roots_trig.
+    -2 sqrt(-p/3) sin(arccos(arg)/3 + pi/6) - b/3; `_trig_form` gives it
+    the guards of cubic_roots_trig.
     """
-    if coeffs.d == 0.0:
-        return cubic_roots_trig(coeffs)[0]
-    p, q = coeffs.p, coeffs.q
-    if p > P_DEGENERATE_TOL:
-        raise ValueError(f"cubic has complex roots (p={p:.3e} > 0)")
-    shift = -coeffs.b / 3.0
-    if abs(p) <= P_DEGENERATE_TOL:
+    if d == 0.0:
+        return cubic_roots_trig(b, c, d)[0]
+    shift, magnitude, theta = _trig_form(b, c, d)
+    if magnitude == 0.0:
         return shift
-    theta = _arccos_clamped(1.5 * (q / p) * math.sqrt(-3.0 / p))
-    root = -2.0 * math.sqrt(-p / 3.0) * math.sin(theta / 3.0 + math.pi / 6.0) + shift
-    return _newton_polish(coeffs, root)
+    root = -magnitude * math.sin(theta / 3.0 + math.pi / 6.0) + shift
+    return _newton_polish(b, c, d, root)
 
 
 def pure_block_spectrum(length: int) -> SpectrumReport:
@@ -252,8 +223,6 @@ def pure_pt_spectrum(length: int) -> SpectrumReport:
     Multiset {t x6, -t x3, +sqrt(st) x3, -sqrt(st) x3, s x1}; negativity
     3(t + sqrt(st)).
     """
-    if length < 1:
-        raise ValueError(f"block length must be >= 1, got {length}")
     w = ChannelWeights.from_length(length)
     s, t = w.singlet, w.triplet
     cross = math.sqrt(s * t)
@@ -266,46 +235,42 @@ def bipartition_L0_pt_spectrum() -> SpectrumReport:
     return spectrum_report([0.5, 0.5, 0.5, -0.5])
 
 
-def _check_disjoint_lengths(L1: int, L: int, L2: int) -> None:
+def _check_pair_lengths(L1: int, L2: int) -> None:
     if L1 < 1 or L2 < 1:
         raise ValueError(f"block lengths must be >= 1, got ({L1}, {L2})")
+
+
+def _check_disjoint_lengths(L1: int, L: int, L2: int) -> None:
+    _check_pair_lengths(L1, L2)
     if L < 1:
         raise ValueError(f"separation must be >= 1 for disjoint blocks, got {L}")
 
 
-def _char_polys_from_weights(
-    pw: PairWeights, z: float
-) -> tuple[LinearCoefficients, QuadraticCoefficients, CubicCoefficients]:
+def _char_polys_from_weights(pw: PairWeights, z: float) -> CharPolys:
     l00, l10, l11 = pw.lam00, pw.lam10, pw.lam11
-    p1 = LinearCoefficients(b=-(1.0 - z) * l11)
-    p2 = QuadraticCoefficients(
-        b=-(l00 + (1.0 + 2.0 * z) * l11),
-        c=(1.0 - z) * (1.0 + 3.0 * z) * l00 * l11,
+    p1_root = (1.0 - z) * l11
+    p2 = (
+        -(l00 + (1.0 + 2.0 * z) * l11),
+        (1.0 - z) * (1.0 + 3.0 * z) * l00 * l11,
     )
-    p3 = CubicCoefficients(
-        b=-(l10 + l11 * (1.0 + z)),
-        c=((1.0 + z) * l00 + (1.0 + 2.0 * z) * l10) * (1.0 - z) * l11,
-        d=-((1.0 - z) ** 2) * (1.0 + 3.0 * z) * l00 * l11**2,
+    p3 = (
+        -(l10 + l11 * (1.0 + z)),
+        ((1.0 + z) * l00 + (1.0 + 2.0 * z) * l10) * (1.0 - z) * l11,
+        -((1.0 - z) ** 2) * (1.0 + 3.0 * z) * l00 * l11**2,
     )
-    return p1, p2, p3
+    return p1_root, p2, p3
 
 
-def disjoint_char_polys(
-    L1: int, L: int, L2: int
-) -> tuple[LinearCoefficients, QuadraticCoefficients, CubicCoefficients]:
+def disjoint_char_polys(L1: int, L: int, L2: int) -> CharPolys:
     """Characteristic factors p(Y) = p1^5 p2 p3^3 of the two-block operator."""
     _check_disjoint_lengths(L1, L, L2)
     pw = PairWeights.from_lengths(L1, L2)
     return _char_polys_from_weights(pw, decay_parameter(L))
 
 
-def _spectrum_from_polys(p1, p2, p3) -> list[float]:
-    values = [p1.root] * 5
-    for r in p2.roots():
-        values.append(r)
-    for r in cubic_roots_trig(p3):
-        values.extend([r] * 3)
-    return values
+def _spectrum_from_polys(p1_root, p2, p3) -> list[float]:
+    roots = (p1_root, *quadratic_roots(*p2), *cubic_roots_trig(*p3))
+    return [r for r, m in zip(roots, DISJOINT_MULTIPLICITIES) for _ in range(m)]
 
 
 def disjoint_spectrum(L1: int, L: int, L2: int) -> SpectrumReport:
@@ -360,14 +325,7 @@ def asymptotic_disjoint_spectrum(x1: float, x2: float, z: float) -> AsymptoticSp
     return AsymptoticSpectrum(eigenvalues, xi, xi_linear)
 
 
-def _check_pair_lengths(L1: int, L2: int) -> None:
-    if L1 < 1 or L2 < 1:
-        raise ValueError(f"block lengths must be >= 1, got ({L1}, {L2})")
-
-
-def adjacent_pt_char_polys(
-    L1: int, L2: int
-) -> tuple[LinearCoefficients, QuadraticCoefficients, CubicCoefficients]:
+def adjacent_pt_char_polys(L1: int, L2: int) -> CharPolys:
     """PT characteristic factors for touching blocks: the z=-1 polynomials."""
     _check_pair_lengths(L1, L2)
     pw = PairWeights.from_lengths(L1, L2)
@@ -402,7 +360,7 @@ def adjacent_pt_negativity(L1: int, L2: int) -> AdjacentNegativity:
         l00 - l11 - math.sqrt(l00 * l00 + 14.0 * l00 * l11 + l11 * l11)
     )
     _, _, p3 = _char_polys_from_weights(pw, -1.0)
-    y2 = cubic_min_root_sine(p3)
+    y2 = cubic_min_root_sine(*p3)
     total = y1 + 3.0 * y2
     return AdjacentNegativity(
         y1=y1,

@@ -41,7 +41,7 @@ class EffectiveDensityOperator:
     note: str = ""
 
     def spectrum(self) -> SpectrumReport:
-        return spectrum_report(np.real(hermitian_eigvals(self.normalized)))
+        return spectrum_report(hermitian_eigvals(self.normalized))
 
 
 def _assemble(
@@ -229,7 +229,7 @@ def measures(op: EffectiveDensityOperator) -> Measures:
     report = op.spectrum()
     ent = {}
     for side in ("A", "B"):
-        vals = np.real(hermitian_eigvals(mode_partial_trace(op, "B" if side == "A" else "A")))
+        vals = hermitian_eigvals(mode_partial_trace(op, "B" if side == "A" else "A"))
         ent[side] = spectrum_report(vals).entropy
     return Measures(
         report=report,

@@ -67,13 +67,13 @@ class SpectrumReport:
         return tuple(-math.log(v) for v in self.eigenvalues if v > EIG_CLAMP)
 
 
-def spectrum_report(values, clamp: float = EIG_CLAMP) -> SpectrumReport:
+def spectrum_report(values) -> SpectrumReport:
     """Build a SpectrumReport from a list of real eigenvalues."""
     vals = np.sort(np.asarray(values, dtype=float))
     trace = float(vals.sum())
-    neg = float(-vals[vals < -clamp].sum())
+    neg = float(-vals[vals < -EIG_CLAMP].sum())
     trace_norm = trace + 2.0 * neg
-    positive = vals[vals > clamp]
+    positive = vals[vals > EIG_CLAMP]
     entropy = float(-(positive * np.log(positive)).sum())
     return SpectrumReport(
         eigenvalues=tuple(vals),

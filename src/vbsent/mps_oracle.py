@@ -238,10 +238,10 @@ def dense_hamiltonian(site_dims) -> np.ndarray:
     return h.reshape(dim, dim)
 
 
-def zero_energy_degeneracy(site_dims, tol: float = 1e-10) -> int:
+def zero_energy_degeneracy(site_dims) -> int:
     """Dimension of the kernel of the dense Hamiltonian."""
     vals = hermitian_eigvals(dense_hamiltonian(site_dims))
-    return int(np.sum(vals < tol))
+    return int(np.sum(vals < 1e-10))
 
 
 def spin_correlation(state: StateVector, i: int, j: int) -> float:
@@ -389,7 +389,7 @@ def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
     if not sites or len(sites) == n:
         raise ValueError("block must be a proper nonempty subset of the sites")
     rho = reduced_density(state.amplitudes, state.site_dims, sites)
-    vals = np.real(hermitian_eigvals(rho))[::-1]
+    vals = hermitian_eigvals(rho)[::-1]
     return np.clip(vals, 0.0, None)
 
 

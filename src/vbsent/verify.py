@@ -132,7 +132,7 @@ def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases
             for start in starts:
                 sites = [1 + start + k for k in range(block_len)]
                 rho = mo.reduced_block_density(state, sites)
-                ed_vals = np.real(hermitian_eigvals(rho))
+                ed_vals = hermitian_eigvals(rho)
                 w = cf.ChannelWeights.from_length(block_len)
                 formula = [w.singlet, w.triplet, w.triplet, w.triplet]
                 yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(ed_vals, formula)
@@ -162,9 +162,9 @@ def suite_bond_cut(tol: float = 1e-10, **_) -> Cases:
     yield "closed form row", EXACT, _spectrum_gap(closed.eigenvalues, target)
 
 
-def _disjoint_geometries(max_total: int = 6):
-    for l1, gap, l2 in product(range(1, max_total + 1), repeat=3):
-        if l1 + gap + l2 <= max_total:
+def _disjoint_geometries():
+    for l1, gap, l2 in product(range(1, 7), repeat=3):
+        if l1 + gap + l2 <= 6:
             yield l1, gap, l2
 
 
@@ -193,7 +193,7 @@ def suite_open_transpose_positivity(tol: float = 1e-10, **_) -> Cases:
     for l1, gap, l2 in _disjoint_geometries():
         op = er.rho_ab_open(l1, gap, l2)
         pt = er.mode_partial_transpose(op)
-        pt_vals = np.real(hermitian_eigvals(pt.normalized))
+        pt_vals = hermitian_eigvals(pt.normalized)
         yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
         n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
         state = _open_chain(n)
@@ -212,7 +212,7 @@ def suite_adjacent_blocks(tol: float = 1e-10, **_) -> Cases:
         _, ed_pt = mo.entanglement_report(state, a, b)
         yield "negativity vs dense oracle", tol, abs(closed.negativity - ed_pt.negativity)
         op = er.mode_partial_transpose(er.rho_ab_adjacent(l1, l2))
-        mode_vals = np.real(hermitian_eigvals(op.normalized))
+        mode_vals = hermitian_eigvals(op.normalized)
         poly_vals = cf.adjacent_pt_spectrum(l1, l2).eigenvalues
         yield "transpose spectrum vs z=-1 polynomials", tol, _spectrum_gap(mode_vals, poly_vals)
     for l in range(1, 7):
@@ -220,7 +220,7 @@ def suite_adjacent_blocks(tol: float = 1e-10, **_) -> Cases:
         yield "equal-blocks radical formula", 1e-12, abs(radical)
     for l1, l2 in product(range(1, 5), repeat=2):
         cubic = cf.adjacent_pt_char_polys(l1, l2)[2]
-        sine = cf.cubic_min_root_sine(cubic) - cf.cubic_roots_trig(cubic)[0]
+        sine = cf.cubic_min_root_sine(*cubic) - cf.cubic_roots_trig(*cubic)[0]
         yield "sine-form root is the cubic minimum", 1e-12, abs(sine)
 
 
@@ -240,9 +240,7 @@ def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
             ed, ed_pt = mo.entanglement_report(state, a, b)
             ed_gap = _spectrum_gap(op.spectrum().eigenvalues, ed.eigenvalues)
             yield "mode spectrum vs ring oracle", tol, ed_gap
-            pt_vals = np.real(
-                hermitian_eigvals(er.mode_partial_transpose(op).normalized)
-            )
+            pt_vals = hermitian_eigvals(er.mode_partial_transpose(op).normalized)
             yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
             yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
             coeffs = er.convexity_coefficients(lc, ld)
@@ -339,11 +337,17 @@ def run_suites(
             f"arcs) and <= {mo.MAX_BULK_SITES} (the largest dense state), "
             f"got {max_sites}"
         )
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
+    if "monte-carlo" in names:
+        mc.check_samples(samples)
     results: list[CheckResult] = []
     for name in names:
         results.extend(

@@ -118,7 +118,8 @@ def test_criterion_03_disjoint_block_spectra():
     for la, gap, lb in geometries():
         formula = cf.disjoint_spectrum(la, gap, lb)
         lin, quad, cubic = cf.disjoint_char_polys(la, gap, lb)
-        roots = [lin.root] * 5 + list(quad.roots()) + list(cf.cubic_roots_trig(cubic)) * 3
+        roots = [lin] * 5 + list(cf.quadratic_roots(*quad))
+        roots += list(cf.cubic_roots_trig(*cubic)) * 3
         assert spectrum_gap(formula.eigenvalues, roots) < 1e-10
 
         mode = er.rho_ab_open(la, gap, lb).spectrum()

@@ -293,6 +293,24 @@ def test_verify_rejects_site_budget_beyond_dense_states(monkeypatch):
         vf.run_suites(["ring-blocks"], max_sites=13)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
+        (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+        (["--tol", "-0.5"], "tol must be finite and >= 0, got -0.5"),
+        (["--samples", "10"], "need at least 1000 samples, got 10"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+)
+def test_verify_rejects_bad_values_before_any_suite(monkeypatch, flags, message):
+    for name in vf.SUITES:
+        monkeypatch.setitem(vf.SUITES, name, lambda **_: pytest.fail("suite ran"))
+    code, out, err = run_cli(["verify", "--max-sites", "4", *flags])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_ring_suite_passes_at_ten_sites():
     # the cap's suite runs every ring from 4 to 12 bulk sites, 10 among them
     rows = vf.run_suites(["ring-blocks"], max_sites=mo.MAX_BULK_SITES)

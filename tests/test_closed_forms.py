@@ -12,9 +12,7 @@ from vbsent.closed_forms import (
     DISJOINT_MULTIPLICITIES,
     AdjacentNegativity,
     ChannelWeights,
-    CubicCoefficients,
     PairWeights,
-    QuadraticCoefficients,
     adjacent_negativity_asymptote,
     adjacent_negativity_equal,
     adjacent_pt_negativity,
@@ -31,6 +29,7 @@ from vbsent.closed_forms import (
     pure_block_entanglement_xi,
     pure_block_spectrum,
     pure_pt_spectrum,
+    quadratic_roots,
 )
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -144,15 +143,13 @@ def test_quadratic_roots_match_numpy():
         b, c = rng.uniform(-2, 2, size=2)
         # force real roots
         c = min(c, b * b / 4.0 - 0.1)
-        q = QuadraticCoefficients(b, c)
-        got = sorted(q.roots())
+        got = sorted(quadratic_roots(b, c))
         want = sorted(np.roots([1.0, b, c]).real)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_quadratic_double_root_at_zero():
-    q = QuadraticCoefficients(0.0, 0.0)
-    assert q.roots() == (0.0, 0.0)
+    assert quadratic_roots(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_cubic_roots_match_numpy():
@@ -162,9 +159,9 @@ def test_cubic_roots_match_numpy():
         b = -roots.sum()
         c = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         d = -roots.prod()
-        got = cubic_roots_trig(CubicCoefficients(b, c, d))
+        got = cubic_roots_trig(b, c, d)
         assert got == pytest.approx(tuple(roots), abs=1e-12)
-        assert cubic_min_root_sine(CubicCoefficients(b, c, d)) == pytest.approx(
+        assert cubic_min_root_sine(b, c, d) == pytest.approx(
             roots[0], abs=1e-12
         )
 
@@ -172,38 +169,38 @@ def test_cubic_roots_match_numpy():
 def test_cubic_exact_zero_constant_term():
     # Y^2 (Y - r): the double root at zero must come out exact, not as a
     # pair of 1e-8 artifacts of the trig form
-    coeffs = CubicCoefficients(-0.25, 0.0, 0.0)
-    roots = cubic_roots_trig(coeffs)
+    coeffs = (-0.25, 0.0, 0.0)
+    roots = cubic_roots_trig(*coeffs)
     assert roots == (0.0, 0.0, 0.25)
-    assert cubic_min_root_sine(coeffs) == 0.0
+    assert cubic_min_root_sine(*coeffs) == 0.0
 
 
 def test_cubic_triple_root():
-    coeffs = CubicCoefficients(-0.3, 0.03, -0.001)
-    roots = cubic_roots_trig(coeffs)
+    coeffs = (-0.3, 0.03, -0.001)
+    roots = cubic_roots_trig(*coeffs)
     assert roots == pytest.approx((0.1, 0.1, 0.1), abs=1e-8)
 
 
 def test_cubic_root_forms_share_guards():
     # both root forms see the same arccos range check ...
-    coeffs = CubicCoefficients(0.0, -3.0, 4.0)
+    coeffs = (0.0, -3.0, 4.0)
     for form in (cubic_roots_trig, cubic_min_root_sine):
         with pytest.raises(ValueError, match=r"^arccos argument -2\.0 out of range$"):
-            form(coeffs)
+            form(*coeffs)
     # ... the same complex-root rejection ...
-    coeffs = CubicCoefficients(0.0, 3.0, 1.0)
+    coeffs = (0.0, 3.0, 1.0)
     for form in (cubic_roots_trig, cubic_min_root_sine):
         with pytest.raises(ValueError, match=r"^cubic has complex roots"):
-            form(coeffs)
+            form(*coeffs)
     # ... the same triple root -b/3 at |p| <= 1e-14 ...
-    coeffs = CubicCoefficients(-0.3, 0.03, -0.001)
+    coeffs = (-0.3, 0.03, -0.001)
     shift = 0.3 / 3.0
-    assert cubic_roots_trig(coeffs) == (shift, shift, shift)
-    assert cubic_min_root_sine(coeffs) == shift
+    assert cubic_roots_trig(*coeffs) == (shift, shift, shift)
+    assert cubic_min_root_sine(*coeffs) == shift
     # ... and the same exact root 0.0 when d == 0
-    coeffs = CubicCoefficients(-3.0, 2.0, 0.0)
-    assert cubic_roots_trig(coeffs) == (0.0, 1.0, 2.0)
-    assert cubic_min_root_sine(coeffs) == 0.0
+    coeffs = (-3.0, 2.0, 0.0)
+    assert cubic_roots_trig(*coeffs) == (0.0, 1.0, 2.0)
+    assert cubic_min_root_sine(*coeffs) == 0.0
 
 
 # -------------------------------------------------------- disjoint blocks
@@ -224,12 +221,11 @@ def test_disjoint_spectrum_sums_to_one():
 
 def test_disjoint_multiplicity_layout():
     assert DISJOINT_MULTIPLICITIES == (5, 1, 1, 3, 3, 3)
-    p1, p2, p3 = disjoint_char_polys(2, 1, 2)
+    r1, p2, p3 = disjoint_char_polys(2, 1, 2)
     # single root, quadratic pair, cubic triple: 5+1+1+3+3+3 = 16
     assert 5 * 1 + 1 + 1 + 3 * 3 == 16
-    r1 = p1.root
-    q = p2.roots()
-    c = cubic_roots_trig(p3)
+    q = quadratic_roots(*p2)
+    c = cubic_roots_trig(*p3)
     vals = sorted([r1] * 5 + list(q) + [v for v in c for _ in range(3)])
     rep = disjoint_spectrum(2, 1, 2)
     assert rep.eigenvalues == pytest.approx(tuple(vals), abs=1e-14)
