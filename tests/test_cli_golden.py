@@ -60,6 +60,9 @@ INVALID = (
     "mc --samples 999",
     "mc --length 0",
     "mc --ring 1",
+    "mc --seed -1",
+    "verify --max-sites 3",
+    "verify --tol -1",
 )
 MC_SEEDS = (0, 1)
 MC_TASKS = (
@@ -98,8 +101,11 @@ def corpus() -> list[str]:
         lines.append("sweep pure --length 999:1001" + tail)
         for task, seed in itertools.product(MC_TASKS, MC_SEEDS):
             lines.append(f"mc {task} --samples 1000 --seed {seed}" + tail)
+        lines.append("verify" + tail)
     # several sampler row blocks and a partial last one
     lines.append("mc --task norm --samples 50007 --seed 3")
+    # round-off checks fail at zero tolerance, so verify exits 1
+    lines.append("verify --max-sites 4 --samples 1000 --tol 0")
     return lines + list(INVALID)
 
 

@@ -87,6 +87,16 @@ def test_four_trace_wrong_orientation_fails():
     assert mismatches > 0
 
 
+def test_four_traces_and_m4_match_explicit_products():
+    # loop-built reference: one explicit 2x2 product per index tuple
+    m = m4_tensor()
+    for idx in itertools.product(MODES, repeat=4):
+        mu, nu, rho, lam = idx
+        direct = np.trace(SIGMA[mu] @ SIGMA_BAR[nu] @ SIGMA[rho] @ SIGMA_BAR[lam])
+        assert trace4(*idx) == direct, idx
+        assert m[idx] == 0.5 * PARITY[nu] * METRIC[nu] * direct, idx
+
+
 def test_four_trace_cyclic_shift_by_two():
     # Tr(s_m sb_n s_r sb_l) = Tr(s_r sb_l s_m sb_n)
     for mu, nu, rho, lam in itertools.product(MODES, repeat=4):
