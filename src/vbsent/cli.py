@@ -207,6 +207,8 @@ def _check_mc_args(args) -> None:
     if args.task in ("overlap", "all"):
         mc.check_overlap_args(0, 0, args.length, args.samples)
     mc.check_samples(args.samples)
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
 
 
 def _mc_row(task: str, parameter: str, est, target: float) -> dict:

@@ -255,6 +255,17 @@ def test_mc_rejects_bad_arguments_before_any_estimate(monkeypatch):
         assert err.startswith("error: ") and message in err, (flags, err)
 
 
+def test_mc_rejects_negative_seed_by_name(monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the seed was checked")
+
+    for name in ("estimate_vbs_norm", "estimate_block_overlap", "sign_discrimination"):
+        monkeypatch.setattr(vbsent.cli.mc, name, no_estimate)
+    code, out, err = run_cli(["mc", "--seed", "-1", "--samples", "1000"])
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 # ------------------------------------------------------------------- verify
 
 
