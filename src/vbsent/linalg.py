@@ -20,6 +20,12 @@ HERMITICITY_TOL = 1e-12
 EIG_CLAMP = 1e-12
 
 
+def _check_hermitian(m: np.ndarray) -> None:
+    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if asym > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A Hermitian matrix together with the local dimensions it acts on."""
@@ -36,9 +42,7 @@ class HermitianOperator:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         if math.prod(dims) != m.shape[0]:
             raise ValueError(f"site_dims {dims} do not multiply to dim {m.shape[0]}")
-        asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if asym > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e}")
+        _check_hermitian(m)
 
     @property
     def dim(self) -> int:
@@ -89,9 +93,7 @@ def _as_matrix(op) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.entries
     m = np.asarray(op, dtype=complex)
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if asym > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e}")
+    _check_hermitian(m)
     return m
 
 
