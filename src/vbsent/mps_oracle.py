@@ -65,21 +65,10 @@ RIGHT_BOUNDARY = np.array([[-1.0, 0.0], [0.0, -1.0]], dtype=complex)
 MAX_BULK_SITES = 12
 
 
-@dataclass(frozen=True)
-class MpsChain:
-    """Bulk tensors plus the two boundary contraction vectors."""
-
-    tensors: np.ndarray
-    left_boundary: np.ndarray
-    right_boundary: np.ndarray
-
-    def injectivity_defect(self) -> float:
-        """Max deviation of sum_m A^m (A^m)^dag from the identity (exact 0)."""
-        acc = np.einsum("mab,mcb->ac", self.tensors, self.tensors.conj())
-        return float(np.max(np.abs(acc - np.eye(2))))
-
-
-DEFAULT_CHAIN = MpsChain(AKLT_TENSORS, LEFT_BOUNDARY, RIGHT_BOUNDARY)
+def injectivity_defect() -> float:
+    """Max deviation of sum_m A^m (A^m)^dag from the identity (exact 0)."""
+    acc = np.einsum("mab,mcb->ac", AKLT_TENSORS, AKLT_TENSORS.conj())
+    return float(np.max(np.abs(acc - np.eye(2))))
 
 
 @dataclass(frozen=True)
@@ -129,18 +118,17 @@ def _guard_bulk_count(n: int, low: int, kind: str) -> None:
 
 
 def _mps_products(bulk: int, left_end: bool, right_end: bool) -> np.ndarray:
-    """Matrix products of DEFAULT_CHAIN over a run of neighbouring sites.
+    """Matrix products of AKLT_TENSORS over a run of neighbouring sites.
 
     Indexed [physical, left virtual, right virtual], physical site major in
     run order.  An end spin contracts its boundary vector onto the run's
     outer bond, leaving that virtual index of dimension 1.
     """
-    chain = DEFAULT_CHAIN
-    g = chain.left_boundary[:, None, :] if left_end else np.eye(2, dtype=complex)[None]
+    g = LEFT_BOUNDARY[:, None, :] if left_end else np.eye(2, dtype=complex)[None]
     for _ in range(bulk):
-        g = np.einsum("pab,mbc->pmac", g, chain.tensors).reshape(-1, g.shape[1], 2)
+        g = np.einsum("pab,mbc->pmac", g, AKLT_TENSORS).reshape(-1, g.shape[1], 2)
     if right_end:
-        g = np.einsum("pab,bq->pqa", g, chain.right_boundary).reshape(-1, g.shape[1], 1)
+        g = np.einsum("pab,bq->pqa", g, RIGHT_BOUNDARY).reshape(-1, g.shape[1], 1)
     return g
 
 
@@ -320,7 +308,7 @@ def entanglement_report(
 
     rho_AB is never formed.  Each block splits into maximal runs of
     neighbouring sites (ring runs may wrap past site 0).  A run's range
-    lies in the span of the entries of its DEFAULT_CHAIN matrix product,
+    lies in the span of the entries of its AKLT_TENSORS matrix product,
     boundary vectors included at an end spin: at most 4 dimensions.  Q_A
     and Q_B are the tensor products of the runs' QR bases; a run that is
     a single bulk site or an end spin spans its whole space and is left

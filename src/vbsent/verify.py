@@ -257,7 +257,7 @@ def suite_hamiltonian(max_sites: int = 8, **_) -> Cases:
     for n in range(1, 5):
         kernel = mo.zero_energy_degeneracy((2,) + (3,) * n + (2,))
         yield "kernel dimension 1 (N<=4)", EXACT, abs(kernel - 1)
-    yield "tensor completeness", EXACT, mo.DEFAULT_CHAIN.injectivity_defect()
+    yield "tensor completeness", EXACT, mo.injectivity_defect()
 
 
 @_suite("correlations")

@@ -13,7 +13,6 @@ from vbsent import effective_rho as er
 from vbsent.linalg import hermitian_eigvals, partial_transpose, spectrum_report
 from vbsent.mps_oracle import (
     AKLT_TENSORS,
-    DEFAULT_CHAIN,
     LEFT_BOUNDARY,
     MAX_BULK_SITES,
     RIGHT_BOUNDARY,
@@ -26,6 +25,7 @@ from vbsent.mps_oracle import (
     dense_hamiltonian,
     entanglement_report,
     hamiltonian_residual,
+    injectivity_defect,
     pure_block_pt_spectrum,
     reduced_block_density,
     schmidt_values,
@@ -61,7 +61,7 @@ def test_ring_raw_norm_formula():
 
 
 def test_builders_equal_the_explicit_contractions():
-    # the builders read DEFAULT_CHAIN through the range builder's products;
+    # the builders read AKLT_TENSORS through the range builder's products;
     # the contractions they replaced are the reference, bit for bit
     for n in range(1, 7):
         g = LEFT_BOUNDARY
@@ -85,7 +85,7 @@ def test_size_guard():
 
 
 def test_tensors_injective():
-    assert DEFAULT_CHAIN.injectivity_defect() == 0.0
+    assert injectivity_defect() == 0.0
     # the three physical slices span the full 2x2 transfer space
     flat = AKLT_TENSORS.reshape(3, 4)
     assert np.linalg.matrix_rank(flat) == 3
