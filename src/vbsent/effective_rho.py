@@ -30,6 +30,9 @@ _SIGNS = np.array(CHANNEL_SIGNS, dtype=float)
 # S_{mu alpha} = (s_mu + s_alpha)/2; integer valued for s = (-1,-1,3,-1)
 _S_PAIR = (_SIGNS[:, None] + _SIGNS[None, :]) / 2.0
 
+# calibrated epsilon in the coefficient-tensor index order [mu, rho, alpha, beta]
+_EPS = np.einsum("abmr->mrab", calibrated_epsilon().astype(float))
+
 
 @dataclass(frozen=True)
 class EffectiveDensityOperator:
@@ -72,8 +75,7 @@ def _obc_parts() -> tuple[np.ndarray, np.ndarray]:
     d_ra_mb = np.einsum("ra,mb->mrab", eye, eye)
     s_ma = _S_PAIR[:, None, :, None]
     s_rb = _S_PAIR[None, :, None, :]
-    eps = np.einsum("abmr->mrab", calibrated_epsilon().values.astype(float))
-    linear = -(d_mr_ab - d_ra_mb) * s_ma + eps * (s_rb - s_ma) / 2.0
+    linear = -(d_mr_ab - d_ra_mb) * s_ma + _EPS * (s_rb - s_ma) / 2.0
     return base, linear
 
 
@@ -137,7 +139,6 @@ def _pbc_coefficients(z_c: float, z_d: float, z_total: float) -> np.ndarray:
         return (s[:, None] + s[None, :]) * (xx * yy - (xx + yy) / 2.0) / norm
 
     eye = np.eye(4)
-    eps = np.einsum("abmr->mrab", calibrated_epsilon().values.astype(float))
     # R_{rho mu beta alpha}: antisymmetrized sign combination, one factor (x - y)
     r4 = (
         s[:, None, None, None]
@@ -148,7 +149,7 @@ def _pbc_coefficients(z_c: float, z_d: float, z_total: float) -> np.ndarray:
 
     term1 = np.einsum("ma,rb,ab->mrab", eye, eye, lam(x, y))
     term2 = np.einsum("ar,mb,am->mrab", eye, eye, gam(x, y))
-    term3 = eps * np.einsum("rmba->mrab", r4)
+    term3 = _EPS * np.einsum("rmba->mrab", r4)
     term4 = np.einsum("mr,ab,ma->mrab", eye, eye, gam(-x, -y))
     return term1 - term2 + term3 - term4
 

@@ -4,12 +4,16 @@ The basis is sigma_mu = (i*I, s1, s2, s3) and sigma_bar_mu = (-i*I, s1,
 s2, s3) with the three Pauli matrices s_k.  Every entry is an exact
 complex integer, so all identity checks below demand a residual of
 exactly zero, not a float tolerance.
+
+Two tables carry the algebra: TRACE4, every four-trace by direct
+multiplication, and its delta/epsilon closed form for each epsilon
+orientation.  The calibrated orientation, the coupling tensor M and the
+bond-contraction identities are all read from them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,47 +32,53 @@ METRIC = (-1, 1, 1, 1)
 
 MODES = range(4)
 
+_DELTA = np.eye(4, dtype=int)
 
-@dataclass(frozen=True)
-class Epsilon4:
-    """Totally antisymmetric rank-4 tensor with a chosen sign for e_0123."""
-
-    values: np.ndarray
-    orientation: int
-
-
-def _permutation_sign(p) -> int:
-    inversions = sum(
-        1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
-    )
-    return -1 if inversions % 2 else 1
+# Tr(sigma_mu sigma_bar_nu sigma_rho sigma_bar_lam), indexed [mu, nu, rho, lam];
+# direct multiplication, independent of the closed form it referees
+TRACE4 = np.einsum("mab,nbc,rcd,lda->mnrl", SIGMA, SIGMA_BAR, SIGMA, SIGMA_BAR)
+TRACE4.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
-def epsilon4(orientation: int) -> Epsilon4:
+@functools.lru_cache(maxsize=None)
+def epsilon4(orientation: int) -> np.ndarray:
+    """Read-only totally antisymmetric rank-4 int tensor with e_0123 = orientation."""
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    values = np.zeros((4, 4, 4, 4), dtype=int)
-    for p in itertools.permutations(range(4)):
-        values[p] = orientation * _permutation_sign(p)
+    # a permutation's sign is the product of sign(p_j - p_i) over i < j,
+    # and a repeated index makes one factor 0
+    idx = np.indices((4, 4, 4, 4))
+    values = np.full((4, 4, 4, 4), orientation)
+    for i, j in itertools.combinations(range(4), 2):
+        values *= np.sign(idx[j] - idx[i])
     values.setflags(write=False)
-    return Epsilon4(values, orientation)
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_table(orientation: int) -> np.ndarray:
+    """2(d_mn d_rl + d_ml d_rn - d_mr d_nl + eps_mnrl) for every index tuple."""
+    d = (
+        np.einsum("mn,rl->mnrl", _DELTA, _DELTA)
+        + np.einsum("ml,rn->mnrl", _DELTA, _DELTA)
+        - np.einsum("mr,nl->mnrl", _DELTA, _DELTA)
+    )
+    table = 2 * (d + epsilon4(orientation))
+    table.setflags(write=False)
+    return table
 
 
 def trace4(mu: int, nu: int, rho: int, lam: int) -> complex:
     """Tr(sigma_mu sigma_bar_nu sigma_rho sigma_bar_lam) by direct multiplication."""
-    prod = SIGMA[mu] @ SIGMA_BAR[nu] @ SIGMA[rho] @ SIGMA_BAR[lam]
-    return complex(prod[0, 0] + prod[1, 1])
+    return complex(TRACE4[mu, nu, rho, lam])
 
 
 def closed_form_trace4(mu: int, nu: int, rho: int, lam: int, orientation: int) -> complex:
     """2(d_mn d_rl + d_ml d_rn - d_mr d_nl + eps_mnrl) for a given eps sign."""
-    eps = epsilon4(orientation).values
-    d = (mu == nu) * (rho == lam) + (mu == lam) * (rho == nu) - (mu == rho) * (nu == lam)
-    return complex(2 * (d + eps[mu, nu, rho, lam]))
+    return complex(_closed_form_table(orientation)[mu, nu, rho, lam])
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def decide_epsilon_orientation() -> int:
     """The unique sign of e_0123 that makes closed_form_trace4 match trace4.
 
@@ -76,17 +86,14 @@ def decide_epsilon_orientation() -> int:
     if neither (or both) orientations survive.
     """
     survivors = []
-    mismatches = {1: [], -1: []}
+    mismatches = {}
     for orientation in (1, -1):
-        ok = True
-        for idx in itertools.product(MODES, repeat=4):
-            direct = trace4(*idx)
-            closed = closed_form_trace4(*idx, orientation=orientation)
-            if direct != closed:
-                ok = False
-                if len(mismatches[orientation]) < 8:
-                    mismatches[orientation].append((idx, direct, closed))
-        if ok:
+        closed = _closed_form_table(orientation)
+        bad = [tuple(int(i) for i in idx) for idx in np.argwhere(TRACE4 != closed)]
+        mismatches[orientation] = [
+            (idx, complex(TRACE4[idx]), complex(closed[idx])) for idx in bad[:8]
+        ]
+        if not bad:
             survivors.append(orientation)
     if len(survivors) != 1:
         raise RuntimeError(
@@ -96,62 +103,16 @@ def decide_epsilon_orientation() -> int:
     return survivors[0]
 
 
-def calibrated_epsilon() -> Epsilon4:
+def calibrated_epsilon() -> np.ndarray:
     return epsilon4(decide_epsilon_orientation())
 
 
 def verify_bilinear_completeness() -> tuple[bool, float]:
     """Check sum_mu parity(mu) (s_mu)_ab (s_mu)_cd = -2 d_ac d_bd over all tuples."""
-    worst = 0.0
-    for a, b, c, d in itertools.product(range(2), repeat=4):
-        acc = 0j
-        for mu in MODES:
-            acc += PARITY[mu] * SIGMA[mu][a, b] * SIGMA[mu][c, d]
-        target = -2.0 * (a == c) * (b == d)
-        worst = max(worst, abs(acc - target))
+    acc = np.einsum("m,mab,mcd->abcd", PARITY, SIGMA, SIGMA)
+    target = -2.0 * np.einsum("ac,bd->abcd", np.eye(2), np.eye(2))
+    worst = float(np.max(np.abs(acc - target)))
     return worst == 0.0, worst
-
-
-def _id2_residual() -> float:
-    worst = 0.0
-    for a, b, c, d in itertools.product(range(2), repeat=4):
-        lhs = SIGMA[2][a, b] * SIGMA[2][c, d]
-        rhs = -0.5 * sum(SIGMA[mu][b, c] * SIGMA[mu][a, d] for mu in MODES)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def _id3_residual() -> float:
-    # trace form and the explicit m-tensor form must both reproduce the
-    # product of three bond contractions
-    eps = calibrated_epsilon().values
-    coeff_trace = np.zeros((4, 4, 4), dtype=complex)
-    m_form = np.zeros((4, 4, 4), dtype=complex)
-    for mu, nu, lam in itertools.product(MODES, repeat=3):
-        coeff_trace[mu, nu, lam] = (
-            0.125 * PARITY[nu] * METRIC[nu] * trace4(mu, nu, 2, lam)
-        )
-        m = 0.25 * (
-            METRIC[mu] * (mu == nu) * (lam == 2)
-            + METRIC[nu] * (nu == 2) * (mu == lam)
-            - METRIC[lam] * (lam == nu) * (mu == 2)
-            + METRIC[nu] * eps[mu, nu, 2, lam]
-        )
-        m_form[mu, nu, lam] = PARITY[nu] * m
-    worst = float(np.max(np.abs(coeff_trace - m_form)))
-    for idx in itertools.product(range(2), repeat=6):
-        a1, b1, a2, b2, a3, b3 = idx
-        lhs = SIGMA[2][a1, b1] * SIGMA[2][a2, b2] * SIGMA[2][a3, b3]
-        rhs = 0j
-        for mu, nu, lam in itertools.product(MODES, repeat=3):
-            rhs += (
-                coeff_trace[mu, nu, lam]
-                * SIGMA[mu][b1, a2]
-                * SIGMA[nu][b2, a3]
-                * SIGMA[lam][a1, b3]
-            )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
 
 
 def m4_tensor() -> np.ndarray:
@@ -160,68 +121,58 @@ def m4_tensor() -> np.ndarray:
     Built from direct matrix traces, which sidesteps the epsilon
     orientation ambiguity entirely; real integer valued.
     """
-    m = np.zeros((4, 4, 4, 4))
-    for idx in itertools.product(MODES, repeat=4):
-        mu, nu, rho, sig = idx
-        val = 0.5 * PARITY[nu] * METRIC[nu] * trace4(mu, nu, rho, sig)
-        if val.imag != 0.0:
-            raise RuntimeError(f"M tensor entry {idx} is not real: {val}")
-        m[idx] = val.real
-    return m
+    sign = np.multiply(PARITY, METRIC)[None, :, None, None]
+    m = 0.5 * sign * TRACE4
+    complex_entries = np.argwhere(m.imag != 0.0)
+    if len(complex_entries):
+        idx = tuple(int(i) for i in complex_entries[0])
+        raise RuntimeError(f"M tensor entry {idx} is not real: {complex(m[idx])}")
+    return m.real.copy()
 
 
 def m4_tensor_epsilon_form() -> np.ndarray:
     """Same tensor from the delta/epsilon expansion with the calibrated sign."""
-    eps = calibrated_epsilon().values
-    m = np.zeros((4, 4, 4, 4))
-    for mu, nu, rho, sig in itertools.product(MODES, repeat=4):
-        m[mu, nu, rho, sig] = PARITY[nu] * (
-            METRIC[mu] * (mu == nu) * (rho == sig)
-            + METRIC[nu] * (nu == rho) * (mu == sig)
-            - METRIC[nu] * (nu == sig) * (mu == rho)
-            + METRIC[nu] * eps[mu, nu, rho, sig]
-        )
-    return m
+    parity = np.array(PARITY)[None, :, None, None]
+    metric_nu = np.array(METRIC)[None, :, None, None]
+    m = np.einsum("m,mn,rs->mnrs", METRIC, _DELTA, _DELTA) + metric_nu * (
+        np.einsum("nr,ms->mnrs", _DELTA, _DELTA)
+        - np.einsum("ns,mr->mnrs", _DELTA, _DELTA)
+        + calibrated_epsilon()
+    )
+    return (parity * m).astype(float)
 
 
-def _id4_residual() -> float:
-    coeff = np.zeros((4, 4, 4, 4), dtype=complex)
-    for mu, nu, rho, lam in itertools.product(MODES, repeat=4):
-        coeff[mu, nu, rho, lam] = (
-            -PARITY[nu] * METRIC[nu] * trace4(mu, nu, rho, lam) / 16.0
-        )
-    worst = float(np.max(np.abs(m4_tensor() - m4_tensor_epsilon_form())))
-    sigma2 = SIGMA[2]
-    for idx in itertools.product(range(2), repeat=8):
-        a1, b1, a2, b2, a3, b3, a4, b4 = idx
-        lhs = sigma2[a1, b1] * sigma2[a2, b2] * sigma2[a3, b3] * sigma2[a4, b4]
-        rhs = np.einsum(
-            "mnrl,m,n,r,l->",
-            coeff,
-            SIGMA[:, b1, a2],
-            SIGMA[:, b2, a3],
-            SIGMA[:, b3, a4],
-            SIGMA[:, a1, b4],
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def _bond_residual(n: int, coeff: np.ndarray, subscripts: str) -> float:
+    """Max |(s2)_a1b1 ... (s2)_anbn - coeff . sigma ... sigma| over 2^(2n) tuples.
+
+    subscripts contracts coeff with n copies of SIGMA into the output
+    index order a1 b1 ... an bn of the left side.
+    """
+    lhs = functools.reduce(np.multiply.outer, [SIGMA[2]] * n)
+    rhs = np.einsum(subscripts, coeff, *[SIGMA] * n)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def verify_boundary_identity(n: int) -> tuple[bool, float]:
     """Coefficient-level check of the n-fold bond-contraction identity.
 
     n=2: (s2)_ab (s2)_cd = -1/2 sum_mu (s_mu)_bc (s_mu)_ad over 2^4 tuples.
-    n=3: the three-bond expansion, via the four-trace form and the
-         explicit m tensor (both must agree), over 2^6 tuples.
-    n=4: the four-bond expansion over 2^8 tuples, which also pins down the
-         M tensor conventions used for the effective density matrices.
+    n=3: the three-bond expansion with coefficients M_mn2l / 4, which must
+         equal the same slice of the delta/epsilon form, over 2^6 tuples.
+    n=4: the four-bond expansion with coefficients -M / 8 over 2^8 tuples,
+         which also pins down the M tensor conventions used for the
+         effective density matrices; M must equal its delta/epsilon form.
     """
     if n == 2:
-        worst = _id2_residual()
+        worst = _bond_residual(2, -0.5 * _DELTA, "mn,mbc,nad->abcd")
     elif n == 3:
-        worst = _id3_residual()
+        coeff = m4_tensor()[:, :, 2, :] / 4
+        gap = float(np.max(np.abs(coeff - m4_tensor_epsilon_form()[:, :, 2, :] / 4)))
+        worst = max(gap, _bond_residual(3, coeff, "mnl,mbc,nde,laf->abcdef"))
     elif n == 4:
-        worst = _id4_residual()
+        m = m4_tensor()
+        gap = float(np.max(np.abs(m - m4_tensor_epsilon_form())))
+        worst = max(gap, _bond_residual(4, -m / 8, "mnrl,mbc,nde,rfg,lah->abcdefgh"))
     else:
         raise ValueError("identity order must be 2, 3 or 4")
     return worst == 0.0, worst

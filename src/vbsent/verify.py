@@ -115,9 +115,9 @@ def suite_sigma_identities(**_) -> Cases:
         trace = complex(np.trace(pa.SIGMA[m] @ pa.SIGMA_BAR[n]))
         yield "pair trace orthogonality", EXACT, abs(trace - 2.0 * (m == n))
     orientation = pa.decide_epsilon_orientation()
-    for idx in product(range(4), repeat=4):
+    for idx, direct in np.ndenumerate(pa.TRACE4):
         closed = pa.closed_form_trace4(*idx, orientation=orientation)
-        yield "calibrated four-trace closed form", EXACT, abs(pa.trace4(*idx) - closed)
+        yield "calibrated four-trace closed form", EXACT, abs(complex(direct) - closed)
     yield "rotation-generator commutators", EXACT, pa.lorentz_commutator_residual()
     m4_gap = float(np.max(np.abs(pa.m4_tensor() - pa.m4_tensor_epsilon_form())))
     yield "M tensor: traces vs closed form", EXACT, m4_gap

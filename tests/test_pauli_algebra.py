@@ -57,7 +57,7 @@ def test_bilinear_completeness_exact():
 
 
 def test_epsilon_antisymmetry():
-    eps = epsilon4(1).values
+    eps = epsilon4(1)
     assert eps[0, 1, 2, 3] == 1
     assert eps[1, 0, 2, 3] == -1
     assert eps[0, 0, 2, 3] == 0
@@ -69,7 +69,7 @@ def test_epsilon_antisymmetry():
 
 def test_epsilon_orientation_is_unique_and_negative():
     assert decide_epsilon_orientation() == -1
-    assert calibrated_epsilon().orientation == -1
+    assert np.array_equal(calibrated_epsilon(), epsilon4(-1))
 
 
 def test_four_trace_closed_form_exhaustive():
