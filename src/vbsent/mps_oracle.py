@@ -62,6 +62,16 @@ AKLT_TENSORS = np.stack(
 LEFT_BOUNDARY = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 RIGHT_BOUNDARY = np.array([[-1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+# transfer matrix E[(a a'), (b b')] = sum_m A^m[a, b] conj(A^m[a', b']) of
+# one traced-out bulk site, and the traced-out end spins' doubled boundary
+# vectors, l[(a a')] = sum_b L[b, a] conj(L[b, a']) and r alike
+TRANSFER = sum(np.kron(a, a.conj()) for a in AKLT_TENSORS)
+LEFT_ENV = np.einsum("pa,pc->ac", LEFT_BOUNDARY, LEFT_BOUNDARY.conj()).reshape(1, 4)
+RIGHT_ENV = np.einsum("aq,cq->ac", RIGHT_BOUNDARY, RIGHT_BOUNDARY.conj()).reshape(4, 1)
+
+# Gram eigenvalues of a run below RANK_CUT x the largest are round-off
+RANK_CUT = 1e-12
+
 MAX_BULK_SITES = 12
 
 
@@ -132,25 +142,35 @@ def _mps_products(bulk: int, left_end: bool, right_end: bool) -> np.ndarray:
     return g
 
 
+def _normalized(amp: np.ndarray, dims: tuple[int, ...]) -> StateVector:
+    raw = float(np.linalg.norm(amp))
+    amp = amp / raw
+    amp.flags.writeable = False
+    return StateVector(amp, dims, raw)
+
+
+@functools.lru_cache(maxsize=None)
 def build_open_chain(n_bulk: int) -> StateVector:
     """Exact ground state of the terminated chain: spin-1/2, N spin-1, spin-1/2.
 
     Zero energy for the projector Hamiltonian (see hamiltonian_residual)
-    and unique at the sizes where the dense kernel is computable.
+    and unique at the sizes where the dense kernel is computable.  Cached
+    per N, so the amplitudes are read-only.
     """
     _guard_bulk_count(n_bulk, 1, "open")
     amp = _mps_products(n_bulk, True, True).reshape(-1)
-    raw = float(np.linalg.norm(amp))
-    dims = (2,) + (3,) * n_bulk + (2,)
-    return StateVector(amp / raw, dims, raw)
+    return _normalized(amp, (2,) + (3,) * n_bulk + (2,))
 
 
+@functools.lru_cache(maxsize=None)
 def build_ring(n_bulk: int) -> StateVector:
-    """Exact ground state on a ring of N spin-1 sites (trace of tensor products)."""
+    """Exact ground state on a ring of N spin-1 sites (trace of tensor products).
+
+    Cached per N, so the amplitudes are read-only.
+    """
     _guard_bulk_count(n_bulk, 2, "ring")
     amp = np.trace(_mps_products(n_bulk, False, False), axis1=1, axis2=2)
-    raw = float(np.linalg.norm(amp))
-    return StateVector(amp / raw, (3,) * n_bulk, raw)
+    return _normalized(amp, (3,) * n_bulk)
 
 
 def bond_projector() -> np.ndarray:
@@ -258,44 +278,126 @@ def reduced_block_density(state: StateVector, sites) -> HermitianOperator:
     return reduced_density(state.amplitudes, state.site_dims, sites)
 
 
-def _runs(block: set[int], n: int, ring: bool) -> list[list[int]]:
-    """Maximal runs of neighbouring block sites, each in chain order.
+def _runs(n: int, ring: bool, set_a: set[int], set_b: set[int]) -> list[tuple[bool, int, int]]:
+    """Maximal runs of neighbouring sites of one block, in chain order.
 
-    On a ring the walk starts just past a site outside the block, so a run
-    may wrap past site 0.
+    Each run is (in block A, first position, length).  Positions count
+    sites from the start of the walk: site 0 on a chain, and on a ring the
+    first site whose neighbour before it carries another label (block A,
+    block B or neither), so no run is cut by the walk's end; a run may
+    still wrap past site 0.
     """
-    order = range(n)
-    if ring and len(block) < n:
-        first = next(s for s in range(n) if s not in block) + 1
-        order = [(first + k) % n for k in range(n)]
-    runs, run = [], []
-    for s in order:
-        if s in block:
-            run.append(s)
-        elif run:
-            runs.append(run)
-            run = []
-    return runs + [run] if run else runs
+    labels = [s in set_a if s in set_a or s in set_b else None for s in range(n)]
+    start = 0
+    if ring:
+        start = next((s for s in range(n) if labels[s] != labels[s - 1]), 0)
+    runs: list[list] = []
+    for t in range(n):
+        label = labels[(start + t) % n]
+        if label is None:
+            continue
+        if runs and runs[-1][0] == label and sum(runs[-1][1:]) == t:
+            runs[-1][2] += 1
+        else:
+            runs.append([label, t, 1])
+    return [tuple(run) for run in runs]
 
 
 @functools.lru_cache(maxsize=None)
-def _run_range(bulk: int, left_end: bool, right_end: bool) -> np.ndarray | None:
-    """Q^H for an orthonormal basis Q of a run's range, or None for its whole space.
+def _transfer_power(k: int) -> np.ndarray:
+    """E^k, the transfer matrix of k traced-out bulk sites; read-only, as it is cached."""
+    power = np.linalg.matrix_power(TRANSFER, k)
+    power.flags.writeable = False
+    return power
 
-    Every amplitude of the chain is an entry of the run's matrix product
-    times the rest, so the range lies in the span of the product's entries:
-    at most 4 columns, one per free virtual index pair.  Q of their QR is
-    orthonormal even when the columns are dependent, so the span it gives
-    can only be larger than the range.  Read-only, as it is cached; the
-    bulk count is at most MAX_BULK_SITES, so there are a few dozen keys.
+
+@functools.lru_cache(maxsize=None)
+def _run_factor(bulk: int, left_end: bool, right_end: bool) -> np.ndarray:
+    """A run's factor W, doubled: F[(a a'), (i i'), (b b')] = W[i, a, b] conj(W[i', a', b']).
+
+    X[p, a, b] are the run's matrix products (see _mps_products): p runs
+    over the run's physical basis, a and b over its free virtual indices,
+    of dimension 1 on the side of an end spin.  Their Gram G = X^H X is
+    read off E^bulk, with an end spin's boundary vector contracted in, and
+    factored as G = W^H W over its eigenvalues above RANK_CUT x the
+    largest; below the cut they are round-off, as one bulk site's
+    products span 3 of their 4 entries.  Then X = Q W for an isometry Q,
+    so W carries everything of the run that a reduced density sees.
+    Read-only, as it is cached.
     """
-    products = _mps_products(bulk, left_end, right_end)
-    q = np.linalg.qr(products.reshape(products.shape[0], -1))[0]
-    if q.shape[0] == q.shape[1]:
-        return None
-    q_h = q.conj().T.copy()
-    q_h.flags.writeable = False
-    return q_h
+    t = _transfer_power(bulk)
+    if left_end:
+        t = LEFT_ENV @ t
+    if right_end:
+        t = t @ RIGHT_ENV
+    da, db = 1 if left_end else 2, 1 if right_end else 2
+    # t[(a a'), (b b')] = sum_p X[p, a, b] conj(X[p, a', b'])
+    gram = t.reshape(da, da, db, db).transpose(1, 3, 0, 2).reshape(da * db, -1)
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > RANK_CUT * vals[-1]
+    w = (np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T).reshape(-1, da, db)
+    factor = np.einsum("iab,jcd->acijbd", w, w.conj()).reshape(da * da, len(w) ** 2, -1)
+    factor.flags.writeable = False
+    return factor
+
+
+def _support_spectra(
+    n_bulk: int, ring: bool, set_a: set[int], set_b: set[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of sigma and sigma^{T_A}, from the layout alone.
+
+    Site indices are those of the chain (end spins at 0 and n_bulk + 1)
+    or of the ring.  With X = Q W per run (see _run_factor), rho_AB =
+    Q (W K W^H) Q^H for the environment K of the runs: on a chain the
+    boundary vectors and E^gap between the runs, on a ring the E^gap
+    between the runs closed by a trace.  sigma = W K W^H is contracted run
+    by run in chain order, K never formed, and normalized by the state's
+    squared norm, l E^N r on a chain and Tr E^N on a ring.  The transpose
+    is sigma^{T_A} = (W_A* x W_B) K^{T_A} (W_A* x W_B)^H, read off sigma.
+    Each run has rank at most 4, so one run per block gives 16 x 16.
+    """
+    n = n_bulk if ring else n_bulk + 2
+    runs = _runs(n, ring, set_a, set_b)
+    if not runs:
+        return np.ones(1), np.ones(1)
+    if ring:
+        start = np.eye(4)
+        norm = np.trace(_transfer_power(n)).real
+    else:
+        first = runs[0][1]
+        start = LEFT_ENV @ _transfer_power(first - 1) if first else np.ones((1, 1))
+        norm = (LEFT_ENV @ _transfer_power(n_bulk) @ RIGHT_ENV).real.item()
+    links = []
+    for k, (_, first, length) in enumerate(runs):
+        left_end = not ring and first == 0
+        right_end = not ring and first + length == n
+        factor = _run_factor(length - left_end - right_end, left_end, right_end)
+        end = first + length
+        if k + 1 < len(runs):
+            bridge = _transfer_power(runs[k + 1][1] - end)
+        elif ring:
+            bridge = _transfer_power(n + runs[0][1] - end)
+        elif right_end:
+            bridge = np.ones((1, 1))
+        else:
+            bridge = _transfer_power(n - 1 - end) @ RIGHT_ENV
+        links.append(factor @ bridge)
+    # env[s, x, b] = (start . link_0 ... link_k)[s, b] at the runs' pairs x;
+    # the last link closes the trace over s
+    env = start[:, None, :]
+    for link in links[:-1]:
+        env = (env @ link.reshape(len(link), -1)).reshape(len(start), -1, link.shape[2])
+    flat = sum(env[s] @ links[-1][..., s] for s in range(len(start))) / norm
+    # flat[(i_0 i_0'), (i_1 i_1'), ...] in chain order; put block A's runs first
+    ranks = [math.isqrt(link.shape[1]) for link in links]
+    order = sorted(range(len(runs)), key=lambda k: not runs[k][0])
+    sigma = flat.reshape([r for rank in ranks for r in (rank, rank)])
+    sigma = sigma.transpose([2 * k for k in order] + [2 * k + 1 for k in order])
+    dim = math.prod(ranks)
+    r_a = math.prod(r for r, run in zip(ranks, runs) if run[0])
+    sigma = sigma.reshape(dim, dim)
+    sigma_pt = sigma.reshape(r_a, dim // r_a, r_a, -1).transpose(2, 1, 0, 3).reshape(dim, dim)
+    return hermitian_eigvals(sigma), hermitian_eigvals(sigma_pt)
 
 
 def entanglement_report(
@@ -306,24 +408,20 @@ def entanglement_report(
     block_a / block_b are site indices into the full chain; they must not
     overlap.  The transpose acts on block_a's physical indices.
 
-    rho_AB is never formed.  Each block splits into maximal runs of
-    neighbouring sites (ring runs may wrap past site 0).  A run's range
-    lies in the span of the entries of its AKLT_TENSORS matrix product,
-    boundary vectors included at an end spin: at most 4 dimensions.  Q_A
-    and Q_B are the tensor products of the runs' QR bases; a run that is
-    a single bulk site or an end spin spans its whole space and is left
-    unprojected.  The state, with each block's axes in run order, is
-    contracted once onto Q_A x Q_B, giving sigma = (Q_A x Q_B)^H rho_AB
-    (Q_A x Q_B), and rho_AB^{T_A} has the spectrum of sigma^{T_A} (its
-    isometry is Q_A* x Q_B); both are (r_A r_B)-dimensional.  The
-    remaining eigenvalues, one per basis state of the kept sites beyond
-    the support, are exactly 0.0.
+    The state must be the ground state of its layout, as build_open_chain
+    and build_ring return it, up to a global phase: the report reads it
+    only to check that its weight outside that state, weight -
+    |<ground|state>|^2, is at most EIG_CLAMP.  The spectra then come from
+    the layout alone (see _support_spectra): each block splits into
+    maximal runs of neighbouring sites, each run has rank at most 4, and
+    rho_AB and rho_AB^{T_A} are diagonalized on the product of the runs'
+    ranges, 16 x 16 for contiguous blocks, through 4x4 transfer matrices.
+    The remaining eigenvalues, one per basis state of the kept sites
+    beyond that support, are exactly 0.0.
 
-    Accepts states in the span of the chain's matrix products: those of
-    build_open_chain and build_ring, up to a global phase.  Raises
-    ValueError when the site dims are not a chain or ring layout, before
-    any contraction, and when the ranges miss more than EIG_CLAMP of the
-    state's weight, as any other state does.
+    Raises ValueError when the site dims are not a chain or ring layout,
+    and when the state misses the ground state by more than EIG_CLAMP of
+    its weight, as any other state does.
     """
     set_a = {int(s) for s in block_a}
     set_b = {int(s) for s in block_b}
@@ -336,37 +434,20 @@ def entanglement_report(
     outside = sorted(s for s in kept if not 0 <= s < n)
     if outside:
         raise IndexError(f"sites {outside} out of range for {n} sites")
-    runs_a, runs_b = _runs(set_a, n, ring), _runs(set_b, n, ring)
-    order = [s for run in runs_a + runs_b for s in run]
-    order += [s for s in range(n) if s not in kept]
-    phi = state.array.transpose(order)
-    # project run by run: phi is (kept rows so far, this run, the rest)
-    rows, ranks = 1, []
-    for run in runs_a + runs_b:
-        ends = (not ring and run[0] == 0, not ring and run[-1] == n - 1)
-        bulk = len(run) - sum(ends)
-        phi = phi.reshape(rows, 3**bulk * 2 ** sum(ends), -1)
-        q_h = _run_range(bulk, *ends)
-        if q_h is not None:
-            phi = q_h @ phi
-        ranks.append(phi.shape[1])
-        rows *= phi.shape[1]
-    r_a = math.prod(ranks[: len(runs_a)])
-    r_b = rows // r_a
-    phi = phi.reshape(rows, -1)
-    sigma = phi @ phi.conj().T
+    n_bulk = n if ring else n - 2
+    ground = (build_ring if ring else build_open_chain)(n_bulk).amplitudes
     weight = np.vdot(state.amplitudes, state.amplitudes).real
-    lost = float(weight - np.trace(sigma).real)
+    lost = float(weight - abs(np.vdot(ground, state.amplitudes)) ** 2)
     if lost > EIG_CLAMP:
         raise ValueError(
-            f"block ranges miss weight {lost:.3e} of the state "
+            f"the ground state would miss weight {lost:.3e} of the state "
             f"(more than {EIG_CLAMP:.0e})"
         )
-    sigma_pt = sigma.reshape(r_a, r_b, r_a, r_b).transpose(2, 1, 0, 3).reshape(rows, -1)
-    zeros = np.zeros(math.prod(dims[s] for s in kept) - rows)
+    vals, pt_vals = _support_spectra(n_bulk, ring, set_a, set_b)
+    zeros = np.zeros(math.prod(dims[s] for s in kept) - len(vals))
     return (
-        spectrum_report(np.concatenate([hermitian_eigvals(sigma), zeros])),
-        spectrum_report(np.concatenate([hermitian_eigvals(sigma_pt), zeros])),
+        spectrum_report(np.concatenate([vals, zeros])),
+        spectrum_report(np.concatenate([pt_vals, zeros])),
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import product
 
 import numpy as np
@@ -75,16 +75,6 @@ def _suite(name: str):
     return register
 
 
-@lru_cache(maxsize=32)
-def _open_chain(n: int) -> mo.StateVector:
-    return mo.build_open_chain(n)
-
-
-@lru_cache(maxsize=32)
-def _ring(n: int) -> mo.StateVector:
-    return mo.build_ring(n)
-
-
 def _spectrum_gap(a, b) -> float:
     """Worst entrywise gap between two spectra compared as multisets.
 
@@ -126,7 +116,7 @@ def suite_sigma_identities(**_) -> Cases:
 @_suite("pure-bipartition")
 def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
     for n in range(1, max_sites + 1):
-        state = _open_chain(n)
+        state = mo.build_open_chain(n)
         for block_len in range(1, min(4, n) + 1):
             starts = {0, (n - block_len) // 2}
             for start in starts:
@@ -148,7 +138,7 @@ def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases
 def suite_bond_cut(tol: float = 1e-10, **_) -> Cases:
     target = [0.5, 0.5, 0.5, -0.5]
     for n in range(2, 5):
-        state = _open_chain(n)
+        state = mo.build_open_chain(n)
         for cut in range(1, n + 2):
             left = list(range(cut))
             right = list(range(cut, n + 2))
@@ -177,14 +167,14 @@ def suite_disjoint_blocks(tol: float = 1e-10, **_) -> Cases:
         poly_gap = _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
         yield "polynomial roots vs mode spectrum", tol, poly_gap
         n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
-        state = _open_chain(n)
+        state = mo.build_open_chain(n)
         ed, _ = mo.entanglement_report(state, a, b)
         yield "mode spectrum vs dense oracle", tol, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
     anchor = cf.disjoint_spectrum(1, 1, 1)
     target = [4.0 / 27.0] * 5 + [2.0 / 27.0] * 3 + [1.0 / 27.0] + [0.0] * 7
     yield "anchor point (1,1,1)", tol, _spectrum_gap(anchor.eigenvalues, target)
     # blocks embedded in a longer chain see the same two-block operator
-    ed, _ = mo.entanglement_report(_open_chain(5), [2], [4])
+    ed, _ = mo.entanglement_report(mo.build_open_chain(5), [2], [4])
     yield "independence from surroundings", tol, _spectrum_gap(ed.eigenvalues, anchor.eigenvalues)
 
 
@@ -196,7 +186,7 @@ def suite_open_transpose_positivity(tol: float = 1e-10, **_) -> Cases:
         pt_vals = hermitian_eigvals(pt.normalized)
         yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
         n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
-        state = _open_chain(n)
+        state = mo.build_open_chain(n)
         _, ed_pt = mo.entanglement_report(state, a, b)
         yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
         flipped = er._obc_coefficients(-cf.decay_parameter(gap)).reshape(16, 16)
@@ -208,7 +198,7 @@ def suite_adjacent_blocks(tol: float = 1e-10, **_) -> Cases:
     for l1, l2 in product(range(1, 4), repeat=2):
         closed = cf.adjacent_pt_negativity(l1, l2)
         n, a, b = GEOMETRIES["adjacent"].sites(la=l1, lb=l2)
-        state = _open_chain(n)
+        state = mo.build_open_chain(n)
         _, ed_pt = mo.entanglement_report(state, a, b)
         yield "negativity vs dense oracle", tol, abs(closed.negativity - ed_pt.negativity)
         op = er.mode_partial_transpose(er.rho_ab_adjacent(l1, l2))
@@ -233,7 +223,7 @@ def _ring_partitions(n: int):
 @_suite("ring-blocks")
 def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
     for n in range(4, max_sites + 1):
-        state = _ring(n)
+        state = mo.build_ring(n)
         for la, lb, lc, ld in _ring_partitions(n):
             op = er.rho_ab_pbc(la, lb, lc, ld)
             _, a, b = GEOMETRIES["pbc"].sites(la=la, lb=lb, lc=lc, ld=ld)
@@ -251,9 +241,9 @@ def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
 @_suite("hamiltonian")
 def suite_hamiltonian(max_sites: int = 8, **_) -> Cases:
     for n in range(1, max_sites + 1):
-        yield "open-chain energy", 1e-12, abs(mo.hamiltonian_residual(_open_chain(n)))
+        yield "open-chain energy", 1e-12, abs(mo.hamiltonian_residual(mo.build_open_chain(n)))
     for n in range(3, max_sites + 1):
-        yield "ring energy", 1e-12, abs(mo.hamiltonian_residual(_ring(n)))
+        yield "ring energy", 1e-12, abs(mo.hamiltonian_residual(mo.build_ring(n)))
     for n in range(1, 5):
         kernel = mo.zero_energy_degeneracy((2,) + (3,) * n + (2,))
         yield "kernel dimension 1 (N<=4)", EXACT, abs(kernel - 1)
@@ -263,7 +253,7 @@ def suite_hamiltonian(max_sites: int = 8, **_) -> Cases:
 @_suite("correlations")
 def suite_correlations(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
     n = min(max_sites, 6)
-    state = _open_chain(n)
+    state = mo.build_open_chain(n)
     bulk = range(1, n + 1)
     for i in bulk:
         for j in bulk:
@@ -288,7 +278,7 @@ def suite_mutual_information(tol: float = 1e-10, **_) -> Cases:
 @_suite("end-blocks")
 def suite_end_blocks(tol: float = 1e-10, **_) -> Cases:
     for mid in range(1, 4):
-        state = _open_chain(mid + 2)
+        state = mo.build_open_chain(mid + 2)
         n_sites = mid + 4
         left = [0, 1]
         right = [n_sites - 2, n_sites - 1]

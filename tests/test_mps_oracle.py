@@ -17,6 +17,8 @@ from vbsent.mps_oracle import (
     MAX_BULK_SITES,
     RIGHT_BOUNDARY,
     StateVector,
+    _mps_products,
+    _support_spectra,
     apply_hamiltonian,
     bond_projector,
     boundary_projector,
@@ -424,3 +426,95 @@ def test_report_matches_mode_operator_at_any_placement():
             assert min(pt.eigenvalues) >= -1e-12
 
     check()
+
+
+def test_support_spectra_match_mode_operator_at_any_length():
+    # the layout-only report needs no state, so it reaches lengths far past
+    # MAX_BULK_SITES, including those >= 679 where z = (-1/3)^L underflows
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    length = st.integers(1, 1000)
+
+    @st.composite
+    def layouts(draw):
+        if draw(st.booleans()):
+            la = draw(st.integers(1, 39))
+            lb = draw(st.integers(1, 40 - la))
+            lc = draw(st.integers(0, 40 - la - lb))
+            ld = draw(st.integers(0, 40 - la - lb - lc))
+            n = la + lb + lc + ld
+            rot = draw(st.integers(0, n - 1))
+            a = [(rot + lc + j) % n for j in range(la)]
+            b = [(rot + lc + la + ld + j) % n for j in range(lb)]
+            return n, True, a, b, er.rho_ab_pbc(la, lb, lc, ld)
+        la, gap, lb = draw(length), draw(st.integers(0, 1000)), draw(length)
+        left, right = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        a = [1 + left + j for j in range(la)]
+        b = [1 + left + la + gap + j for j in range(lb)]
+        op = er.rho_ab_open(la, gap, lb) if gap else er.rho_ab_adjacent(la, lb)
+        return left + la + gap + lb + right, False, a, b, op
+
+    @settings(max_examples=80, deadline=None)
+    @given(layouts())
+    @example((679 + 1 + 680, False, [1], list(range(681, 1361)), er.rho_ab_open(1, 679, 680)))
+    @example((3000, False, list(range(1, 1001)), list(range(2001, 3001)),
+              er.rho_ab_open(1000, 1000, 1000)))
+    @example((1000, False, list(range(1, 700)), list(range(700, 1001)),
+              er.rho_ab_adjacent(699, 301)))
+    def check(layout):
+        n_bulk, ring, a, b, op = layout
+        vals, pt_vals = _support_spectra(n_bulk, ring, set(a), set(b))
+        mode_pt = hermitian_eigvals(er.mode_partial_transpose(op).normalized)
+        for got, mode in ((vals, op.spectrum().eigenvalues), (pt_vals, mode_pt)):
+            size = max(len(got), len(mode))
+            worst = np.max(np.abs(_padded(got, size) - _padded(mode, size)))
+            assert worst <= 1e-10
+
+    check()
+
+
+def test_one_run_per_block_report_solves_at_most_16x16(monkeypatch):
+    # the report's cost is set by the runs' ranks, not by the chain's length
+    import vbsent.mps_oracle as mo
+
+    dims = []
+
+    def recording(op):
+        dims.append(np.shape(op)[0])
+        return hermitian_eigvals(op)
+
+    monkeypatch.setattr(mo, "hermitian_eigvals", recording)
+    open_chain, ring = build_open_chain(12), build_ring(12)
+    for state, a, b in (
+        (open_chain, [1], [3]),
+        (open_chain, [0, 1, 2], [9, 10, 11, 12, 13]),
+        (open_chain, [2, 3, 4, 5], [6, 7, 8]),
+        (ring, [11, 0, 1], [5, 6]),
+        (ring, list(range(6)), list(range(6, 12))),
+    ):
+        entanglement_report(state, a, b)
+    assert len(dims) == 10 and max(dims) == 16
+
+
+def test_report_rejects_states_in_every_run_range_but_not_the_ground_state():
+    # another right boundary vector keeps every amplitude an entry of each
+    # run's matrix product, so the state lies in every run's range; it is
+    # not the ground state, and the report reads only the ground state
+    other_right = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    g = LEFT_BOUNDARY
+    for _ in range(5):
+        g = np.einsum("...a,mab->...mb", g, AKLT_TENSORS)
+    amp = np.einsum("...a,ab->...b", g, other_right).reshape(-1)
+    state = StateVector(amp / np.linalg.norm(amp), build_open_chain(5).site_dims, 1.0)
+    assert hamiltonian_residual(state) > 0.1
+    runs = [[1, 2], [4, 5]]
+    arr = state.array
+    for run in runs:
+        products = _mps_products(len(run), False, False)
+        q = np.linalg.qr(products.reshape(products.shape[0], -1))[0]
+        rest = [s for s in range(7) if s not in run]
+        phi = arr.transpose(run + rest).reshape(q.shape[0], -1)
+        assert np.linalg.norm(q.conj().T @ phi) ** 2 == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="miss weight"):
+        entanglement_report(state, *runs)
