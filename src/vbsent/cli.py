@@ -79,6 +79,17 @@ def group_spectrum(values, tol: float = GROUP_DISPLAY_TOL):
     return [(math.fsum(g) / len(g), len(g)) for g in groups]
 
 
+def _zeroed(value):
+    """0.0 for a value within EIG_CLAMP of 0, the value otherwise.
+
+    Zero eigenvalue groups and zero measures come out of LAPACK as
+    round-off, whose digits differ from one numeric stack to the next.
+    """
+    if value is None or abs(value) > EIG_CLAMP:
+        return value
+    return 0.0
+
+
 def _spectra_rows(label: str, report) -> list[dict]:
     rows = []
     for index, (value, mult) in enumerate(group_spectrum(report.eigenvalues)):
@@ -86,7 +97,7 @@ def _spectra_rows(label: str, report) -> list[dict]:
             {
                 "geometry": label,
                 "index": index,
-                "eigenvalue": value,
+                "eigenvalue": _zeroed(value),
                 "multiplicity": mult,
             }
         )
@@ -97,11 +108,11 @@ def _measures_row(label: str, *, negativity=None, log_negativity=None,
                   entropy=None, purity=None, mutual_information=None) -> dict:
     return {
         "geometry": label,
-        "negativity": negativity,
-        "log_negativity": log_negativity,
-        "entropy": entropy,
-        "purity": purity,
-        "mutual_information": mutual_information,
+        "negativity": _zeroed(negativity),
+        "log_negativity": _zeroed(log_negativity),
+        "entropy": _zeroed(entropy),
+        "purity": _zeroed(purity),
+        "mutual_information": _zeroed(mutual_information),
     }
 
 

@@ -5,12 +5,14 @@ stdout must equal the recorded ones byte for byte.  The JSON ``versions``
 object names the local numpy and Python, so it is cut from the output
 before recording and before comparing; nothing else is.
 
-Near-zero eigenvalue groups print the LAPACK round-off of the machine
-that recorded them, so the data is re-recorded with
+Eigenvalue groups and measures within EIG_CLAMP of 0 print as 0, so the
+LAPACK round-off of zero eigenvalues leaves no trace in the output.  The
+data is re-recorded with
 
     PYTHONPATH=src python tests/test_cli_golden.py --regenerate
 
-only when the numeric stack changes, never to absorb a change of code.
+only when a change of output is intended, or the numeric stack moves a
+nonzero digit, never to absorb a defect.
 """
 
 import contextlib
@@ -22,9 +24,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from vbsent import effective_rho
 from vbsent.cli import main
+from vbsent.linalg import EIG_CLAMP, hermitian_eigvals
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 LENGTHS = (1, 2, 3, 12, 40, 1000)  # z underflows to zero at 1000
@@ -140,6 +145,24 @@ def test_cli_output_matches_golden(line):
     if line in INVALID:
         assert got["code"] == 2 and got["stdout"] == ""
 
+
+def test_round_off_on_zero_mode_eigenvalues_leaves_the_output_unchanged(monkeypatch):
+    # another numeric stack prints other round-off for the zero eigenvalues
+    # of the mode spectra; +-1e-15 on each must not move a byte.  Nonzero
+    # eigenvalues stay exact: their round-off moves the trailing digits of
+    # measures that cancel, as a mutual information of 5e-12, whatever the
+    # display does.  verify is left out, as its rows print round-off.
+    rng = np.random.default_rng(0)
+
+    def noisy(op):
+        vals = hermitian_eigvals(op)
+        noise = rng.choice([-1e-15, 1e-15], size=vals.shape)
+        return vals + np.where(np.abs(vals) <= EIG_CLAMP, noise, 0.0)
+
+    monkeypatch.setattr(effective_rho, "hermitian_eigvals", noisy)
+    lines = [line for line in corpus() if not line.startswith("verify")]
+    changed = [line for line in lines if run_line(line) != _recorded()[line]]
+    assert changed == []
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
