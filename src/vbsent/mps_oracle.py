@@ -4,13 +4,18 @@ Builds the exact valence-bond ground state from 2x2 matrix-product
 tensors (N bulk spin-1 sites, and for open chains one spin-1/2 on each
 end contracted straight onto the virtual bond), assembles the projector
 Hamiltonian, and evaluates reduced densities, partial transposes and
-correlators with dense linear algebra.  Two-block reports project the
-state onto block ranges read off the same tensors the state is built
-from: a run of neighbouring sites spans at most the 4 entries of its
-2x2 matrix product, and a block is the product of its runs.  They
-diagonalize at most (r_A r_B) x (r_A r_B) matrices, 16 x 16 for
-contiguous blocks, so chains of up to MAX_BULK_SITES = 12 bulk sites
-are accepted.  Everything downstream is checked against this module.
+correlators with dense linear algebra.  MAX_BULK_SITES = 12 bounds these
+dense builders only.
+
+Two-block reports trace out everything outside the blocks on the same
+tensors: a traced-out bulk site is the 4x4 transfer matrix
+E = sum_m A^m x conj(A^m), an end spin its doubled boundary vector, and a
+run of neighbouring block sites the Gram factor W of its matrix products,
+of rank at most 4.  With K the runs' environment, rho_AB = Q (W K W^H) Q^H
+for an isometry Q, so contiguous blocks diagonalize 16 x 16 matrices at
+any length.  The state a report is given is only checked against the
+cached ground state.  Nothing here reads a closed form, so everything
+downstream is checked against this module.
 """
 from __future__ import annotations
 
