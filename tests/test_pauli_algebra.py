@@ -139,3 +139,35 @@ def test_metric_and_parity_values():
 
 def test_lorentz_commutators_close():
     assert lorentz_commutator_residual() == 0.0
+
+
+def _looped_commutator_residual(gen) -> float:
+    # the per-tuple loop the table form replaced, kept as its reference
+    worst = 0.0
+    for mu, nu, al, be in itertools.product(MODES, repeat=4):
+        lhs = gen(mu, nu) @ gen(al, be) - gen(al, be) @ gen(mu, nu)
+        rhs = 2.0 * (
+            (nu == al) * gen(mu, be)
+            - (nu == be) * gen(mu, al)
+            + (mu == be) * gen(nu, al)
+            - (mu == al) * gen(nu, be)
+        )
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def test_lorentz_residual_equals_the_per_tuple_loop(monkeypatch):
+    from vbsent import pauli_algebra as pa
+
+    assert lorentz_commutator_residual() == _looped_commutator_residual(pa.lorentz_generator)
+    # generators that do not close must give the loop's nonzero residual
+    skewed = [SIGMA[0] @ SIGMA_BAR[0] + 0.5 * SIGMA[m] for m in MODES]
+    real = pa.lorentz_generator
+
+    def wrong(mu, nu):
+        return real(mu, nu) + (mu == 1) * skewed[nu]
+
+    monkeypatch.setattr(pa, "lorentz_generator", wrong)
+    looped = _looped_commutator_residual(wrong)
+    assert looped > 0.1
+    assert lorentz_commutator_residual() == looped
