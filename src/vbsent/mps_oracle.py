@@ -23,7 +23,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -296,16 +296,13 @@ def _runs(n: int, ring: bool, set_a: set[int], set_b: set[int]) -> list[tuple[bo
     start = 0
     if ring:
         start = next((s for s in range(n) if labels[s] != labels[s - 1]), 0)
-    runs: list[list] = []
-    for t in range(n):
-        label = labels[(start + t) % n]
-        if label is None:
-            continue
-        if runs and runs[-1][0] == label and sum(runs[-1][1:]) == t:
-            runs[-1][2] += 1
-        else:
-            runs.append([label, t, 1])
-    return [tuple(run) for run in runs]
+    runs, t = [], 0
+    for label, group in groupby(labels[(start + k) % n] for k in range(n)):
+        length = len(list(group))
+        if label is not None:
+            runs.append((label, t, length))
+        t += length
+    return runs
 
 
 @functools.lru_cache(maxsize=None)
