@@ -21,7 +21,8 @@ EIG_CLAMP = 1e-12
 
 
 def _check_hermitian(m: np.ndarray) -> None:
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Raise unless m, one matrix or a stack (..., n, n), is Hermitian."""
+    asym = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
     if asym > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e}")
 
@@ -98,10 +99,11 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def hermitian_eigvals(op) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian matrix, or of each in a stack.
 
-    Accepts a HermitianOperator or a raw matrix; raw input is checked for
-    Hermiticity first and rejected with the maximal asymmetry in the message.
+    Accepts a HermitianOperator, a raw matrix or a raw stack (..., n, n),
+    whose result is (..., n); raw input is checked for Hermiticity first
+    and rejected with the maximal asymmetry in the message.
     """
     return np.linalg.eigvalsh(_as_matrix(op))
 

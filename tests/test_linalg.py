@@ -92,6 +92,18 @@ def test_hermitian_eigvals_rejects_raw_non_hermitian():
         hermitian_eigvals(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigvals_of_a_stack_check_every_member():
+    rng = np.random.default_rng(3)
+    stack = np.array([random_hermitian(rng, (4, 4)).entries for _ in range(3)])
+    vals = hermitian_eigvals(stack)
+    assert vals.shape == (3, 16)
+    for member, row in zip(stack, vals):
+        assert np.array_equal(row, hermitian_eigvals(HermitianOperator(member, (4, 4))))
+    stack[1, 2, 5] += 1e-6
+    with pytest.raises(ValueError, match=r"max \|M - M\^H\| = 1\.000e-06"):
+        hermitian_eigvals(stack)
+
+
 def test_partial_trace_of_product_operator():
     # Tr_B(A (x) B) = Tr(B) * A
     rng = np.random.default_rng(3)
