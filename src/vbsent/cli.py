@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -183,7 +184,7 @@ def _reports_row(label: str, block, pt, mutual: float) -> dict:
 def cmd_geometry(args) -> int:
     geo = GEOMETRIES[args.subcommand]
     params = geo.params(**{name: getattr(args, name) for name in geo.names})
-    block, pt, mutual = geo.reports(**params)
+    [(block, pt, mutual)] = geo.reports([params])
     if geo.limit is None:
         label = geo.label(params)
         spectra = _spectra_rows(f"{label} block", block)
@@ -334,10 +335,11 @@ def cmd_sweep(args) -> int:
     if len(spans) != 1:
         raise ValueError("sweep takes a range (lo:hi) on exactly one flag")
     (swept,) = spans
-    rows = []
-    for point in given[swept]:
-        params = geo.params(**{**given, swept: point})
-        rows.append(_reports_row(geo.label(params), *geo.reports(**params)))
+    points = [geo.params(**{**given, swept: point}) for point in given[swept]]
+    rows = [
+        _reports_row(geo.label(params), *reports)
+        for params, reports in zip(points, geo.reports(points))
+    ]
     _emit_tables(args, [(MEASURES_HEADER, rows)])
     return 0
 
@@ -349,7 +351,9 @@ def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The vbsent parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="vbsent",
         description="Closed-form entanglement data for the spin-1 valence-bond chain.",

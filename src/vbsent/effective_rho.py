@@ -6,9 +6,19 @@ orthogonal with norms w_mu(L).  Two disjoint blocks therefore live in a
 coefficient matrix over the unnormalized product states together with
 the diagonal Gram weights, and as the orthonormal-basis Hermitian matrix
 D^(1/2) C D^(1/2).  Composite index order is A-major: (mu, rho) -> 4*mu+rho.
+
+`stacked_measures` evaluates a list of operators as stacks: one
+`eigvalsh` over the (P, 16, 16) joint matrices, one over their mode
+transposes and one over each (P, 4, 4) stack of block marginals, each
+stack checked for Hermiticity first.  LAPACK solves every member of a
+stack on its own, so each float equals the one-operator result bitwise;
+`measures` is the one-operator call.  Callers build and evaluate at most
+STACK_POINTS operators at a time, which bounds the memory a long sweep
+holds.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +34,9 @@ from .linalg import (
 from .pauli_algebra import PARITY, calibrated_epsilon, m4_tensor
 
 TRACE_TOL = 1e-12
+
+# operators per stacked evaluation (see the module docstring)
+STACK_POINTS = 16
 
 _SIGNS = np.array(CHANNEL_SIGNS, dtype=float)
 
@@ -47,6 +60,18 @@ class EffectiveDensityOperator:
         return spectrum_report(hermitian_eigvals(self.normalized))
 
 
+def _normalized(coeff: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """D^(1/2) C D^(1/2) of one coefficient matrix or of a stack (P, 16, 16)."""
+    half = np.sqrt(gram)
+    return half[..., :, None] * coeff * half[..., None, :]
+
+
+def _transposed(coeff: np.ndarray) -> np.ndarray:
+    """Swap the two A-mode indices of one coefficient matrix or of a stack."""
+    coeff4 = coeff.reshape(coeff.shape[:-2] + (4, 4, 4, 4))
+    return coeff4.swapaxes(-4, -2).reshape(coeff.shape)
+
+
 def _assemble(
     coeff4: np.ndarray, block_a: int, block_b: int, note: str = ""
 ) -> EffectiveDensityOperator:
@@ -54,8 +79,7 @@ def _assemble(
     w_b = np.array(ChannelWeights.from_length(block_b).weights)
     gram = np.einsum("m,r->mr", w_a, w_b).reshape(16)
     coeff = coeff4.reshape(16, 16)
-    half = np.sqrt(gram)
-    normalized = half[:, None] * coeff * half[None, :]
+    normalized = _normalized(coeff, gram)
     trace = float(np.trace(normalized).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"construction lost the unit trace: {trace!r}")
@@ -202,11 +226,8 @@ def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOper
     the open constructions, (z_c, z_d) -> (-z_c, -z_d) on the ring.  Pure
     index movement, so applying it twice restores the input bitwise.
     """
-    coeff4 = op.coeff.reshape(4, 4, 4, 4).transpose(2, 1, 0, 3)
-    half = np.sqrt(op.gram)
-    coeff = coeff4.reshape(16, 16)
-    normalized = half[:, None] * coeff * half[None, :]
-    return replace(op, coeff=coeff, normalized=normalized)
+    coeff = _transposed(op.coeff)
+    return replace(op, coeff=coeff, normalized=_normalized(coeff, op.gram))
 
 
 def mode_partial_trace(op: EffectiveDensityOperator, over: str) -> HermitianOperator:
@@ -220,21 +241,49 @@ def mode_partial_trace(op: EffectiveDensityOperator, over: str) -> HermitianOper
 @dataclass(frozen=True)
 class Measures:
     report: SpectrumReport
+    transpose: SpectrumReport
     entropy_a: float
     entropy_b: float
     mutual_information: float
 
 
-def measures(op: EffectiveDensityOperator) -> Measures:
-    """Joint spectrum plus the block entropies and their mutual information."""
-    report = op.spectrum()
-    ent = {}
-    for side in ("A", "B"):
-        vals = hermitian_eigvals(mode_partial_trace(op, "B" if side == "A" else "A"))
-        ent[side] = spectrum_report(vals).entropy
-    return Measures(
-        report=report,
-        entropy_a=ent["A"],
-        entropy_b=ent["B"],
-        mutual_information=ent["A"] + ent["B"] - report.entropy,
+def stacked_measures(ops: Sequence[EffectiveDensityOperator]) -> list[Measures]:
+    """The measures of each operator, from four stacked eigensolves.
+
+    The joint, transposed and marginal matrices of all the operators are
+    stacked and diagonalized in one call each, however many operators
+    the call takes (callers pass at most STACK_POINTS).  Each Measures is
+    the one `measures` gives for that operator alone, bitwise: the
+    marginals are the traces of `mode_partial_trace` and the transposes
+    those of `mode_partial_transpose`.
+    """
+    joint = np.array([op.normalized for op in ops], dtype=complex)
+    gram = np.array([op.gram for op in ops])
+    transposed = _normalized(_transposed(np.array([op.coeff for op in ops])), gram)
+    modes = joint.reshape(-1, 4, 4, 4, 4)
+    stacks = zip(
+        hermitian_eigvals(joint),
+        hermitian_eigvals(transposed),
+        hermitian_eigvals(np.einsum("pabcb->pac", modes)),
+        hermitian_eigvals(np.einsum("pabad->pbd", modes)),
     )
+    out = []
+    for vals, pt_vals, vals_a, vals_b in stacks:
+        report = spectrum_report(vals)
+        entropy_a = spectrum_report(vals_a).entropy
+        entropy_b = spectrum_report(vals_b).entropy
+        out.append(
+            Measures(
+                report=report,
+                transpose=spectrum_report(pt_vals),
+                entropy_a=entropy_a,
+                entropy_b=entropy_b,
+                mutual_information=entropy_a + entropy_b - report.entropy,
+            )
+        )
+    return out
+
+
+def measures(op: EffectiveDensityOperator) -> Measures:
+    """Joint and transpose spectra, the block entropies and their mutual information."""
+    return stacked_measures([op])[0]

@@ -30,8 +30,10 @@ class Geometry(NamedTuple):
 
     `flags` holds (name, default, minimum) in label order; a default of
     None makes the flag required.  Each callable takes the validated
-    params as keywords.  `reports` returns the block spectrum, the
-    partial-transpose spectrum and I(A:B).  `sites` returns the dense
+    params as keywords.  A geometry has one route: `closed` returns its
+    Reports, the block spectrum, the partial-transpose spectrum and
+    I(A:B), from the closed forms; `operator` builds its 16x16 mode
+    operator, from which `reports` reads them.  `sites` returns the dense
     oracle's bulk-site count and the sites of blocks A and B.  `limit` is
     the closed-form asymptotic I(A:B) that the finite pair is set against.
     """
@@ -39,7 +41,8 @@ class Geometry(NamedTuple):
     name: str
     help: str
     flags: tuple[tuple[str, int | None, int], ...]
-    reports: Callable[..., Reports]
+    closed: Callable[..., Reports] | None = None
+    operator: Callable[..., er.EffectiveDensityOperator] | None = None
     sites: Callable[..., Sites] | None = None
     limit: Callable[..., float] | None = None
     equal_blocks: bool = False
@@ -70,15 +73,29 @@ class Geometry(NamedTuple):
     def label(self, params: dict, head: str | None = None) -> str:
         return " ".join([head or self.name] + [f"{k}={params[k]}" for k in self.names])
 
+    def reports(self, points: list[dict]) -> list[Reports]:
+        """One Reports per point of validated params, in order.
+
+        A closed-form geometry evaluates point by point.  An operator
+        geometry builds its operators in stacks of at most
+        er.STACK_POINTS points and reads each stack's measures with
+        er.stacked_measures, so a call costs four eigensolves per stack
+        and holds one stack's operators at a time.  Every float equals
+        the one a single-point call gives.
+        """
+        if self.operator is None:
+            return [self.closed(**params) for params in points]
+        out = []
+        for start in range(0, len(points), er.STACK_POINTS):
+            stack = points[start : start + er.STACK_POINTS]
+            measures = er.stacked_measures([self.operator(**p) for p in stack])
+            out += [(m.report, m.transpose, m.mutual_information) for m in measures]
+        return out
+
 
 def _pure(block: SpectrumReport, pt: SpectrumReport) -> Reports:
     # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
     return block, pt, 2.0 * block.entropy
-
-
-def _operator(op: er.EffectiveDensityOperator) -> Reports:
-    m = er.measures(op)
-    return m.report, er.mode_partial_transpose(op).spectrum(), m.mutual_information
 
 
 def _open_sites(la: int, gap: int, lb: int) -> Sites:
@@ -100,7 +117,7 @@ GEOMETRIES = {
             "pure",
             "single-block bipartition closed forms",
             (("length", None, 1),),
-            lambda length: _pure(
+            closed=lambda length: _pure(
                 cf.pure_block_spectrum(length), cf.pure_pt_spectrum(length)
             ),
         ),
@@ -108,36 +125,38 @@ GEOMETRIES = {
             "bipartition0",
             "single-bond cut (L=0)",
             (),
-            lambda: _pure(spectrum_report([0.5, 0.5]), cf.bipartition_L0_pt_spectrum()),
+            closed=lambda: _pure(
+                spectrum_report([0.5, 0.5]), cf.bipartition_L0_pt_spectrum()
+            ),
         ),
         Geometry(
             "disjoint",
             "two separated blocks on the open chain",
             (("la", None, 1), ("gap", None, 1), ("lb", None, 1)),
-            lambda la, gap, lb: _operator(er.rho_ab_open(la, gap, lb)),
-            _open_sites,
+            operator=lambda la, gap, lb: er.rho_ab_open(la, gap, lb),
+            sites=_open_sites,
         ),
         Geometry(
             "adjacent",
             "two touching blocks on the open chain",
             (("la", None, 1), ("lb", None, 1)),
-            lambda la, lb: _operator(er.rho_ab_adjacent(la, lb)),
-            lambda la, lb: _open_sites(la, 0, lb),
+            operator=lambda la, lb: er.rho_ab_adjacent(la, lb),
+            sites=lambda la, lb: _open_sites(la, 0, lb),
         ),
         Geometry(
             "pbc",
             "two blocks on a ring",
             (("la", None, 1), ("lb", None, 1), ("lc", None, 0), ("ld", None, 0)),
-            lambda la, lb, lc, ld: _operator(er.rho_ab_pbc(la, lb, lc, ld)),
-            _ring_sites,
+            operator=lambda la, lb, lc, ld: er.rho_ab_pbc(la, lb, lc, ld),
+            sites=_ring_sites,
         ),
         Geometry(
             "mutual-info",
             "finite-size vs asymptotic mutual information",
             (("la", 6, 1), ("lb", 6, 1), ("gap", None, 1)),
-            lambda la, lb, gap: _operator(er.rho_ab_open(la, gap, lb)),
-            _open_sites,
-            lambda la, lb, gap: cf.mutual_information(cf.decay_parameter(gap)),
+            operator=lambda la, lb, gap: er.rho_ab_open(la, gap, lb),
+            sites=_open_sites,
+            limit=lambda la, lb, gap: cf.mutual_information(cf.decay_parameter(gap)),
             equal_blocks=True,
         ),
     )

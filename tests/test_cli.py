@@ -5,12 +5,15 @@ argument parsing, formatting, and exit-code contract are all exercised the
 same way a shell user would hit them.
 """
 
+import argparse
 import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 import vbsent.cli
@@ -381,3 +384,88 @@ def test_missing_required_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as info:
         run_cli(["pure"])
     assert info.value.code == 2
+
+
+# (command, fixed flags, swept flag, first swept value); the pbc sweep
+# starts at touching blocks
+SWEEPS = (
+    ("disjoint", ["--la", "2", "--lb", "3"], "gap", 1),
+    ("adjacent", ["--la", "4"], "lb", 1),
+    ("pbc", ["--la", "1", "--lb", "2", "--ld", "1"], "lc", 0),
+    ("mutual-info", ["--la", "3", "--lb", "3"], "gap", 1),
+)
+
+
+def measures_lines(out, fmt):
+    """The measures rows as CSV lines or as sorted-key JSON texts."""
+    if fmt == "json":
+        rows = json.loads(out)["results"]["measures"]
+        return [json.dumps(row, sort_keys=True) for row in rows]
+    return out.strip().split("\n\n")[-1].split("\n")[1:]
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("points", (1, 15, 16, 17, 40))
+@pytest.mark.parametrize("command, fixed, swept, first", SWEEPS)
+def test_sweep_rows_equal_single_point_measures(command, fixed, swept, first, points, fmt):
+    # sweeps evaluate in stacks of 16 points; 15, 16, 17 and 40 points
+    # end a stack short, exactly, one over and partway through the third
+    last = first + points - 1
+    tail = fixed + ["--format", fmt]
+    code, out, err = run_cli(["sweep", command, f"--{swept}", f"{first}:{last}"] + tail)
+    assert (code, err) == (0, "")
+    rows = measures_lines(out, fmt)
+    assert len(rows) == points
+    for value, row in zip(range(first, last + 1), rows):
+        code, single, err = run_cli([command, f"--{swept}", str(value)] + tail)
+        assert (code, err) == (0, "")
+        # mutual-info labels its measures row "finite" and adds the limit
+        expected = measures_lines(single, fmt)[0].replace("finite la=", "mutual-info la=")
+        assert row == expected
+
+
+def test_sweep_solves_four_stacks_per_16_points_with_one_parser(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "vbsent":
+            built.append(self)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    vbsent.cli.build_parser.cache_clear()
+    try:
+        code, out, _ = run_cli(["sweep", "disjoint", "--la", "2", "--gap", "1:200", "--lb", "3"])
+        assert code == 0 and len(csv_tables(out)[0]) == 201
+        assert len(shapes) <= 4 * math.ceil(200 / 16)
+        assert max(shape[0] for shape in shapes) == 16
+        assert run_cli(["pure", "--length", "2"])[0] == 0
+    finally:
+        vbsent.cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_cached_parser_carries_no_flags_between_calls():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["sweep", "pbc", "--la", "1", "--lb", "1", "--lc", "1", "--ld", "1:2", "--no"])
+    assert info.value.code == 2
+    code, out, _ = run_cli(["sweep", "pure", "--length", "1:3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["request"] == {
+        "command": "pure", "length": "1:3", "subcommand": "sweep"
+    }
+    argv = ["sweep", "disjoint", "--la", "2", "--gap", "1:3", "--lb", "4", "--format", "json"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert json.loads(out)["request"] == {
+        "command": "disjoint", "gap": "1:3", "la": "2", "lb": "4", "subcommand": "sweep"
+    }

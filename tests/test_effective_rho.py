@@ -30,9 +30,10 @@ from vbsent.effective_rho import (
     rho_ab_open,
     rho_ab_pbc,
     rho_ce_spectra,
+    stacked_measures,
 )
 from vbsent.geometry import GEOMETRIES
-from vbsent.linalg import hermitian_eigvals
+from vbsent.linalg import hermitian_eigvals, spectrum_report
 
 
 # ---------------------------------------------------------------- geometry
@@ -278,3 +279,37 @@ def test_measures_mutual_information_tracks_closed_form():
 def test_measures_entropy_symmetry():
     m = measures(rho_ab_open(3, 2, 3))
     assert m.entropy_a == pytest.approx(m.entropy_b, abs=1e-13)
+
+
+def _measures_one_by_one(op):
+    """The per-operator measures the stacked evaluation replaced."""
+    report = op.spectrum()
+    ent = {}
+    for side in ("A", "B"):
+        vals = hermitian_eigvals(mode_partial_trace(op, "B" if side == "A" else "A"))
+        ent[side] = spectrum_report(vals).entropy
+    return (
+        report,
+        mode_partial_transpose(op).spectrum(),
+        ent["A"],
+        ent["B"],
+        ent["A"] + ent["B"] - report.entropy,
+    )
+
+
+def test_stacked_measures_equal_per_operator_calls_bitwise():
+    # open, adjacent and ring operators, up to lengths where z underflows,
+    # touching ring blocks included; repr tells every float (and -0.0) apart
+    lengths = (1, 2, 3, 5, 12, 40, 1000)
+    ops = [rho_ab_open(la, gap, lb) for la in lengths for gap in (1, 2, 7) for lb in (1, 4)]
+    ops += [rho_ab_adjacent(la, lb) for la in lengths for lb in (1, 3, 1000)]
+    ops += [rho_ab_pbc(la, lb, lc, ld) for la in (1, 2, 40) for lb in (1, 3)
+            for lc in (0, 1, 5) for ld in (1, 2)]
+    for size in (1, 7, 16, len(ops)):
+        stacked = []
+        for start in range(0, len(ops), size):
+            stacked += stacked_measures(ops[start : start + size])
+        for op, m in zip(ops, stacked, strict=True):
+            got = (m.report, m.transpose, m.entropy_a, m.entropy_b, m.mutual_information)
+            assert repr(got) == repr(_measures_one_by_one(op))
+            assert repr(measures(op)) == repr(m)
