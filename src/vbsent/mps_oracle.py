@@ -413,8 +413,9 @@ def entanglement_report(
     The state must be the ground state of its layout, as build_open_chain
     and build_ring return it, up to a global phase: the report reads it
     only to check that its weight outside that state, weight -
-    |<ground|state>|^2, is at most EIG_CLAMP.  The spectra then come from
-    the layout alone (see _support_spectra): each block splits into
+    |<ground|state>|^2, is at most EIG_CLAMP, and not at all when its
+    amplitudes are the cached ground-state array itself.  The spectra then
+    come from the layout alone (see _support_spectra): each block splits into
     maximal runs of neighbouring sites, each run has rank at most 4, and
     rho_AB and rho_AB^{T_A} are diagonalized on the product of the runs'
     ranges, 16 x 16 for contiguous blocks, through 4x4 transfer matrices.
@@ -438,8 +439,11 @@ def entanglement_report(
         raise IndexError(f"sites {outside} out of range for {n} sites")
     n_bulk = n if ring else n - 2
     ground = (build_ring if ring else build_open_chain)(n_bulk).amplitudes
-    weight = np.vdot(state.amplitudes, state.amplitudes).real
-    lost = float(weight - abs(np.vdot(ground, state.amplitudes)) ** 2)
+    # the cached ground array is read-only, so being it passes the check
+    lost = 0.0
+    if state.amplitudes is not ground:
+        weight = np.vdot(state.amplitudes, state.amplitudes).real
+        lost = float(weight - abs(np.vdot(ground, state.amplitudes)) ** 2)
     if lost > EIG_CLAMP:
         raise ValueError(
             f"the ground state would miss weight {lost:.3e} of the state "

@@ -497,6 +497,31 @@ def test_one_run_per_block_report_solves_at_most_16x16(monkeypatch):
     assert len(dims) == 10 and max(dims) == 16
 
 
+def test_report_reads_the_state_only_when_it_is_not_the_cached_ground_state(monkeypatch):
+    ground = build_open_chain(6)
+    vdot = np.vdot
+    reads = []
+
+    def counted(a, b):
+        reads.append(1)
+        return vdot(a, b)
+
+    monkeypatch.setattr(np, "vdot", counted)
+    expected = entanglement_report(ground, [1, 2], [5, 6])
+    assert reads == []
+    copy = ground.amplitudes.copy()
+    assert copy.flags.writeable
+    for amps in (copy, np.exp(0.7j) * ground.amplitudes):
+        reads.clear()
+        report = entanglement_report(StateVector(amps, ground.site_dims, 1.0), [1, 2], [5, 6])
+        assert report == expected and len(reads) == 2
+    perturbed = copy.copy()
+    perturbed[0] += 1e-3
+    perturbed /= np.linalg.norm(perturbed)
+    with pytest.raises(ValueError, match="miss weight"):
+        entanglement_report(StateVector(perturbed, ground.site_dims, 1.0), [1, 2], [5, 6])
+
+
 def test_report_rejects_states_in_every_run_range_but_not_the_ground_state():
     # another right boundary vector keeps every amplitude an entry of each
     # run's matrix product, so the state lies in every run's range; it is
