@@ -2,19 +2,19 @@
 
 Builds the exact valence-bond ground state from 2x2 matrix-product
 tensors (N bulk spin-1 sites, and for open chains one spin-1/2 on each
-end contracted straight onto the virtual bond), assembles the projector
-Hamiltonian, and evaluates reduced densities, partial transposes and
-correlators with dense linear algebra.  MAX_BULK_SITES = 12 bounds these
-dense builders only.
+end contracted straight onto the virtual bond), and assembles the
+projector Hamiltonian and the correlators with dense linear algebra.
+MAX_BULK_SITES = 12 bounds these dense builders only.
 
-Two-block reports trace out everything outside the blocks on the same
-tensors: a traced-out bulk site is the 4x4 transfer matrix
-E = sum_m A^m x conj(A^m), an end spin its doubled boundary vector, and a
-run of neighbouring block sites the Gram factor W of its matrix products,
-of rank at most 4.  With K the runs' environment, rho_AB = Q (W K W^H) Q^H
-for an isometry Q, so contiguous blocks diagonalize 16 x 16 matrices at
-any length.  The state a report is given is only checked against the
-cached ground state.  Nothing here reads a closed form, so everything
+Block spectra, of one block or two, trace out everything outside the
+blocks on the same tensors: a traced-out bulk site is the 4x4 transfer
+matrix E = sum_m A^m x conj(A^m), an end spin its doubled boundary
+vector, and a run of neighbouring block sites the Gram factor W of its
+matrix products, of rank at most 4.  With K the runs' environment,
+rho_AB = Q (W K W^H) Q^H for an isometry Q, so contiguous blocks
+diagonalize 16 x 16 matrices at any length; one block is a report whose
+block B is empty.  The state a report is given is only checked against
+the cached ground state.  Nothing here reads a closed form, so everything
 downstream is checked against this module.
 """
 from __future__ import annotations
@@ -27,14 +27,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .linalg import (
-    EIG_CLAMP,
-    HermitianOperator,
-    SpectrumReport,
-    hermitian_eigvals,
-    reduced_density,
-    spectrum_report,
-)
+from .linalg import EIG_CLAMP, SpectrumReport, hermitian_eigvals, spectrum_report
 
 # physical order m = +1, 0, -1 on every spin-1 site; S_z = diag(1, 0, -1)
 S1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -99,12 +92,8 @@ class StateVector:
         return self.amplitudes.reshape(self.site_dims)
 
     @property
-    def bulk_count(self) -> int:
-        return sum(1 for d in self.site_dims if d == 3)
-
-    @property
     def is_ring(self) -> bool:
-        return all(d == 3 for d in self.site_dims)
+        return _is_ring(self.site_dims)
 
 
 def _is_ring(site_dims: tuple[int, ...]) -> bool:
@@ -277,10 +266,6 @@ def spin_correlation(state: StateVector, i: int, j: int) -> float:
     arr = _apply_single_site(state.array, ops[dims[j]], j)
     arr = _apply_single_site(arr, ops[dims[i]], i)
     return float(np.real(np.vdot(state.array, arr)))
-
-
-def reduced_block_density(state: StateVector, sites) -> HermitianOperator:
-    return reduced_density(state.amplitudes, state.site_dims, sites)
 
 
 def _runs(n: int, ring: bool, set_a: set[int], set_b: set[int]) -> list[tuple[bool, int, int]]:
@@ -458,14 +443,22 @@ def entanglement_report(
 
 
 def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
-    """Descending squared Schmidt coefficients of the block/rest bipartition."""
+    """Descending squared Schmidt coefficients of the block/rest bipartition.
+
+    They are the block's spectrum in a report with an empty block B, so
+    the state must be the ground state of its layout up to a global
+    phase, as entanglement_report requires: any other state raises its
+    "miss weight" ValueError, and a site outside the chain its IndexError.
+    One entry per basis state of the block, those beyond the runs'
+    support exactly 0.0.  Raises ValueError for an empty block or the
+    whole chain.
+    """
     n = len(state.site_dims)
-    sites = sorted({int(s) for s in block_sites})
+    sites = {int(s) for s in block_sites}
     if not sites or len(sites) == n:
         raise ValueError("block must be a proper nonempty subset of the sites")
-    rho = reduced_density(state.amplitudes, state.site_dims, sites)
-    vals = hermitian_eigvals(rho)[::-1]
-    return np.clip(vals, 0.0, None)
+    block, _ = entanglement_report(state, sites, ())
+    return np.clip(block.eigenvalues[::-1], 0.0, None)
 
 
 def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
@@ -474,10 +467,12 @@ def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
     For a pure state with squared Schmidt coefficients {l_i}, transposing
     the block gives eigenvalues {l_i} plus a +sqrt(l_i l_j), -sqrt(l_i l_j)
     pair for each i < j; everything else is 0.  This needs only the cut's
-    Schmidt data, so it reaches sizes where the dense transpose would not
-    fit in memory.  Only Schmidt values above 1e-12 enter, so at Schmidt
-    rank r (at most 4 for a contiguous block of the chain) the spectrum
-    has r^2 entries.
+    Schmidt data, read by schmidt_values off the same contraction as the
+    two-block reports, so the state must be the ground state of its
+    layout up to a global phase, and a contiguous block diagonalizes at
+    most 16 x 16 at any length.  Only Schmidt values above 1e-12 enter,
+    so at Schmidt rank r (at most 4 for a contiguous block of the chain)
+    the spectrum has r^2 entries.
     """
     lams = schmidt_values(state, block_sites)
     # numerical-noise Schmidt values would seed sqrt(eps * l) ~ 1e-8

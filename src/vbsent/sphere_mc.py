@@ -239,16 +239,16 @@ class SignDiscrimination:
         return self.sigmas_from_minus > 4.0 and self.sigmas_from_plus <= 4.0
 
 
-def sign_discrimination(
-    samples: int = 100_000, seed: int = 0, mu: int = 2, length: int = 1
-) -> SignDiscrimination:
+def sign_discrimination(samples: int = 100_000, seed: int = 0) -> SignDiscrimination:
     """Compare the overlap estimate against (1 +- s_mu z)/4.
 
-    The default point (singlet channel, L=1) separates the candidates
-    maximally: the plus convention predicts exactly 0 while the minus
-    convention predicts 1/2, and the estimator is identically zero per
-    sample there, so the minus reading fails at infinite significance.
+    It is taken in the singlet channel mu = 2 at L = 1, the point that
+    separates the candidates maximally: the plus convention predicts
+    exactly 0 while the minus convention predicts 1/2, and the estimator
+    is identically zero per sample there, so the minus reading fails at
+    infinite significance.
     """
+    mu, length = 2, 1
     est = estimate_block_overlap(mu, mu, length, samples=samples, seed=seed)
     z = decay_parameter(length)
     plus = 0.25 * (1.0 + CHANNEL_SIGNS[mu] * z)

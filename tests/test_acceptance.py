@@ -18,7 +18,7 @@ from vbsent import effective_rho as er
 from vbsent import mps_oracle as mo
 from vbsent import pauli_algebra as pa
 from vbsent import sphere_mc as mc
-from vbsent.linalg import hermitian_eigvals
+from vbsent.linalg import hermitian_eigvals, reduced_density
 
 
 @functools.lru_cache(maxsize=None)
@@ -60,7 +60,7 @@ def test_criterion_01_pure_bipartition_exactness():
             w = cf.ChannelWeights.from_length(length)
             lam_s, lam_t = w.singlet, w.triplet
 
-            rho = mo.reduced_block_density(state, sites)
+            rho = reduced_density(state.amplitudes, state.site_dims, sites)
             ed = np.real(hermitian_eigvals(rho))
             assert spectrum_gap(ed, [lam_s, lam_t, lam_t, lam_t]) < 1e-12
 
@@ -263,7 +263,7 @@ def test_criterion_11_monte_carlo():
                 target = mc.block_overlap_target(mu, nu, length)
                 assert est.sigmas_from(target) <= 4.0, (length, mu, nu)
 
-    verdict = mc.sign_discrimination(samples=100_000, seed=0, mu=2, length=1)
+    verdict = mc.sign_discrimination(samples=100_000, seed=0)
     assert verdict.sigmas_from_minus > 4.0
     assert verdict.rejects_minus
 

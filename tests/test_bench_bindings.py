@@ -1,0 +1,59 @@
+"""The names the benchmark in perfbench/ binds in the package.
+
+perfbench is frozen between benchmark changes, and it reaches into the
+package by attribute name: the tracer rebinds every function it times,
+and the workloads call entry points, read CLI headers, verify's suite
+table and a few properties of results.  A deleted or renamed name ends
+every benchmark run that touches it, so each one is checked here.
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+import vbsent
+from vbsent import cli
+from vbsent import closed_forms as cf
+from vbsent import effective_rho as er
+from vbsent import mps_oracle as mo
+from vbsent import sphere_mc as mc
+from vbsent import verify
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_over_every_traced_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+
+
+def test_workloads_find_every_name_they_read():
+    entry_points = {
+        vbsent: ("build_open_chain", "build_ring", "entanglement_report",
+                 "estimate_vbs_norm", "estimate_block_overlap"),
+        cli: ("main", "SPECTRA_HEADER", "MEASURES_HEADER"),
+        cf: ("disjoint_spectrum", "adjacent_pt_spectrum", "adjacent_pt_negativity",
+             "pure_block_spectrum", "mutual_information", "decay_parameter"),
+        er: ("rho_ab_open", "rho_ab_adjacent", "rho_ab_pbc"),
+        mc: ("sign_discrimination", "vbs_norm_target", "block_overlap_target",
+             "MIN_SAMPLES", "SphereConfig"),
+        verify: ("SUITES", "run_suites"),
+        er.EffectiveDensityOperator: ("spectrum",),
+        mo.StateVector: ("is_ring",),
+    }
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{name}"
+        for owner, names in entry_points.items()
+        for name in names
+        if not hasattr(owner, name)
+    ]
+    assert missing == []
+    config = mc.SphereConfig.sample(np.random.default_rng(0), 2, 3)
+    for name in ("cos_theta", "phi", "omega", "u", "v"):
+        assert getattr(config, name).shape[:2] == (2, 3)

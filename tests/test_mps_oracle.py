@@ -4,13 +4,18 @@ every closed form."""
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from vbsent import effective_rho as er
-from vbsent.linalg import hermitian_eigvals, partial_transpose, spectrum_report
+from vbsent.linalg import (
+    hermitian_eigvals,
+    partial_transpose,
+    reduced_density,
+    spectrum_report,
+)
 from vbsent.mps_oracle import (
     AKLT_TENSORS,
     LEFT_BOUNDARY,
@@ -29,7 +34,6 @@ from vbsent.mps_oracle import (
     hamiltonian_residual,
     injectivity_defect,
     pure_block_pt_spectrum,
-    reduced_block_density,
     schmidt_values,
     spin_correlation,
     zero_energy_degeneracy,
@@ -42,7 +46,6 @@ from vbsent.mps_oracle import (
 def test_open_chain_layout():
     state = build_open_chain(3)
     assert state.site_dims == (2, 3, 3, 3, 2)
-    assert state.bulk_count == 3
     assert not state.is_ring
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-14)
 
@@ -51,6 +54,8 @@ def test_ring_layout():
     state = build_ring(4)
     assert state.site_dims == (3, 3, 3, 3)
     assert state.is_ring
+    with pytest.raises(ValueError, match="neither a chain"):
+        StateVector(np.ones(3), (3,), 1.0).is_ring
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -185,14 +190,14 @@ def test_correlation_index_range():
 
 def test_reduced_block_density_trace():
     state = build_open_chain(4)
-    rho = reduced_block_density(state, [1, 2])
+    rho = reduced_density(state.amplitudes, state.site_dims, [1, 2])
     assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-13)
     assert rho.site_dims == (3, 3)
 
 
 def test_single_site_block_spectrum():
     state = build_open_chain(5)
-    rho = reduced_block_density(state, [2])
+    rho = reduced_density(state.amplitudes, state.site_dims, [2])
     vals = np.sort(np.real(hermitian_eigvals(rho)))
     assert vals == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-13)
 
@@ -229,11 +234,11 @@ def test_schmidt_values_normalized():
 
 
 def test_schmidt_rejects_trivial_cut():
-    state = build_open_chain(2)
-    with pytest.raises(ValueError):
-        schmidt_values(state, [])
-    with pytest.raises(ValueError):
-        schmidt_values(state, [0, 1, 2, 3])
+    for state in (build_open_chain(2), build_ring(3)):
+        for fn in (schmidt_values, pure_block_pt_spectrum):
+            for block in ([], range(len(state.site_dims))):
+                with pytest.raises(ValueError, match="proper nonempty subset"):
+                    fn(state, block)
 
 
 def test_pure_pt_schmidt_route_matches_dense():
@@ -267,6 +272,48 @@ def test_pure_pt_single_cut_has_rank_two():
     rep = pure_block_pt_spectrum(state, [0, 1, 2, 3])
     nonzero = sorted(v for v in rep.eigenvalues if v != 0.0)
     assert nonzero == pytest.approx([-0.5, 0.5, 0.5, 0.5], abs=1e-12)
+
+
+def _one_block_cases():
+    # every contiguous block of open chains, end spins included, blocks of
+    # rings, a block of two runs, one wrapping past site 0, a phased state
+    for n in range(1, 7):
+        state = build_open_chain(n)
+        for start, stop in combinations(range(n + 3), 2):
+            if stop - start <= n + 1:
+                yield state, list(range(start, stop))
+    for n in range(2, 8):
+        for length in range(1, n):
+            yield build_ring(n), list(range(length))
+    yield build_open_chain(4), [1, 3, 4]
+    yield build_ring(6), [5, 0, 1]
+    ring = build_ring(5)
+    yield StateVector(np.exp(0.7j) * ring.amplitudes, ring.site_dims, 1.0), [1, 2]
+
+
+def test_one_block_route_matches_dense_reduced_density():
+    for state, block in _one_block_cases():
+        rho = reduced_density(state.amplitudes, state.site_dims, block)
+        dense = np.clip(hermitian_eigvals(rho)[::-1], 0.0, None)
+        lams = schmidt_values(state, block)
+        assert len(lams) == len(dense)
+        assert lams == pytest.approx(dense, abs=1e-13)
+        # the transpose of a pure state from the dense Schmidt values
+        kept = dense[dense > 1e-12]
+        roots = [math.sqrt(a * b) for a, b in combinations(kept, 2)]
+        expected = np.sort(np.concatenate([kept, roots, np.negative(roots)]))
+        pt = pure_block_pt_spectrum(state, block).eigenvalues
+        assert len(pt) == len(expected)
+        assert pt == pytest.approx(expected, abs=1e-13)
+
+
+def test_one_block_route_takes_only_the_ground_state():
+    admixed = _admixed_ring(2.45e-12)
+    for fn in (schmidt_values, pure_block_pt_spectrum):
+        with pytest.raises(ValueError, match="miss weight 2.45"):
+            fn(admixed, [0, 1])
+        with pytest.raises(IndexError, match="out of range for 6 sites"):
+            fn(build_ring(6), [5, 6])
 
 
 def _contiguous_pairs(n_sites: int, ring: bool):
@@ -315,7 +362,7 @@ def test_dense_pt_of_reduced_density_matches_report():
 def _assert_report_matches_dense(state, a, b, tol, pt_tol=None):
     block_rep, pt_rep = entanglement_report(state, a, b)
     kept = sorted(a + b)
-    rho = reduced_block_density(state, kept)
+    rho = reduced_density(state.amplitudes, state.site_dims, kept)
     pt = partial_transpose(rho, [kept.index(s) for s in a])
     for rep, dense, bound in ((block_rep, rho, tol), (pt_rep, pt, pt_tol or tol)):
         direct = np.sort(np.real(hermitian_eigvals(dense)))
@@ -474,8 +521,8 @@ def test_support_spectra_match_mode_operator_at_any_length():
     check()
 
 
-def test_one_run_per_block_report_solves_at_most_16x16(monkeypatch):
-    # the report's cost is set by the runs' ranks, not by the chain's length
+def _recorded_eigensolves(monkeypatch) -> list[int]:
+    """The dimension of every matrix the oracle diagonalizes from now on."""
     import vbsent.mps_oracle as mo
 
     dims = []
@@ -485,6 +532,12 @@ def test_one_run_per_block_report_solves_at_most_16x16(monkeypatch):
         return hermitian_eigvals(op)
 
     monkeypatch.setattr(mo, "hermitian_eigvals", recording)
+    return dims
+
+
+def test_one_run_per_block_report_solves_at_most_16x16(monkeypatch):
+    # the report's cost is set by the runs' ranks, not by the chain's length
+    dims = _recorded_eigensolves(monkeypatch)
     open_chain, ring = build_open_chain(12), build_ring(12)
     for state, a, b in (
         (open_chain, [1], [3]),
@@ -495,6 +548,21 @@ def test_one_run_per_block_report_solves_at_most_16x16(monkeypatch):
     ):
         entanglement_report(state, a, b)
     assert len(dims) == 10 and max(dims) == 16
+
+
+def test_one_block_of_a_long_chain_solves_at_most_16x16(monkeypatch):
+    # a Schmidt spectrum is one report, not the block's 3^l-square density
+    dims = _recorded_eigensolves(monkeypatch)
+    open_chain, ring = build_open_chain(12), build_ring(12)
+    blocks = (
+        (open_chain, [0, 1, 2]),
+        (open_chain, [3, 4, 5, 6, 7]),
+        (open_chain, list(range(1, 13))),
+        (ring, [10, 11, 0, 1]),
+    )
+    for state, block in blocks:
+        pure_block_pt_spectrum(state, block)
+    assert len(dims) == 2 * len(blocks) and max(dims) <= 16
 
 
 def test_report_reads_the_state_only_when_it_is_not_the_cached_ground_state(monkeypatch):
