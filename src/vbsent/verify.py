@@ -121,10 +121,10 @@ def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases
             starts = {0, (n - block_len) // 2}
             for start in starts:
                 sites = [1 + start + k for k in range(block_len)]
+                ed_vals = mo.schmidt_values(state, sites)
                 w = cf.ChannelWeights.from_length(block_len)
                 formula = [w.singlet, w.triplet, w.triplet, w.triplet]
-                schmidt = mo.schmidt_values(state, sites)
-                yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(schmidt, formula)
+                yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(ed_vals, formula)
                 pt_ed = mo.pure_block_pt_spectrum(state, sites)
                 pt_formula = cf.pure_pt_spectrum(block_len)
                 pt_gap = _spectrum_gap(pt_ed.eigenvalues, pt_formula.eigenvalues)
