@@ -455,7 +455,7 @@ def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
     """
     n = len(state.site_dims)
     sites = {int(s) for s in block_sites}
-    if not sites or len(sites) == n:
+    if not sites or sites == set(range(n)):
         raise ValueError("block must be a proper nonempty subset of the sites")
     block, _ = entanglement_report(state, sites, ())
     return np.clip(block.eigenvalues[::-1], 0.0, None)

@@ -312,8 +312,9 @@ def test_one_block_route_takes_only_the_ground_state():
     for fn in (schmidt_values, pure_block_pt_spectrum):
         with pytest.raises(ValueError, match="miss weight 2.45"):
             fn(admixed, [0, 1])
-        with pytest.raises(IndexError, match="out of range for 6 sites"):
-            fn(build_ring(6), [5, 6])
+        for block in ([5, 6], [0, 1, 2, 3, 4, 9]):
+            with pytest.raises(IndexError, match="out of range for 6 sites"):
+                fn(build_ring(6), block)
 
 
 def _contiguous_pairs(n_sites: int, ring: bool):
