@@ -111,6 +111,8 @@ def corpus() -> list[str]:
     lines.append("mc --task norm --samples 50007 --seed 3")
     # round-off checks fail at zero tolerance, so verify exits 1
     lines.append("verify --max-sites 4 --samples 1000 --tol 0")
+    # the ring suite's grid past the default site budget
+    lines.append("verify --max-sites 10")
     return lines + list(INVALID)
 
 
