@@ -333,8 +333,9 @@ def run_suites(
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}; available: {sorted(SUITES)}")
+    if unknown or not names:
+        given = f"unknown suites: {unknown}" if unknown else "no suites"
+        raise ValueError(f"{given}; available: {sorted(SUITES)}")
     if "monte-carlo" in names:
         mc.check_samples(samples)
     results: list[CheckResult] = []

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from vbsent import closed_forms as cf
+from vbsent import mps_oracle as mo
 from vbsent import verify as vf
 from vbsent.cli import main
 
@@ -82,6 +83,37 @@ def test_each_suite_returns_its_rows_eagerly(name):
     rows = vf.SUITES[name](max_sites=4, tol=1e-10, samples=1000, seed=7)
     assert type(rows) is list and rows
     assert all(isinstance(r, vf.CheckResult) and r.suite == name for r in rows)
+
+
+@pytest.mark.parametrize(
+    "name, max_sites, reports",
+    [
+        ("disjoint-blocks", 8, 21),  # 20 grid cases and the independence check
+        ("open-transpose", 8, 20),
+        ("adjacent-blocks", 8, 9),
+        ("ring-blocks", 8, 70),  # every ring of 4 to 8 sites cut into four arcs
+        ("ring-blocks", 4, 1),
+    ],
+)
+def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, reports):
+    # one oracle report per case, so a grid that shrinks fails here
+    calls = []
+    real = mo.entanglement_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "entanglement_report", counted)
+    rows = vf.SUITES[name](max_sites=max_sites, tol=1e-10)
+    assert all(r.passed for r in rows)
+    assert len(calls) == reports
+
+
+def test_empty_suite_list_is_rejected():
+    # a battery that checks nothing must not pass
+    with pytest.raises(ValueError, match=r"no suites; available: \['adjacent-blocks'"):
+        vf.run_suites([])
 
 
 def test_nan_deviation_fails_its_row(monkeypatch):
