@@ -314,20 +314,25 @@ def cmd_verify(args) -> int:
 SWEEP_FLAGS = tuple(dict.fromkeys(n for geo in GEOMETRIES.values() for n in geo.names))
 
 
-def _parse_span(text: str):
-    if ":" in text:
+def _parse_span(flag: str, text: str):
+    try:
+        if ":" not in text:
+            return int(text)
         lo, _, hi = text.partition(":")
         start, stop = int(lo), int(hi)
-        if start > stop:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(start, stop + 1))
-    return int(text)
+    except ValueError:
+        raise ValueError(
+            f"--{flag} takes an integer or a range lo:hi, got {text!r}"
+        ) from None
+    if start > stop:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(start, stop + 1))
 
 
 def cmd_sweep(args) -> int:
     geo = GEOMETRIES[args.command]
     given = {
-        name: _parse_span(getattr(args, name))
+        name: _parse_span(name, getattr(args, name))
         for name in SWEEP_FLAGS
         if getattr(args, name) is not None
     }

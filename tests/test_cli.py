@@ -370,6 +370,13 @@ def test_sweep_error_paths():
         assert err.startswith("error:") and fragment in err
 
 
+@pytest.mark.parametrize("span", ["1:", ":3", "x"])
+def test_sweep_range_errors_name_the_flag(span):
+    code, out, err = run_cli(["sweep", "disjoint", "--la", span, "--gap", "1", "--lb", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --la ") and repr(span) in err
+
+
 def test_sweep_mutual_info_honours_block_flags():
     code, out, _ = run_cli(["sweep", "mutual-info", "--la", "2", "--lb", "2", "--gap", "1:2"])
     assert code == 0
