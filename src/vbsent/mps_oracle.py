@@ -340,8 +340,9 @@ def _support_spectra(
     between the runs closed by a trace.  sigma = W K W^H is contracted run
     by run in chain order, K never formed, and normalized by the state's
     squared norm, l E^N r on a chain and Tr E^N on a ring.  The transpose
-    is sigma^{T_A} = (W_A* x W_B) K^{T_A} (W_A* x W_B)^H, read off sigma.
-    Each run has rank at most 4, so one run per block gives 16 x 16.
+    is sigma^{T_A} = (W_A* x W_B) K^{T_A} (W_A* x W_B)^H, read off sigma;
+    with one block empty it is sigma or sigma^T, so sigma's eigenvalues
+    serve for both.  Each run has rank at most 4, so one run per block gives 16 x 16.
     """
     n = n_bulk if ring else n_bulk + 2
     runs = _runs(n, ring, set_a, set_b)
@@ -383,8 +384,11 @@ def _support_spectra(
     dim = math.prod(ranks)
     r_a = math.prod(r for r, run in zip(ranks, runs) if run[0])
     sigma = sigma.reshape(dim, dim)
+    vals = hermitian_eigvals(sigma)
+    if len({in_a for in_a, _, _ in runs}) == 1:
+        return vals, vals
     sigma_pt = sigma.reshape(r_a, dim // r_a, r_a, -1).transpose(2, 1, 0, 3).reshape(dim, dim)
-    return hermitian_eigvals(sigma), hermitian_eigvals(sigma_pt)
+    return vals, hermitian_eigvals(sigma_pt)
 
 
 def entanglement_report(
