@@ -9,9 +9,9 @@ is set against its limit (`mutual-info`).  `GEOMETRIES` is keyed by
 subcommand name; the CLI subcommands, `sweep` and the verify suites all
 read it.
 
-A route points at one derivation, the closed forms or the 16x16 mode
-operator.  The table never merges routes: verify's cross-check between
-them and the dense oracle is the point.
+A route points at one derivation: the closed forms, the 16x16 mode
+operator or the exact oracle of `mps_oracle`.  The table never merges
+routes: verify's cross-check between them is the point.
 """
 from __future__ import annotations
 
@@ -19,23 +19,26 @@ from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from . import effective_rho as er
+from . import mps_oracle as mo
 from .linalg import SpectrumReport, spectrum_report
 
 Reports = tuple[SpectrumReport, SpectrumReport, float]
-Sites = tuple[int, list[int], list[int]]
+Spectra = tuple[SpectrumReport, SpectrumReport]
 
 
 class Geometry(NamedTuple):
-    """One geometry: its flags, help, validator, routes and site map.
+    """One geometry: its flags, help, validator and routes.
 
     `flags` holds (name, default, minimum) in label order; a default of
     None makes the flag required.  Each callable takes the validated
-    params as keywords.  A geometry has one route: `closed` returns its
-    Reports, the block spectrum, the partial-transpose spectrum and
-    I(A:B), from the closed forms; `operator` builds its 16x16 mode
-    operator, from which `reports` reads them.  `sites` returns the dense
-    oracle's bulk-site count and the sites of blocks A and B.  `limit` is
-    the closed-form asymptotic I(A:B) that the finite pair is set against.
+    params as keywords.  A geometry has one of two routes to its Reports,
+    the block spectrum, the partial-transpose spectrum and I(A:B), which
+    `reports` reads: `closed` returns them from the closed forms, and
+    `operator` builds the 16x16 mode operator they are read from.  A
+    two-block geometry has a third route, `oracle`, which returns the
+    block and partial-transpose spectra of mps_oracle.entanglement_report
+    on the ground state of its chain or ring.  `limit` is the closed-form
+    asymptotic I(A:B) that the finite pair is set against.
     """
 
     name: str
@@ -43,7 +46,7 @@ class Geometry(NamedTuple):
     flags: tuple[tuple[str, int | None, int], ...]
     closed: Callable[..., Reports] | None = None
     operator: Callable[..., er.EffectiveDensityOperator] | None = None
-    sites: Callable[..., Sites] | None = None
+    oracle: Callable[..., Spectra] | None = None
     limit: Callable[..., float] | None = None
     equal_blocks: bool = False
 
@@ -98,16 +101,18 @@ def _pure(block: SpectrumReport, pt: SpectrumReport) -> Reports:
     return block, pt, 2.0 * block.entropy
 
 
-def _open_sites(la: int, gap: int, lb: int) -> Sites:
+def _open_oracle(la: int, gap: int, lb: int) -> Spectra:
     """Bulk sites start at 1, after the boundary spin at site 0."""
     start_b = 1 + la + gap
-    return la + gap + lb, list(range(1, 1 + la)), list(range(start_b, start_b + lb))
+    state = mo.build_open_chain(la + gap + lb)
+    return mo.entanglement_report(state, range(1, 1 + la), range(start_b, start_b + lb))
 
 
-def _ring_sites(la: int, lb: int, lc: int, ld: int) -> Sites:
+def _ring_oracle(la: int, lb: int, lc: int, ld: int) -> Spectra:
     """The arcs run C, A, D, B from site 0."""
     start_b = lc + la + ld
-    return start_b + lb, list(range(lc, lc + la)), list(range(start_b, start_b + lb))
+    state = mo.build_ring(start_b + lb)
+    return mo.entanglement_report(state, range(lc, lc + la), range(start_b, start_b + lb))
 
 
 GEOMETRIES = {
@@ -134,28 +139,28 @@ GEOMETRIES = {
             "two separated blocks on the open chain",
             (("la", None, 1), ("gap", None, 1), ("lb", None, 1)),
             operator=lambda la, gap, lb: er.rho_ab_open(la, gap, lb),
-            sites=_open_sites,
+            oracle=_open_oracle,
         ),
         Geometry(
             "adjacent",
             "two touching blocks on the open chain",
             (("la", None, 1), ("lb", None, 1)),
             operator=lambda la, lb: er.rho_ab_adjacent(la, lb),
-            sites=lambda la, lb: _open_sites(la, 0, lb),
+            oracle=lambda la, lb: _open_oracle(la, 0, lb),
         ),
         Geometry(
             "pbc",
             "two blocks on a ring",
             (("la", None, 1), ("lb", None, 1), ("lc", None, 0), ("ld", None, 0)),
             operator=lambda la, lb, lc, ld: er.rho_ab_pbc(la, lb, lc, ld),
-            sites=_ring_sites,
+            oracle=_ring_oracle,
         ),
         Geometry(
             "mutual-info",
             "finite-size vs asymptotic mutual information",
             (("la", 6, 1), ("lb", 6, 1), ("gap", None, 1)),
             operator=lambda la, lb, gap: er.rho_ab_open(la, gap, lb),
-            sites=_open_sites,
+            oracle=_open_oracle,
             limit=lambda la, lb, gap: cf.mutual_information(cf.decay_parameter(gap)),
             equal_blocks=True,
         ),

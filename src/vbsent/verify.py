@@ -10,8 +10,10 @@ the eager wrapper, which returns the list of rows, in SUITES and under
 the suite's module name; the tracer in perfbench times each SUITES call,
 so the entries must not be generators.
 
-The CLI `verify` subcommand prints the rows and folds them into an exit
-code, and the test suite reuses them.  A check passes when its worst
+The two-block suites read their mode and oracle routes from the geometry
+table, the mode route through `Geometry.reports` as the CLI does.  The CLI
+`verify` subcommand prints the rows and folds them into an exit code, and
+the test suite reuses them.  A check passes when its worst
 deviation stays within its bound.
 """
 from __future__ import annotations
@@ -30,7 +32,6 @@ from . import mps_oracle as mo
 from . import pauli_algebra as pa
 from . import sphere_mc as mc
 from .geometry import GEOMETRIES
-from .linalg import hermitian_eigvals
 
 EXACT = 0.0
 
@@ -122,8 +123,7 @@ def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases
             for start in starts:
                 sites = [1 + start + k for k in range(block_len)]
                 ed_vals = mo.schmidt_values(state, sites)
-                w = cf.ChannelWeights.from_length(block_len)
-                formula = [w.singlet, w.triplet, w.triplet, w.triplet]
+                formula = cf.pure_block_spectrum(block_len).eigenvalues
                 yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(ed_vals, formula)
                 pt_ed = mo.pure_block_pt_spectrum(state, sites)
                 pt_formula = cf.pure_pt_spectrum(block_len)
@@ -151,23 +151,16 @@ def suite_bond_cut(tol: float = 1e-10, **_) -> Cases:
     yield "closed form row", EXACT, _spectrum_gap(closed.eigenvalues, target)
 
 
-def _disjoint_geometries():
-    for l1, gap, l2 in product(range(1, 7), repeat=3):
-        if l1 + gap + l2 <= 6:
-            yield l1, gap, l2
-
-
 @_suite("disjoint-blocks")
 def suite_disjoint_blocks(tol: float = 1e-10, **_) -> Cases:
-    for l1, gap, l2 in _disjoint_geometries():
-        closed = cf.disjoint_spectrum(l1, gap, l2)
-        op = er.rho_ab_open(l1, gap, l2)
-        mode = op.spectrum()
+    geo = GEOMETRIES["disjoint"]
+    grid = product(range(1, 7), repeat=3)
+    points = [dict(la=la, gap=gap, lb=lb) for la, gap, lb in grid if la + gap + lb <= 6]
+    for params, (mode, _, _) in zip(points, geo.reports(points)):
+        closed = cf.disjoint_spectrum(params["la"], params["gap"], params["lb"])
         poly_gap = _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
         yield "polynomial roots vs mode spectrum", tol, poly_gap
-        n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
-        state = mo.build_open_chain(n)
-        ed, _ = mo.entanglement_report(state, a, b)
+        ed, _ = geo.oracle(**params)
         yield "mode spectrum vs dense oracle", tol, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
     anchor = cf.disjoint_spectrum(1, 1, 1)
     target = [4.0 / 27.0] * 5 + [2.0 / 27.0] * 3 + [1.0 / 27.0] + [0.0] * 7
@@ -179,31 +172,29 @@ def suite_disjoint_blocks(tol: float = 1e-10, **_) -> Cases:
 
 @_suite("open-transpose")
 def suite_open_transpose_positivity(tol: float = 1e-10, **_) -> Cases:
-    for l1, gap, l2 in _disjoint_geometries():
-        op = er.rho_ab_open(l1, gap, l2)
-        pt = er.mode_partial_transpose(op)
-        pt_vals = hermitian_eigvals(pt.normalized)
-        yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
-        n, a, b = GEOMETRIES["disjoint"].sites(la=l1, gap=gap, lb=l2)
-        state = mo.build_open_chain(n)
-        _, ed_pt = mo.entanglement_report(state, a, b)
+    geo = GEOMETRIES["disjoint"]
+    grid = product(range(1, 7), repeat=3)
+    points = [dict(la=la, gap=gap, lb=lb) for la, gap, lb in grid if la + gap + lb <= 6]
+    for params, (_, mode_pt, _) in zip(points, geo.reports(points)):
+        yield "mode transpose min eigenvalue", 1e-12, -min(mode_pt.eigenvalues)
+        _, ed_pt = geo.oracle(**params)
         yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
-        flipped = er._obc_coefficients(-cf.decay_parameter(gap)).reshape(16, 16)
+        pt = er.mode_partial_transpose(geo.operator(**params))
+        flipped = er._obc_coefficients(-cf.decay_parameter(params["gap"])).reshape(16, 16)
         yield "transpose equals sign-flipped gap", EXACT, float(np.max(np.abs(pt.coeff - flipped)))
 
 
 @_suite("adjacent-blocks")
 def suite_adjacent_blocks(tol: float = 1e-10, **_) -> Cases:
-    for l1, l2 in product(range(1, 4), repeat=2):
-        closed = cf.adjacent_pt_negativity(l1, l2)
-        n, a, b = GEOMETRIES["adjacent"].sites(la=l1, lb=l2)
-        state = mo.build_open_chain(n)
-        _, ed_pt = mo.entanglement_report(state, a, b)
+    geo = GEOMETRIES["adjacent"]
+    points = [dict(la=la, lb=lb) for la, lb in product(range(1, 4), repeat=2)]
+    for params, (_, mode_pt, _) in zip(points, geo.reports(points)):
+        closed = cf.adjacent_pt_negativity(params["la"], params["lb"])
+        _, ed_pt = geo.oracle(**params)
         yield "negativity vs dense oracle", tol, abs(closed.negativity - ed_pt.negativity)
-        op = er.mode_partial_transpose(er.rho_ab_adjacent(l1, l2))
-        mode_vals = hermitian_eigvals(op.normalized)
-        poly_vals = cf.adjacent_pt_spectrum(l1, l2).eigenvalues
-        yield "transpose spectrum vs z=-1 polynomials", tol, _spectrum_gap(mode_vals, poly_vals)
+        poly_vals = cf.adjacent_pt_spectrum(params["la"], params["lb"]).eigenvalues
+        poly_gap = _spectrum_gap(mode_pt.eigenvalues, poly_vals)
+        yield "transpose spectrum vs z=-1 polynomials", tol, poly_gap
     for l in range(1, 7):
         radical = cf.adjacent_negativity_equal(l) - cf.adjacent_pt_negativity(l, l).negativity
         yield "equal-blocks radical formula", 1e-12, abs(radical)
@@ -213,28 +204,20 @@ def suite_adjacent_blocks(tol: float = 1e-10, **_) -> Cases:
         yield "sine-form root is the cubic minimum", 1e-12, abs(sine)
 
 
-def _ring_partitions(n: int):
-    for lc, la, ld, lb in product(range(1, n - 2), repeat=4):
-        if lc + la + ld + lb == n:
-            yield la, lb, lc, ld
-
-
 @_suite("ring-blocks")
 def suite_ring_blocks(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases:
-    for n in range(4, max_sites + 1):
-        state = mo.build_ring(n)
-        for la, lb, lc, ld in _ring_partitions(n):
-            op = er.rho_ab_pbc(la, lb, lc, ld)
-            _, a, b = GEOMETRIES["pbc"].sites(la=la, lb=lb, lc=lc, ld=ld)
-            ed, ed_pt = mo.entanglement_report(state, a, b)
-            ed_gap = _spectrum_gap(op.spectrum().eigenvalues, ed.eigenvalues)
-            yield "mode spectrum vs ring oracle", tol, ed_gap
-            pt_vals = hermitian_eigvals(er.mode_partial_transpose(op).normalized)
-            yield "mode transpose min eigenvalue", 1e-12, -float(pt_vals.min())
-            yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
-            coeffs = er.convexity_coefficients(lc, ld)
-            yield "mixture weights within [0,1]", EXACT, max(max(-c, c - 1.0) for c in coeffs)
-            yield "mixture weights sum to 1", 1e-15, abs(sum(coeffs) - 1.0)
+    geo = GEOMETRIES["pbc"]
+    # every ring of 4 to max_sites sites cut into four nonempty arcs
+    arcs = product(range(1, max_sites - 2), repeat=4)
+    points = [dict(la=a, lb=b, lc=c, ld=d) for a, b, c, d in arcs if a + b + c + d <= max_sites]
+    for params, (mode, mode_pt, _) in zip(points, geo.reports(points)):
+        ed, ed_pt = geo.oracle(**params)
+        yield "mode spectrum vs ring oracle", tol, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
+        yield "mode transpose min eigenvalue", 1e-12, -min(mode_pt.eigenvalues)
+        yield "dense transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
+        coeffs = er.convexity_coefficients(params["lc"], params["ld"])
+        yield "mixture weights within [0,1]", EXACT, max(max(-c, c - 1.0) for c in coeffs)
+        yield "mixture weights sum to 1", 1e-15, abs(sum(coeffs) - 1.0)
 
 
 @_suite("hamiltonian")
@@ -268,10 +251,11 @@ def suite_mutual_information(tol: float = 1e-10, **_) -> Cases:
         identity = 4.0 * math.log(2.0) - cf.joint_entropy(z)
         yield "I = 4 ln 2 - S identity", 1e-12, abs(cf.mutual_information(z) - identity)
     yield "I(0) = 0", EXACT, abs(cf.mutual_information(0.0))
+    geo = GEOMETRIES["mutual-info"]
     for gap, bound in ((1, 0.01), (2, 0.002)):
-        finite = er.measures(er.rho_ab_open(6, gap, 6)).mutual_information
-        limit = cf.mutual_information(cf.decay_parameter(gap))
-        yield f"finite blocks vs limit at gap {gap}", bound, abs(finite - limit)
+        params = geo.params(gap=gap)
+        [(_, _, finite)] = geo.reports([params])
+        yield f"finite blocks vs limit at gap {gap}", bound, abs(finite - geo.limit(**params))
 
 
 @_suite("end-blocks")

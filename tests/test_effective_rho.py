@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from vbsent import mps_oracle as mo
 from vbsent.closed_forms import (
     ChannelWeights,
     adjacent_pt_negativity,
@@ -39,15 +40,37 @@ from vbsent.linalg import hermitian_eigvals, spectrum_report
 # ---------------------------------------------------------------- geometry
 
 
-def test_open_geometry_total():
+def _oracle_sites(monkeypatch, name, **params):
+    """The state and blocks a geometry's oracle reports on.
+
+    The oracle's result must be entanglement_report's on those sites.
+    """
+    calls = []
+    report = mo.entanglement_report
+
+    def spy(state, block_a, block_b):
+        calls.append((state, list(block_a), list(block_b)))
+        return report(state, block_a, block_b)
+
+    monkeypatch.setattr(mo, "entanglement_report", spy)
+    result = GEOMETRIES[name].oracle(**params)
+    [(state, a, b)] = calls
+    assert result == report(state, a, b)
+    return state, a, b
+
+
+def test_open_geometry_total(monkeypatch):
     # bulk sites start at 1, after the boundary spin at site 0
-    assert GEOMETRIES["disjoint"].sites(la=2, gap=3, lb=1) == (6, [1, 2], [6])
-    assert GEOMETRIES["adjacent"].sites(la=2, lb=1) == (3, [1, 2], [3])
+    state, a, b = _oracle_sites(monkeypatch, "disjoint", la=2, gap=3, lb=1)
+    assert state is mo.build_open_chain(6) and (a, b) == ([1, 2], [6])
+    state, a, b = _oracle_sites(monkeypatch, "adjacent", la=2, lb=1)
+    assert state is mo.build_open_chain(3) and (a, b) == ([1, 2], [3])
 
 
-def test_ring_geometry_total():
+def test_ring_geometry_total(monkeypatch):
     # the arcs run C, A, D, B from site 0
-    assert GEOMETRIES["pbc"].sites(la=1, lb=2, lc=1, ld=3) == (7, [1], [5, 6])
+    state, a, b = _oracle_sites(monkeypatch, "pbc", la=1, lb=2, lc=1, ld=3)
+    assert state is mo.build_ring(7) and (a, b) == ([1], [5, 6])
 
 
 def test_geometry_validation():
