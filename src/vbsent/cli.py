@@ -315,15 +315,13 @@ SWEEP_FLAGS = tuple(dict.fromkeys(n for geo in GEOMETRIES.values() for n in geo.
 
 
 def _parse_span(flag: str, text: str):
+    lo, colon, hi = text.partition(":")
     try:
-        if ":" not in text:
+        if not colon:
             return int(text)
-        lo, _, hi = text.partition(":")
         start, stop = int(lo), int(hi)
     except ValueError:
-        raise ValueError(
-            f"--{flag} takes an integer or a range lo:hi, got {text!r}"
-        ) from None
+        raise ValueError(f"--{flag} takes an integer or a range lo:hi, got {text!r}") from None
     if start > stop:
         raise ValueError(f"empty range {text!r}")
     return list(range(start, stop + 1))

@@ -342,7 +342,8 @@ def _support_spectra(
     squared norm, l E^N r on a chain and Tr E^N on a ring.  The transpose
     is sigma^{T_A} = (W_A* x W_B) K^{T_A} (W_A* x W_B)^H, read off sigma;
     with one block empty it is sigma or sigma^T, so sigma's eigenvalues
-    serve for both.  Each run has rank at most 4, so one run per block gives 16 x 16.
+    serve for both.  Each run has rank at most 4, so one run per block
+    gives 16 x 16.
     """
     n = n_bulk if ring else n_bulk + 2
     runs = _runs(n, ring, set_a, set_b)

@@ -13,8 +13,8 @@ so the entries must not be generators.
 The two-block suites read their mode and oracle routes from the geometry
 table, the mode route through `Geometry.reports` as the CLI does.  The CLI
 `verify` subcommand prints the rows and folds them into an exit code, and
-the test suite reuses them.  A check passes when its worst
-deviation stays within its bound.
+the test suite reuses them.  A check passes when its worst deviation
+stays within its bound.
 """
 from __future__ import annotations
 
