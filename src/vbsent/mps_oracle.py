@@ -383,11 +383,11 @@ def _support_spectra(
     sigma = flat.reshape([r for rank in ranks for r in (rank, rank)])
     sigma = sigma.transpose([2 * k for k in order] + [2 * k + 1 for k in order])
     dim = math.prod(ranks)
-    r_a = math.prod(r for r, run in zip(ranks, runs) if run[0])
     sigma = sigma.reshape(dim, dim)
     vals = hermitian_eigvals(sigma)
     if len({in_a for in_a, _, _ in runs}) == 1:
         return vals, vals
+    r_a = math.prod(r for r, run in zip(ranks, runs) if run[0])
     sigma_pt = sigma.reshape(r_a, dim // r_a, r_a, -1).transpose(2, 1, 0, 3).reshape(dim, dim)
     return vals, hermitian_eigvals(sigma_pt)
 
