@@ -11,7 +11,9 @@ read it.
 
 A route points at one derivation: the closed forms, the 16x16 mode
 operator or the exact oracle of `mps_oracle`.  The table never merges
-routes: verify's cross-check between them is the point.
+routes: verify's cross-check between them is the point.  The oracle
+route reads only the blocks' layout and builds no state, so, like the
+mode route, it answers at any length: `MAX_BULK_SITES` does not bound it.
 """
 from __future__ import annotations
 
@@ -36,9 +38,10 @@ class Geometry(NamedTuple):
     `reports` reads: `closed` returns them from the closed forms, and
     `operator` builds the 16x16 mode operator they are read from.  A
     two-block geometry has a third route, `oracle`, which returns the
-    block and partial-transpose spectra of mps_oracle.entanglement_report
-    on the ground state of its chain or ring.  `limit` is the closed-form
-    asymptotic I(A:B) that the finite pair is set against.
+    block and partial-transpose spectra of mps_oracle.layout_spectra on
+    the blocks' runs in its chain or ring, without zero padding.  `limit`
+    is the closed-form asymptotic I(A:B) that the finite pair is set
+    against.
     """
 
     name: str
@@ -101,18 +104,20 @@ def _pure(block: SpectrumReport, pt: SpectrumReport) -> Reports:
     return block, pt, 2.0 * block.entropy
 
 
+def _layout_reports(n_bulk: int, ring: bool, runs) -> Spectra:
+    vals, pt_vals = mo.layout_spectra(n_bulk, ring, runs)
+    return spectrum_report(vals), spectrum_report(pt_vals)
+
+
 def _open_oracle(la: int, gap: int, lb: int) -> Spectra:
     """Bulk sites start at 1, after the boundary spin at site 0."""
-    start_b = 1 + la + gap
-    state = mo.build_open_chain(la + gap + lb)
-    return mo.entanglement_report(state, range(1, 1 + la), range(start_b, start_b + lb))
+    return _layout_reports(la + gap + lb, False, [(True, 1, la), (False, 1 + la + gap, lb)])
 
 
 def _ring_oracle(la: int, lb: int, lc: int, ld: int) -> Spectra:
     """The arcs run C, A, D, B from site 0."""
-    start_b = lc + la + ld
-    state = mo.build_ring(start_b + lb)
-    return mo.entanglement_report(state, range(lc, lc + la), range(start_b, start_b + lb))
+    runs = [(True, lc, la), (False, lc + la + ld, lb)]
+    return _layout_reports(lc + la + ld + lb, True, runs)
 
 
 GEOMETRIES = {

@@ -12,10 +12,13 @@ matrix E = sum_m A^m x conj(A^m), an end spin its doubled boundary
 vector, and a run of neighbouring block sites the Gram factor W of its
 matrix products, of rank at most 4.  With K the runs' environment,
 rho_AB = Q (W K W^H) Q^H for an isometry Q, so contiguous blocks
-diagonalize 16 x 16 matrices at any length; one block is a report whose
-block B is empty.  The state a report is given is only checked against
-the cached ground state.  Nothing here reads a closed form, so everything
-downstream is checked against this module.
+diagonalize 16 x 16 matrices at any length.  layout_spectra does this
+from the blocks' runs alone, with no state and no length limit;
+entanglement_report is its wrapper for dense states, which checks the
+state against the cached ground state and pads the spectra with zeros
+to the kept sites' dimension.  One block is a report whose block B is
+empty.  Nothing here reads a closed form, so everything downstream is
+checked against this module.
 """
 from __future__ import annotations
 
@@ -328,13 +331,21 @@ def _run_factor(bulk: int, left_end: bool, right_end: bool) -> np.ndarray:
     return factor
 
 
-def _support_spectra(
-    n_bulk: int, ring: bool, set_a: set[int], set_b: set[int]
+def layout_spectra(
+    n_bulk: int, ring: bool, runs: list[tuple[bool, int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of sigma and sigma^{T_A}, from the layout alone.
 
-    Site indices are those of the chain (end spins at 0 and n_bulk + 1)
-    or of the ring.  With X = Q W per run (see _run_factor), rho_AB =
+    runs lays the blocks out as _runs returns them: one (in block A,
+    first position, length) triple per maximal run of neighbouring block
+    sites, in chain order, each starting at or after the previous one's
+    end.  On a chain a position is a site index, the end spins at 0 and
+    n_bulk + 1; on a ring positions count from a site where no run is
+    cut, so every run ends by position n_bulk.  Only the support's
+    eigenvalues are returned, with no zero padding, at a cost of
+    O(runs x log length).
+
+    With X = Q W per run (see _run_factor), rho_AB =
     Q (W K W^H) Q^H for the environment K of the runs: on a chain the
     boundary vectors and E^gap between the runs, on a ring the E^gap
     between the runs closed by a trace.  sigma = W K W^H is contracted run
@@ -346,7 +357,6 @@ def _support_spectra(
     gives 16 x 16.
     """
     n = n_bulk if ring else n_bulk + 2
-    runs = _runs(n, ring, set_a, set_b)
     if not runs:
         return np.ones(1), np.ones(1)
     if ring:
@@ -405,12 +415,13 @@ def entanglement_report(
     only to check that its weight outside that state, weight -
     |<ground|state>|^2, is at most EIG_CLAMP, and not at all when its
     amplitudes are the cached ground-state array itself.  The spectra then
-    come from the layout alone (see _support_spectra): each block splits into
-    maximal runs of neighbouring sites, each run has rank at most 4, and
-    rho_AB and rho_AB^{T_A} are diagonalized on the product of the runs'
-    ranges, 16 x 16 for contiguous blocks, through 4x4 transfer matrices.
-    The remaining eigenvalues, one per basis state of the kept sites
-    beyond that support, are exactly 0.0.
+    come from the layout alone, by layout_spectra on the blocks' runs:
+    each block splits into maximal runs of neighbouring sites, each run
+    has rank at most 4, and rho_AB and rho_AB^{T_A} are diagonalized on
+    the product of the runs' ranges, 16 x 16 for contiguous blocks,
+    through 4x4 transfer matrices.  This report pads them with the
+    remaining eigenvalues, one per basis state of the kept sites beyond
+    that support, which are exactly 0.0.
 
     Raises ValueError when the site dims are not a chain or ring layout,
     and when the state misses the ground state by more than EIG_CLAMP of
@@ -439,7 +450,7 @@ def entanglement_report(
             f"the ground state would miss weight {lost:.3e} of the state "
             f"(more than {EIG_CLAMP:.0e})"
         )
-    vals, pt_vals = _support_spectra(n_bulk, ring, set_a, set_b)
+    vals, pt_vals = layout_spectra(n_bulk, ring, _runs(n, ring, set_a, set_b))
     zeros = np.zeros(math.prod(dims[s] for s in kept) - len(vals))
     return (
         spectrum_report(np.concatenate([vals, zeros])),
@@ -466,20 +477,15 @@ def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
     return np.clip(block.eigenvalues[::-1], 0.0, None)
 
 
-def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
+def schmidt_pt_spectrum(lams) -> SpectrumReport:
     """Nonzero partial-transpose spectrum of a pure-state bipartition.
 
     For a pure state with squared Schmidt coefficients {l_i}, transposing
-    the block gives eigenvalues {l_i} plus a +sqrt(l_i l_j), -sqrt(l_i l_j)
-    pair for each i < j; everything else is 0.  This needs only the cut's
-    Schmidt data, read by schmidt_values off the same contraction as the
-    two-block reports, so the state must be the ground state of its
-    layout up to a global phase, and a contiguous block diagonalizes at
-    most 16 x 16 at any length.  Only Schmidt values above 1e-12 enter,
-    so at Schmidt rank r (at most 4 for a contiguous block of the chain)
-    the spectrum has r^2 entries.
+    one side gives eigenvalues {l_i} plus a +sqrt(l_i l_j), -sqrt(l_i l_j)
+    pair for each i < j; everything else is 0.  Only Schmidt values above
+    1e-12 enter, so at Schmidt rank r the spectrum has r^2 entries.
     """
-    lams = schmidt_values(state, block_sites)
+    lams = np.asarray(lams, dtype=float)
     # numerical-noise Schmidt values would seed sqrt(eps * l) ~ 1e-8
     # phantom pairs, so cut at the rank rather than clamp later
     lams = lams[lams > 1e-12]
@@ -488,3 +494,13 @@ def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
         root = math.sqrt(a * b)
         values.extend([root, -root])
     return spectrum_report(values)
+
+
+def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
+    """schmidt_pt_spectrum of the block/rest cut, from schmidt_values.
+
+    So the state must be the ground state of its layout up to a global
+    phase, and a contiguous block, of Schmidt rank at most 4, diagonalizes
+    at most 16 x 16 at any length.
+    """
+    return schmidt_pt_spectrum(schmidt_values(state, block_sites))

@@ -125,7 +125,7 @@ def suite_pure_bipartition(max_sites: int = 8, tol: float = 1e-10, **_) -> Cases
                 ed_vals = mo.schmidt_values(state, sites)
                 formula = cf.pure_block_spectrum(block_len).eigenvalues
                 yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(ed_vals, formula)
-                pt_ed = mo.pure_block_pt_spectrum(state, sites)
+                pt_ed = mo.schmidt_pt_spectrum(ed_vals)
                 pt_formula = cf.pure_pt_spectrum(block_len)
                 pt_gap = _spectrum_gap(pt_ed.eigenvalues, pt_formula.eigenvalues)
                 yield "transpose spectrum vs closed form", tol, pt_gap

@@ -4,9 +4,13 @@ perfbench is frozen between benchmark changes, and it reaches into the
 package by attribute name: the tracer rebinds every function it times,
 and the workloads call entry points, read CLI headers, verify's suite
 table and a few properties of results.  A deleted or renamed name ends
-every benchmark run that touches it, so each one is checked here.
+every benchmark run that touches it, so each one is checked here.  The
+tracer's span attributes also read some bound arguments by parameter
+name, so a renamed parameter ends every traced run: those names are
+pinned too.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +61,16 @@ def test_workloads_find_every_name_they_read():
     config = mc.SphereConfig.sample(np.random.default_rng(0), 2, 3)
     for name in ("cos_theta", "phi", "omega", "u", "v"):
         assert getattr(config, name).shape[:2] == (2, 3)
+
+
+def test_traced_calls_keep_the_parameter_names_their_spans_read():
+    # perfbench/spans.py: _build_attrs, _report_attrs, _norm_attrs, _overlap_attrs
+    read = {
+        mo.build_open_chain: {"n_bulk"},
+        mo.build_ring: {"n_bulk"},
+        mo.entanglement_report: {"state", "block_a", "block_b"},
+        mc.estimate_vbs_norm: {"n_bulk", "ring", "samples"},
+        mc.estimate_block_overlap: {"samples", "length"},
+    }
+    for fn, names in read.items():
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__

@@ -40,37 +40,64 @@ from vbsent.linalg import hermitian_eigvals, spectrum_report
 # ---------------------------------------------------------------- geometry
 
 
-def _oracle_sites(monkeypatch, name, **params):
-    """The state and blocks a geometry's oracle reports on.
+def _oracle_runs(monkeypatch, name, **params):
+    """The layout a geometry's oracle contracts: (n_bulk, ring, runs).
 
-    The oracle's result must be entanglement_report's on those sites.
+    The oracle's spectra must be entanglement_report's on the ground state
+    at those runs' sites, the report's zero padding aside.
     """
     calls = []
-    report = mo.entanglement_report
+    layout = mo.layout_spectra
 
-    def spy(state, block_a, block_b):
-        calls.append((state, list(block_a), list(block_b)))
-        return report(state, block_a, block_b)
+    def spy(n_bulk, ring, runs):
+        calls.append((n_bulk, ring, runs))
+        return layout(n_bulk, ring, runs)
 
-    monkeypatch.setattr(mo, "entanglement_report", spy)
+    monkeypatch.setattr(mo, "layout_spectra", spy)
     result = GEOMETRIES[name].oracle(**params)
-    [(state, a, b)] = calls
-    assert result == report(state, a, b)
-    return state, a, b
+    [(n_bulk, ring, runs)] = calls
+    state = (mo.build_ring if ring else mo.build_open_chain)(n_bulk)
+    blocks = {True: [], False: []}
+    for in_a, first, length in runs:
+        blocks[in_a] += range(first, first + length)
+    dense = mo.entanglement_report(state, blocks[True], blocks[False])
+    for got, padded in zip(result, dense):
+        zeros = (0.0,) * (len(padded.eigenvalues) - len(got.eigenvalues))
+        assert sorted(got.eigenvalues + zeros) == list(padded.eigenvalues)
+    return n_bulk, ring, runs
 
 
 def test_open_geometry_total(monkeypatch):
     # bulk sites start at 1, after the boundary spin at site 0
-    state, a, b = _oracle_sites(monkeypatch, "disjoint", la=2, gap=3, lb=1)
-    assert state is mo.build_open_chain(6) and (a, b) == ([1, 2], [6])
-    state, a, b = _oracle_sites(monkeypatch, "adjacent", la=2, lb=1)
-    assert state is mo.build_open_chain(3) and (a, b) == ([1, 2], [3])
+    layout = _oracle_runs(monkeypatch, "disjoint", la=2, gap=3, lb=1)
+    assert layout == (6, False, [(True, 1, 2), (False, 6, 1)])
+    layout = _oracle_runs(monkeypatch, "adjacent", la=2, lb=1)
+    assert layout == (3, False, [(True, 1, 2), (False, 3, 1)])
 
 
 def test_ring_geometry_total(monkeypatch):
     # the arcs run C, A, D, B from site 0
-    state, a, b = _oracle_sites(monkeypatch, "pbc", la=1, lb=2, lc=1, ld=3)
-    assert state is mo.build_ring(7) and (a, b) == ([1], [5, 6])
+    layout = _oracle_runs(monkeypatch, "pbc", la=1, lb=2, lc=1, ld=3)
+    assert layout == (7, True, [(True, 1, 1), (False, 5, 2)])
+
+
+@pytest.mark.parametrize(
+    "params", [dict(gap=gap) for gap in range(1, 5)] + [dict(la=40, lb=40, gap=40)]
+)
+def test_mutual_info_oracle_matches_its_mode_route(params):
+    # the oracle reads the layout, so it answers past MAX_BULK_SITES,
+    # at the geometry's own default blocks of 6 sites among them
+    geo = GEOMETRIES["mutual-info"]
+    params = geo.params(**params)
+    [(mode, mode_pt, _)] = geo.reports([params])
+    for got, want in zip(geo.oracle(**params), (mode, mode_pt)):
+        size = max(len(got.eigenvalues), len(want.eigenvalues))
+        gap = _padded(got.eigenvalues, size) - _padded(want.eigenvalues, size)
+        assert np.max(np.abs(gap)) <= 1e-10
+
+
+def _padded(values, size: int) -> np.ndarray:
+    return np.sort(np.concatenate([values, np.zeros(size - len(values))]))
 
 
 def test_geometry_validation():

@@ -23,7 +23,6 @@ from vbsent.mps_oracle import (
     RIGHT_BOUNDARY,
     StateVector,
     _mps_products,
-    _support_spectra,
     apply_hamiltonian,
     bond_projector,
     boundary_projector,
@@ -33,6 +32,7 @@ from vbsent.mps_oracle import (
     entanglement_report,
     hamiltonian_residual,
     injectivity_defect,
+    layout_spectra,
     pure_block_pt_spectrum,
     schmidt_values,
     spin_correlation,
@@ -476,43 +476,40 @@ def test_report_matches_mode_operator_at_any_placement():
     check()
 
 
-def test_support_spectra_match_mode_operator_at_any_length():
-    # the layout-only report needs no state, so it reaches lengths far past
+def test_layout_spectra_match_mode_operator_at_any_length():
+    # the layout entry needs no state, so it reaches lengths far past
     # MAX_BULK_SITES, including those >= 679 where z = (-1/3)^L underflows
     pytest.importorskip("hypothesis")
     from hypothesis import example, given, settings, strategies as st
 
-    length = st.integers(1, 1000)
+    length = st.integers(1, 10**6)
 
     @st.composite
     def layouts(draw):
         if draw(st.booleans()):
-            la = draw(st.integers(1, 39))
-            lb = draw(st.integers(1, 40 - la))
-            lc = draw(st.integers(0, 40 - la - lb))
-            ld = draw(st.integers(0, 40 - la - lb - lc))
-            n = la + lb + lc + ld
-            rot = draw(st.integers(0, n - 1))
-            a = [(rot + lc + j) % n for j in range(la)]
-            b = [(rot + lc + la + ld + j) % n for j in range(lb)]
-            return n, True, a, b, er.rho_ab_pbc(la, lb, lc, ld)
-        la, gap, lb = draw(length), draw(st.integers(0, 1000)), draw(length)
+            la, lb = draw(length), draw(length)
+            lc, ld = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+            runs = [(True, lc, la), (False, lc + la + ld, lb)]
+            if draw(st.booleans()):
+                # the walk starts at arc D, so block B's run comes first
+                runs = [(False, ld, lb), (True, ld + lb + lc, la)]
+            return la + lb + lc + ld, True, runs, er.rho_ab_pbc(la, lb, lc, ld)
+        la, gap, lb = draw(length), draw(st.integers(0, 10**6)), draw(length)
         left, right = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        a = [1 + left + j for j in range(la)]
-        b = [1 + left + la + gap + j for j in range(lb)]
+        runs = [(True, 1 + left, la), (False, 1 + left + la + gap, lb)]
         op = er.rho_ab_open(la, gap, lb) if gap else er.rho_ab_adjacent(la, lb)
-        return left + la + gap + lb + right, False, a, b, op
+        return left + la + gap + lb + right, False, runs, op
 
     @settings(max_examples=80, deadline=None)
     @given(layouts())
-    @example((679 + 1 + 680, False, [1], list(range(681, 1361)), er.rho_ab_open(1, 679, 680)))
-    @example((3000, False, list(range(1, 1001)), list(range(2001, 3001)),
+    @example((679 + 1 + 680, False, [(True, 1, 1), (False, 681, 680)],
+              er.rho_ab_open(1, 679, 680)))
+    @example((3000, False, [(True, 1, 1000), (False, 2001, 1000)],
               er.rho_ab_open(1000, 1000, 1000)))
-    @example((1000, False, list(range(1, 700)), list(range(700, 1001)),
-              er.rho_ab_adjacent(699, 301)))
+    @example((1000, False, [(True, 1, 699), (False, 700, 301)], er.rho_ab_adjacent(699, 301)))
     def check(layout):
-        n_bulk, ring, a, b, op = layout
-        vals, pt_vals = _support_spectra(n_bulk, ring, set(a), set(b))
+        n_bulk, ring, runs, op = layout
+        vals, pt_vals = layout_spectra(n_bulk, ring, runs)
         mode_pt = hermitian_eigvals(er.mode_partial_transpose(op).normalized)
         for got, mode in ((vals, op.spectrum().eigenvalues), (pt_vals, mode_pt)):
             size = max(len(got), len(mode))
@@ -565,6 +562,19 @@ def test_one_block_of_a_long_chain_solves_at_most_16x16(monkeypatch):
         pure_block_pt_spectrum(state, block)
     # one eigensolve each: with block B empty the transpose has sigma's spectrum
     assert len(dims) == len(blocks) and max(dims) <= 16
+
+
+def test_geometry_oracles_at_a_billion_sites_solve_twice_at_most_16x16(monkeypatch):
+    # the table's oracle reads the layout, so its cost is set by the runs' ranks
+    from vbsent.geometry import GEOMETRIES
+
+    for name, params in (
+        ("disjoint", dict(la=10**9, gap=3, lb=10**9)),
+        ("pbc", dict(la=10**9, lb=10**9, lc=3, ld=5)),
+    ):
+        dims = _recorded_eigensolves(monkeypatch)
+        GEOMETRIES[name].oracle(**params)
+        assert len(dims) == 2 and max(dims) <= 16
 
 
 def test_report_reads_the_state_only_when_it_is_not_the_cached_ground_state(monkeypatch):

@@ -85,6 +85,18 @@ def test_each_suite_returns_its_rows_eagerly(name):
     assert all(isinstance(r, vf.CheckResult) and r.suite == name for r in rows)
 
 
+def _counted_layout_calls(monkeypatch) -> list:
+    calls = []
+    real = mo.layout_spectra
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "layout_spectra", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "name, max_sites, reports",
     [
@@ -93,18 +105,14 @@ def test_each_suite_returns_its_rows_eagerly(name):
         ("adjacent-blocks", 8, 9),
         ("ring-blocks", 8, 70),  # every ring of 4 to 8 sites cut into four arcs
         ("ring-blocks", 4, 1),
+        # one Schmidt solve per cut: the transpose rows reuse its values
+        ("pure-bipartition", 8, 44),
     ],
 )
 def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, reports):
-    # one oracle report per case, so a grid that shrinks fails here
-    calls = []
-    real = mo.entanglement_report
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mo, "entanglement_report", counted)
+    # one layout contraction per case, through the geometry table's oracle
+    # or entanglement_report, so a grid that shrinks fails here
+    calls = _counted_layout_calls(monkeypatch)
     rows = vf.SUITES[name](max_sites=max_sites, tol=1e-10)
     assert all(r.passed for r in rows)
     assert len(calls) == reports
