@@ -10,10 +10,11 @@ subcommand name; the CLI subcommands, `sweep` and the verify suites all
 read it.
 
 A route points at one derivation: the closed forms, the 16x16 mode
-operator or the exact oracle of `mps_oracle`.  The table never merges
-routes: verify's cross-check between them is the point.  The oracle
-route reads only the blocks' layout and builds no state, so, like the
-mode route, it answers at any length: `MAX_BULK_SITES` does not bound it.
+operator or the transfer contraction of `mps_oracle`.  The table never
+merges routes: verify's cross-check between them is the point.  The
+oracle route reads only the blocks' layout and builds no state, so, like
+the mode route, it answers at any length (`MAX_BULK_SITES` does not
+bound it) and reports at most 16 eigenvalues per spectrum.
 """
 from __future__ import annotations
 
@@ -39,9 +40,8 @@ class Geometry(NamedTuple):
     `operator` builds the 16x16 mode operator they are read from.  A
     two-block geometry has a third route, `oracle`, which returns the
     block and partial-transpose spectra of mps_oracle.layout_spectra on
-    the blocks' runs in its chain or ring, without zero padding.  `limit`
-    is the closed-form asymptotic I(A:B) that the finite pair is set
-    against.
+    the blocks' runs in its chain or ring.  `limit` is the closed-form
+    asymptotic I(A:B) that the finite pair is set against.
     """
 
     name: str
@@ -104,20 +104,15 @@ def _pure(block: SpectrumReport, pt: SpectrumReport) -> Reports:
     return block, pt, 2.0 * block.entropy
 
 
-def _layout_reports(n_bulk: int, ring: bool, runs) -> Spectra:
-    vals, pt_vals = mo.layout_spectra(n_bulk, ring, runs)
-    return spectrum_report(vals), spectrum_report(pt_vals)
-
-
 def _open_oracle(la: int, gap: int, lb: int) -> Spectra:
     """Bulk sites start at 1, after the boundary spin at site 0."""
-    return _layout_reports(la + gap + lb, False, [(True, 1, la), (False, 1 + la + gap, lb)])
+    return mo.layout_spectra(la + gap + lb, False, [(True, 1, la), (False, 1 + la + gap, lb)])
 
 
 def _ring_oracle(la: int, lb: int, lc: int, ld: int) -> Spectra:
     """The arcs run C, A, D, B from site 0."""
     runs = [(True, lc, la), (False, lc + la + ld, lb)]
-    return _layout_reports(lc + la + ld + lb, True, runs)
+    return mo.layout_spectra(lc + la + ld + lb, True, runs)
 
 
 GEOMETRIES = {

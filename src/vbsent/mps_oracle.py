@@ -13,12 +13,12 @@ vector, and a run of neighbouring block sites the Gram factor W of its
 matrix products, of rank at most 4.  With K the runs' environment,
 rho_AB = Q (W K W^H) Q^H for an isometry Q, so contiguous blocks
 diagonalize 16 x 16 matrices at any length.  layout_spectra does this
-from the blocks' runs alone, with no state and no length limit;
-entanglement_report is its wrapper for dense states, which checks the
-state against the cached ground state and pads the spectra with zeros
-to the kept sites' dimension.  One block is a report whose block B is
-empty.  Nothing here reads a closed form, so everything downstream is
-checked against this module.
+from the blocks' runs alone, with no state and no length limit, and
+reports only the support's eigenvalues; entanglement_report checks a
+dense state against the cached ground state and returns its reports as
+they are.  One block is a report whose block B is empty.  Nothing here
+reads a closed form, so everything downstream is checked against this
+module.
 """
 from __future__ import annotations
 
@@ -333,17 +333,19 @@ def _run_factor(bulk: int, left_end: bool, right_end: bool) -> np.ndarray:
 
 def layout_spectra(
     n_bulk: int, ring: bool, runs: list[tuple[bool, int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of sigma and sigma^{T_A}, from the layout alone.
+) -> tuple[SpectrumReport, SpectrumReport]:
+    """Reports of sigma and sigma^{T_A}, from the layout alone.
 
     runs lays the blocks out as _runs returns them: one (in block A,
     first position, length) triple per maximal run of neighbouring block
     sites, in chain order, each starting at or after the previous one's
     end.  On a chain a position is a site index, the end spins at 0 and
     n_bulk + 1; on a ring positions count from a site where no run is
-    cut, so every run ends by position n_bulk.  Only the support's
-    eigenvalues are returned, with no zero padding, at a cost of
-    O(runs x log length).
+    cut, so every run ends by position n_bulk.  Raises ValueError, naming
+    the run, for a run shorter than 1, one that starts before position 0
+    or before the previous run ends, and one that ends past the last
+    position.  The reports hold the support's eigenvalues only, at most
+    16 for one run per block, at a cost of O(runs x log length).
 
     With X = Q W per run (see _run_factor), rho_AB =
     Q (W K W^H) Q^H for the environment K of the runs: on a chain the
@@ -352,13 +354,25 @@ def layout_spectra(
     by run in chain order, K never formed, and normalized by the state's
     squared norm, l E^N r on a chain and Tr E^N on a ring.  The transpose
     is sigma^{T_A} = (W_A* x W_B) K^{T_A} (W_A* x W_B)^H, read off sigma;
-    with one block empty it is sigma or sigma^T, so sigma's eigenvalues
-    serve for both.  Each run has rank at most 4, so one run per block
-    gives 16 x 16.
+    with one block empty it is sigma or sigma^T, so sigma's report serves
+    for both.  Each run has rank at most 4, so one run per block gives
+    16 x 16.
     """
     n = n_bulk if ring else n_bulk + 2
+    end = 0
+    for run in runs:
+        _, first, length = run
+        if length < 1:
+            raise ValueError(f"run {run} is shorter than 1 site")
+        if first < end:
+            raise ValueError(f"run {run} starts before position {end}")
+        end = first + length
+        if end > n:
+            kind = "ring" if ring else "chain"
+            raise ValueError(f"run {run} ends past the {n} positions of the {kind}")
     if not runs:
-        return np.ones(1), np.ones(1)
+        one = spectrum_report([1.0])
+        return one, one
     if ring:
         start = np.eye(4)
         norm = np.trace(_transfer_power(n)).real
@@ -394,12 +408,12 @@ def layout_spectra(
     sigma = sigma.transpose([2 * k for k in order] + [2 * k + 1 for k in order])
     dim = math.prod(ranks)
     sigma = sigma.reshape(dim, dim)
-    vals = hermitian_eigvals(sigma)
+    block = spectrum_report(hermitian_eigvals(sigma))
     if len({in_a for in_a, _, _ in runs}) == 1:
-        return vals, vals
+        return block, block
     r_a = math.prod(r for r, run in zip(ranks, runs) if run[0])
     sigma_pt = sigma.reshape(r_a, dim // r_a, r_a, -1).transpose(2, 1, 0, 3).reshape(dim, dim)
-    return vals, hermitian_eigvals(sigma_pt)
+    return block, spectrum_report(hermitian_eigvals(sigma_pt))
 
 
 def entanglement_report(
@@ -419,9 +433,9 @@ def entanglement_report(
     each block splits into maximal runs of neighbouring sites, each run
     has rank at most 4, and rho_AB and rho_AB^{T_A} are diagonalized on
     the product of the runs' ranges, 16 x 16 for contiguous blocks,
-    through 4x4 transfer matrices.  This report pads them with the
-    remaining eigenvalues, one per basis state of the kept sites beyond
-    that support, which are exactly 0.0.
+    through 4x4 transfer matrices.  The reports hold that support's
+    eigenvalues only, at most 16 for contiguous blocks; the rest of the
+    kept sites' basis states have eigenvalue 0 and are not listed.
 
     Raises ValueError when the site dims are not a chain or ring layout,
     and when the state misses the ground state by more than EIG_CLAMP of
@@ -434,8 +448,7 @@ def entanglement_report(
     dims = state.site_dims
     n = len(dims)
     ring = _is_ring(dims)
-    kept = set_a | set_b
-    outside = sorted(s for s in kept if not 0 <= s < n)
+    outside = sorted(s for s in set_a | set_b if not 0 <= s < n)
     if outside:
         raise IndexError(f"sites {outside} out of range for {n} sites")
     n_bulk = n if ring else n - 2
@@ -450,12 +463,7 @@ def entanglement_report(
             f"the ground state would miss weight {lost:.3e} of the state "
             f"(more than {EIG_CLAMP:.0e})"
         )
-    vals, pt_vals = layout_spectra(n_bulk, ring, _runs(n, ring, set_a, set_b))
-    zeros = np.zeros(math.prod(dims[s] for s in kept) - len(vals))
-    return (
-        spectrum_report(np.concatenate([vals, zeros])),
-        spectrum_report(np.concatenate([pt_vals, zeros])),
-    )
+    return layout_spectra(n_bulk, ring, _runs(n, ring, set_a, set_b))
 
 
 def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
@@ -465,9 +473,9 @@ def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
     the state must be the ground state of its layout up to a global
     phase, as entanglement_report requires: any other state raises its
     "miss weight" ValueError, and a site outside the chain its IndexError.
-    One entry per basis state of the block, those beyond the runs'
-    support exactly 0.0.  Raises ValueError for an empty block or the
-    whole chain.
+    One entry per value of the runs' support, clipped at 0: at most 4 for
+    a contiguous block, and none for the block's other basis states.
+    Raises ValueError for an empty block or the whole chain.
     """
     n = len(state.site_dims)
     sites = {int(s) for s in block_sites}

@@ -1,4 +1,4 @@
-"""Named verification suites: every closed form against the dense oracle.
+"""Named verification suites: every closed form against the exact oracle.
 
 Each suite is a generator that yields one (check, bound, deviation)
 triple per case, where the deviation is computed.  The `_suite` decorator
@@ -79,9 +79,10 @@ def _suite(name: str):
 def _spectrum_gap(a, b) -> float:
     """Worst entrywise gap between two spectra compared as multisets.
 
-    The shorter list is padded with exact zeros, so comparing a truncated
-    closed form against a full dense spectrum only works when the extra
-    dense eigenvalues vanish, which is itself part of the claim.
+    The shorter list is padded with exact zeros: a route lists only the
+    eigenvalues it computes (the oracle its support), and every one it
+    leaves out is 0, so the longer list's extra entries are checked
+    against 0.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)

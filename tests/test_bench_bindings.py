@@ -11,6 +11,7 @@ pinned too.
 """
 
 import inspect
+import random
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,22 @@ def test_tracer_installs_over_every_traced_name(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_oracle_referee_accepts_support_only_reports(monkeypatch):
+    # the referee pads the shorter spectrum itself and reads the lowest
+    # transpose eigenvalue, so reports without zero padding must pass it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import OracleReferee
+
+    referee = OracleReferee()
+    ops = referee.round(random.Random(0))
+    assert len(ops) == 51
+    for op in ops:
+        build = vbsent.build_ring if op.kind == "ring" else vbsent.build_open_chain
+        result = vbsent.entanglement_report(build(op.params["n"]), op.params["a"], op.params["b"])
+        outcome = referee.check(op, result)
+        assert outcome.ok, outcome.note
 
 
 def test_workloads_find_every_name_they_read():

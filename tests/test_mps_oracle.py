@@ -3,6 +3,7 @@ properties, correlators, and the entanglement reports used to cross-check
 every closed form."""
 
 import math
+import re
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -296,8 +297,9 @@ def test_one_block_route_matches_dense_reduced_density():
         rho = reduced_density(state.amplitudes, state.site_dims, block)
         dense = np.clip(hermitian_eigvals(rho)[::-1], 0.0, None)
         lams = schmidt_values(state, block)
-        assert len(lams) == len(dense)
-        assert lams == pytest.approx(dense, abs=1e-13)
+        # the support only: the dense values past it are checked against 0
+        assert len(lams) <= len(dense)
+        assert _padded(lams, len(dense)) == pytest.approx(np.sort(dense), abs=1e-13)
         # the transpose of a pure state from the dense Schmidt values
         kept = dense[dense > 1e-12]
         roots = [math.sqrt(a * b) for a, b in combinations(kept, 2)]
@@ -367,8 +369,9 @@ def _assert_report_matches_dense(state, a, b, tol, pt_tol=None):
     pt = partial_transpose(rho, [kept.index(s) for s in a])
     for rep, dense, bound in ((block_rep, rho, tol), (pt_rep, pt, pt_tol or tol)):
         direct = np.sort(np.real(hermitian_eigvals(dense)))
-        assert len(rep.eigenvalues) == len(direct)
-        assert rep.eigenvalues == pytest.approx(direct, abs=bound)
+        # the support only: the dense values past it are checked against 0
+        assert len(rep.eigenvalues) <= len(direct)
+        assert _padded(rep.eigenvalues, len(direct)) == pytest.approx(direct, abs=bound)
 
 
 def _admixed_ring(weight: float) -> StateVector:
@@ -509,14 +512,44 @@ def test_layout_spectra_match_mode_operator_at_any_length():
     @example((1000, False, [(True, 1, 699), (False, 700, 301)], er.rho_ab_adjacent(699, 301)))
     def check(layout):
         n_bulk, ring, runs, op = layout
-        vals, pt_vals = layout_spectra(n_bulk, ring, runs)
+        block, pt = layout_spectra(n_bulk, ring, runs)
         mode_pt = hermitian_eigvals(er.mode_partial_transpose(op).normalized)
-        for got, mode in ((vals, op.spectrum().eigenvalues), (pt_vals, mode_pt)):
+        for got, mode in ((block.eigenvalues, op.spectrum().eigenvalues), (pt.eigenvalues, mode_pt)):
             size = max(len(got), len(mode))
             worst = np.max(np.abs(_padded(got, size) - _padded(mode, size)))
             assert worst <= 1e-10
 
     check()
+
+
+def test_layout_spectra_reject_malformed_runs():
+    # overlapping runs would bridge with E^-3, which matrix_power inverts;
+    # an empty run, runs past a chain's or a ring's end and a run before
+    # position 0 would still give a normalized spectrum
+    cases = (
+        (5, False, [(True, 3, 2), (False, 2, 1)], 1, "starts before position 5"),
+        (5, False, [(True, 3, 2), (False, 6, 3)], 1, "ends past the 7 positions of the chain"),
+        (5, False, [(True, 3, 0), (False, 6, 1)], 0, "is shorter than 1 site"),
+        (4, True, [(True, 3, 3)], 0, "ends past the 4 positions of the ring"),
+        (5, False, [(True, -1, 2), (False, 3, 1)], 0, "starts before position 0"),
+    )
+    for n_bulk, ring, runs, bad, message in cases:
+        with pytest.raises(ValueError, match=re.escape(f"run {runs[bad]} {message}")):
+            layout_spectra(n_bulk, ring, runs)
+
+
+def test_reports_hold_only_the_support(monkeypatch):
+    # a two-block report of 12 kept sites, and a Schmidt spectrum of 7,
+    # list at most 16 and 4 values, not one per basis state of the block
+    state = build_open_chain(12)
+    for a, b in ((range(1, 7), range(7, 13)), (range(0, 7), range(7, 14))):
+        dims = _recorded_eigensolves(monkeypatch)
+        block, pt = entanglement_report(state, a, b)
+        assert len(block.eigenvalues) <= 16 and len(pt.eigenvalues) <= 16
+        assert len(dims) <= 2 and max(dims) <= 16
+    dims = _recorded_eigensolves(monkeypatch)
+    assert len(schmidt_values(state, range(0, 7))) <= 4
+    assert len(dims) <= 2 and max(dims) <= 16
 
 
 def _recorded_eigensolves(monkeypatch) -> list[int]:
