@@ -170,14 +170,21 @@ def build_ring(n_bulk: int) -> StateVector:
     return _normalized(amp, (3,) * n_bulk)
 
 
+@functools.lru_cache(maxsize=None)
 def bond_projector() -> np.ndarray:
-    """Projector onto total spin 2 of two neighboring spin-1 sites."""
+    """Projector onto total spin 2 of two neighboring spin-1 sites; read-only, as it is cached."""
     ss = sum(np.kron(a, a) for a in (S1_X, S1_Y, S1_Z))
-    return ss @ ss / 6.0 + ss / 2.0 + np.eye(9) / 3.0
+    proj = ss @ ss / 6.0 + ss / 2.0 + np.eye(9) / 3.0
+    proj.flags.writeable = False
+    return proj
 
 
+@functools.lru_cache(maxsize=None)
 def boundary_projector(side: str) -> np.ndarray:
-    """Projector onto total spin 3/2 of one boundary spin-1/2 and its neighbor."""
+    """Projector onto total spin 3/2 of one boundary spin-1/2 and its neighbor.
+
+    Read-only, as it is cached.
+    """
     if side == "left":
         pairs = ((SHALF_X, S1_X), (SHALF_Y, S1_Y), (SHALF_Z, S1_Z))
     elif side == "right":
@@ -185,7 +192,9 @@ def boundary_projector(side: str) -> np.ndarray:
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     s_dot = sum(np.kron(a, b) for a, b in pairs)
-    return (2.0 / 3.0) * (np.eye(6) + s_dot)
+    proj = (2.0 / 3.0) * (np.eye(6) + s_dot)
+    proj.flags.writeable = False
+    return proj
 
 
 def _apply_two_site(arr: np.ndarray, op: np.ndarray, i: int, j: int) -> np.ndarray:

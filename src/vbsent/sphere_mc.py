@@ -17,10 +17,18 @@ the whole arrays at once (the bond dot product adds x, y, then z, as a sum
 over a stacked component axis does), and the mean and standard error
 reduce the one array of values, so a seed gives the same estimate bit for
 bit however the rows are blocked.
+
+The row blocks are spread over the CPUs the process may use: the calling
+thread and up to ``CPUS - 1`` more take blocks one at a time from a shared
+counter, and each writes only its own blocks' slice of the values.  Which
+thread evaluates a block changes no operation on it, so an estimate is
+bitwise independent of the worker count.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,11 @@ MIN_SAMPLES = 1000
 # samples evaluated together: the temporaries are a few (ROW_BLOCK, sites)
 # arrays, small enough to stay in cache, whatever the sample count
 ROW_BLOCK = 4096
+# CPUs this process may run on: the most threads an estimate evaluates on
+if hasattr(os, "sched_getaffinity"):
+    CPUS = len(os.sched_getaffinity(0))
+else:
+    CPUS = os.cpu_count() or 1
 
 
 def _directions(cos_theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -119,9 +132,55 @@ def check_overlap_args(mu: int, nu: int, length: int, samples: int) -> int:
     return check_samples(samples)
 
 
-def _row_blocks(samples: int):
+def _row_blocks(samples: int) -> list[slice]:
     """Slices of at most ``ROW_BLOCK`` consecutive samples, in order."""
-    return (slice(start, start + ROW_BLOCK) for start in range(0, samples, ROW_BLOCK))
+    return [slice(start, start + ROW_BLOCK) for start in range(0, samples, ROW_BLOCK)]
+
+
+def _evaluate_blocks(samples: int, evaluate) -> np.ndarray:
+    """Per-sample values, ``evaluate(rows)`` for each row block, on up to ``CPUS`` threads.
+
+    The calling thread works too, so a single block starts no thread.  Every
+    thread is joined before this returns or raises, and the first error a
+    block raised is raised here: no values return with a block unwritten.
+    Blocks run at once on several threads, so ``evaluate`` must call no
+    function that perfbench traces: its span tracer keeps a single stack of
+    open spans.
+    """
+    values = np.empty(samples)
+    blocks = _row_blocks(samples)
+    pending = iter(blocks)
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def work():
+        try:
+            while not stop.is_set():
+                with lock:
+                    rows = next(pending, None)
+                if rows is None:
+                    return
+                values[rows] = evaluate(rows)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(min(CPUS, len(blocks)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        # a thread that failed to start ends the other workers too
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return values
 
 
 def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndarray:
@@ -161,9 +220,9 @@ def estimate_vbs_norm(
     rng = np.random.default_rng(seed)
     sites = n_bulk if ring else n_bulk + 2
     config = SphereConfig.sample(rng, samples, sites)
-    values = np.empty(samples)
-    for rows in _row_blocks(samples):
-        values[rows] = _bond_product(config.cos_theta[rows], config.phi[rows], ring)
+    values = _evaluate_blocks(
+        samples, lambda rows: _bond_product(config.cos_theta[rows], config.phi[rows], ring)
+    )
     return _finish(values, samples, seed)
 
 
@@ -204,8 +263,8 @@ def estimate_block_overlap(
     samples = check_overlap_args(mu, nu, length, samples)
     rng = np.random.default_rng(seed)
     config = SphereConfig.sample(rng, samples, length)
-    values = np.empty(samples)
-    for rows in _row_blocks(samples):
+
+    def evaluate(rows):
         cos_theta, phi = config.cos_theta[rows], config.phi[rows]
         weight = _bond_product(cos_theta, phi, ring=False)
         first = _spinors(cos_theta[:, 0], phi[:, 0])
@@ -214,8 +273,9 @@ def estimate_block_overlap(
         last = first if length == 1 else _spinors(cos_theta[:, -1], phi[:, -1])
         t_mu = _mode_amplitude(first, last, mu)
         t_nu = t_mu if nu == mu else _mode_amplitude(first, last, nu)
-        values[rows] = 0.5 * np.real(np.conj(t_mu) * t_nu) * weight
-    return _finish(values, samples, seed)
+        return 0.5 * np.real(np.conj(t_mu) * t_nu) * weight
+
+    return _finish(_evaluate_blocks(samples, evaluate), samples, seed)
 
 
 def block_overlap_target(mu: int, nu: int, length: int) -> float:

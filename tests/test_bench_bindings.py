@@ -38,6 +38,25 @@ def test_tracer_installs_over_every_traced_name(monkeypatch):
         tracer.uninstall()
 
 
+def test_threaded_sampler_keeps_the_tracer_span_stack_in_order(monkeypatch):
+    # the tracer keeps one stack of open spans, so the sampler's worker
+    # threads must call nothing it traces
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer
+
+    monkeypatch.setattr(mc, "CPUS", 2)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        op = tracer.begin_op(0, "op")
+        mc.estimate_vbs_norm(4, samples=3 * mc.ROW_BLOCK + 7)
+        tracer.end_op(op)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("sphere_mc.estimate_vbs_norm") == 1, names
+
+
 def test_oracle_referee_accepts_support_only_reports(monkeypatch):
     # the referee pads the shorter spectrum itself and reads the lowest
     # transpose eigenvalue, so reports without zero padding must pass it

@@ -107,6 +107,7 @@ def test_bond_projector_is_projector():
     assert np.max(np.abs(p @ p - p)) < 1e-14
     assert np.max(np.abs(p - p.conj().T)) < 1e-14
     assert np.trace(p).real == pytest.approx(5.0, abs=1e-12)  # spin-2 multiplet
+    assert bond_projector() is p and not p.flags.writeable  # cached, read-only
 
 
 def test_boundary_projector_is_projector():
@@ -114,6 +115,7 @@ def test_boundary_projector_is_projector():
         p = boundary_projector(side)
         assert np.max(np.abs(p @ p - p)) < 1e-14
         assert np.trace(p).real == pytest.approx(4.0, abs=1e-12)  # spin-3/2
+        assert boundary_projector(side) is p and not p.flags.writeable
     with pytest.raises(ValueError):
         boundary_projector("top")
 

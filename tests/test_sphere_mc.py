@@ -7,11 +7,14 @@ stream implementation details shift.
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vbsent import sphere_mc
 from vbsent.pauli_algebra import SIGMA
 from vbsent.sphere_mc import (
     MIN_SAMPLES,
@@ -196,16 +199,24 @@ BLOCK_EDGE_SAMPLES = (
 )
 
 
+# worker counts to evaluate row blocks on, whatever the CPUs of the test host
+WORKERS = (1, 2, 3)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES)
-def test_norms_equal_the_whole_array_reference_bitwise(samples):
+def test_norms_equal_the_whole_array_reference_bitwise(samples, workers, monkeypatch):
+    monkeypatch.setattr(sphere_mc, "CPUS", workers)
     cases = [(n, False) for n in (1, 2, 3)] + [(n, True) for n in (2, 3)]
     for (n, ring), seed in itertools.product(cases, (0, 5)):
         got = estimate_vbs_norm(n, samples=samples, seed=seed, ring=ring)
         assert got == _reference_norm(n, samples, seed, ring), (n, ring, seed)
 
 
+@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES)
-def test_overlaps_equal_the_whole_array_reference_bitwise(samples):
+def test_overlaps_equal_the_whole_array_reference_bitwise(samples, workers, monkeypatch):
+    monkeypatch.setattr(sphere_mc, "CPUS", workers)
     for mu, nu, length in itertools.product(range(4), range(4), (1, 2, 3)):
         seed = 16 * length + 4 * mu + nu
         got = estimate_block_overlap(mu, nu, length, samples=samples, seed=seed)
@@ -220,9 +231,11 @@ def test_config_views_equal_the_reference_arrays():
         assert got.tobytes() == want.tobytes()
 
 
-def test_norm_memory_peak_is_the_angles_plus_one_block():
+@pytest.mark.parametrize("workers", (1, 2))
+def test_norm_memory_peak_is_the_angles_plus_one_block(workers, monkeypatch):
     # 16 B per sample-site of angles (16 MB here), the 8 B per-sample values
-    # and one block of temporaries; the eager arrays took 112 MB
+    # and one block of temporaries per worker; the eager arrays took 112 MB
+    monkeypatch.setattr(sphere_mc, "CPUS", workers)
     tracemalloc.start()
     try:
         estimate_vbs_norm(8, samples=100_000)
@@ -230,3 +243,72 @@ def test_norm_memory_peak_is_the_angles_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 24e6, peak
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(sphere_mc, "CPUS", 3)
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    estimate_vbs_norm(2, samples=ROW_BLOCK)
+    estimate_block_overlap(0, 1, 2, samples=ROW_BLOCK)
+    assert starts == []
+    # two blocks: the calling thread takes one, one more thread the other
+    estimate_vbs_norm(2, samples=ROW_BLOCK + 1)
+    assert len(starts) == 1
+
+
+def test_a_failing_block_raises_its_error_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(sphere_mc, "CPUS", 2)
+    error = RuntimeError("second block")
+    calls = itertools.count()
+    bond_product = sphere_mc._bond_product
+
+    def failing(cos_theta, phi, ring):
+        if next(calls) == 1:
+            raise error
+        return bond_product(cos_theta, phi, ring)
+
+    monkeypatch.setattr(sphere_mc, "_bond_product", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        estimate_vbs_norm(4, samples=3 * ROW_BLOCK + 7)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_a_thread_that_fails_to_start_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(sphere_mc, "CPUS", 3)
+    starts = itertools.count()
+    start = threading.Thread.start
+    error = RuntimeError("can't start new thread")
+
+    def second_start_fails(thread):
+        if next(starts) == 1:
+            raise error
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        estimate_vbs_norm(4, samples=3 * ROW_BLOCK + 7)
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def test_many_workers_switching_often_write_every_block_once(monkeypatch):
+    # more workers than cores, switching every microsecond: a block skipped
+    # (np.empty's garbage) or taken twice would show against the reference
+    monkeypatch.setattr(sphere_mc, "CPUS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = estimate_vbs_norm(1, samples=40 * ROW_BLOCK + 3, seed=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == _reference_norm(1, 40 * ROW_BLOCK + 3, 7, ring=False)
