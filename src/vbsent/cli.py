@@ -3,7 +3,7 @@
 One subcommand per entry of the geometry table (`pure`,
 `bipartition0`, `disjoint`, `adjacent`, `pbc`, `mutual-info`) prints
 its spectra and measures; the others run the Monte Carlo battery
-(`mc`), run every oracle suite (`verify`), or sweep one flag of a
+(`mc`), run the verification battery (`verify`), or sweep one flag of a
 geometry (`sweep`).  Output is CSV or JSON; reruns with the
 same arguments and seed are byte identical.
 

@@ -84,8 +84,6 @@ class ChannelWeights:
 class PairWeights:
     """Products of the two blocks' singlet/triplet weights."""
 
-    x1: float
-    x2: float
     lam00: float
     lam10: float
     lam11: float
@@ -95,8 +93,6 @@ class PairWeights:
         a = ChannelWeights.from_length(L1)
         b = ChannelWeights.from_length(L2)
         return cls(
-            x1=a.z,
-            x2=b.z,
             lam00=a.singlet * b.singlet,
             lam10=a.singlet * b.triplet + b.singlet * a.triplet,
             lam11=a.triplet * b.triplet,

@@ -24,13 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import CHANNEL_SIGNS, ChannelWeights, decay_parameter
-from .linalg import (
-    HermitianOperator,
-    SpectrumReport,
-    hermitian_eigvals,
-    partial_trace,
-    spectrum_report,
-)
+from .linalg import SpectrumReport, hermitian_eigvals, spectrum_report
 from .pauli_algebra import PARITY, calibrated_epsilon, m4_tensor
 
 TRACE_TOL = 1e-12
@@ -230,14 +224,6 @@ def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOper
     return replace(op, coeff=coeff, normalized=_normalized(coeff, op.gram))
 
 
-def mode_partial_trace(op: EffectiveDensityOperator, over: str) -> HermitianOperator:
-    """Trace the orthonormal 16x16 matrix over one block's mode factor."""
-    if over not in ("A", "B"):
-        raise ValueError(f"over must be 'A' or 'B', got {over!r}")
-    kept = [1] if over == "A" else [0]
-    return partial_trace(HermitianOperator(op.normalized, (4, 4)), kept)
-
-
 @dataclass(frozen=True)
 class Measures:
     report: SpectrumReport
@@ -254,8 +240,8 @@ def stacked_measures(ops: Sequence[EffectiveDensityOperator]) -> list[Measures]:
     stacked and diagonalized in one call each, however many operators
     the call takes (callers pass at most STACK_POINTS).  Each Measures is
     the one `measures` gives for that operator alone, bitwise: the
-    marginals are the traces of `mode_partial_trace` and the transposes
-    those of `mode_partial_transpose`.
+    marginals trace the orthonormal 16x16 matrix over the other block's
+    modes, and the transposes are those of `mode_partial_transpose`.
     """
     joint = np.array([op.normalized for op in ops], dtype=complex)
     gram = np.array([op.gram for op in ops])

@@ -68,11 +68,6 @@ def _closed_form_table(orientation: int) -> np.ndarray:
     return table
 
 
-def trace4(mu: int, nu: int, rho: int, lam: int) -> complex:
-    """Tr(sigma_mu sigma_bar_nu sigma_rho sigma_bar_lam) by direct multiplication."""
-    return complex(TRACE4[mu, nu, rho, lam])
-
-
 def closed_form_trace4(mu: int, nu: int, rho: int, lam: int, orientation: int) -> complex:
     """2(d_mn d_rl + d_ml d_rn - d_mr d_nl + eps_mnrl) for a given eps sign."""
     return complex(_closed_form_table(orientation)[mu, nu, rho, lam])
@@ -80,7 +75,7 @@ def closed_form_trace4(mu: int, nu: int, rho: int, lam: int, orientation: int) -
 
 @functools.lru_cache(maxsize=None)
 def decide_epsilon_orientation() -> int:
-    """The unique sign of e_0123 that makes closed_form_trace4 match trace4.
+    """The unique sign of e_0123 that makes closed_form_trace4 match TRACE4.
 
     Checked over all 256 index tuples; raises with the mismatching tuples
     if neither (or both) orientations survive.

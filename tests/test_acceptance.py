@@ -236,7 +236,7 @@ def test_criterion_09_pauli_identities():
     orientation = pa.decide_epsilon_orientation()
     assert orientation == -1
     for idx in itertools.product(range(4), repeat=4):
-        assert pa.trace4(*idx) == pa.closed_form_trace4(*idx, orientation)
+        assert pa.TRACE4[idx] == pa.closed_form_trace4(*idx, orientation)
     assert np.array_equal(pa.m4_tensor(), pa.m4_tensor_epsilon_form())
 
 

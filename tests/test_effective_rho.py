@@ -25,7 +25,6 @@ from vbsent.effective_rho import (
     contraction_defect,
     convexity_coefficients,
     measures,
-    mode_partial_trace,
     mode_partial_transpose,
     rho_ab_adjacent,
     rho_ab_open,
@@ -34,7 +33,24 @@ from vbsent.effective_rho import (
     stacked_measures,
 )
 from vbsent.geometry import GEOMETRIES
-from vbsent.linalg import hermitian_eigvals, spectrum_report
+from vbsent.linalg import (
+    HermitianOperator,
+    hermitian_eigvals,
+    partial_trace,
+    spectrum_report,
+)
+
+
+def mode_partial_trace(op, over):
+    """Trace the orthonormal 16x16 matrix over one block's mode factor.
+
+    The per-operator reference for the marginals that `stacked_measures`
+    takes by einsum.
+    """
+    if over not in ("A", "B"):
+        raise ValueError(f"over must be 'A' or 'B', got {over!r}")
+    kept = [1] if over == "A" else [0]
+    return partial_trace(HermitianOperator(op.normalized, (4, 4)), kept)
 
 
 # ---------------------------------------------------------------- geometry

@@ -15,6 +15,7 @@ from vbsent.pauli_algebra import (
     PARITY,
     SIGMA,
     SIGMA_BAR,
+    TRACE4,
     calibrated_epsilon,
     closed_form_trace4,
     decide_epsilon_orientation,
@@ -22,7 +23,6 @@ from vbsent.pauli_algebra import (
     lorentz_commutator_residual,
     m4_tensor,
     m4_tensor_epsilon_form,
-    trace4,
     verify_bilinear_completeness,
     verify_boundary_identity,
 )
@@ -75,13 +75,13 @@ def test_epsilon_orientation_is_unique_and_negative():
 def test_four_trace_closed_form_exhaustive():
     orientation = decide_epsilon_orientation()
     for idx in itertools.product(MODES, repeat=4):
-        assert trace4(*idx) == closed_form_trace4(*idx, orientation=orientation)
+        assert TRACE4[idx] == closed_form_trace4(*idx, orientation=orientation)
 
 
 def test_four_trace_wrong_orientation_fails():
     # the orientation is fixed by the data, not a convention choice
     mismatches = sum(
-        trace4(*idx) != closed_form_trace4(*idx, orientation=1)
+        TRACE4[idx] != closed_form_trace4(*idx, orientation=1)
         for idx in itertools.product(MODES, repeat=4)
     )
     assert mismatches > 0
@@ -93,14 +93,14 @@ def test_four_traces_and_m4_match_explicit_products():
     for idx in itertools.product(MODES, repeat=4):
         mu, nu, rho, lam = idx
         direct = np.trace(SIGMA[mu] @ SIGMA_BAR[nu] @ SIGMA[rho] @ SIGMA_BAR[lam])
-        assert trace4(*idx) == direct, idx
+        assert TRACE4[idx] == direct, idx
         assert m[idx] == 0.5 * PARITY[nu] * METRIC[nu] * direct, idx
 
 
 def test_four_trace_cyclic_shift_by_two():
     # Tr(s_m sb_n s_r sb_l) = Tr(s_r sb_l s_m sb_n)
     for mu, nu, rho, lam in itertools.product(MODES, repeat=4):
-        assert trace4(mu, nu, rho, lam) == trace4(rho, lam, mu, nu)
+        assert TRACE4[mu, nu, rho, lam] == TRACE4[rho, lam, mu, nu]
 
 
 def test_boundary_identities_exact():

@@ -32,28 +32,30 @@ ROWS = [
     ("pure-bipartition", "negativity 1 at single-site block", 1e-12),
     ("bond-cut", "transpose spectrum (1/2 x3, -1/2)", 1e-12),
     ("bond-cut", "negativity 1/2", 1e-12),
-    ("bond-cut", "schmidt route equals dense transpose", 1e-10),
+    ("bond-cut", "schmidt route equals transfer-oracle transpose", 1e-10),
     ("bond-cut", "closed form row", 0.0),
     ("disjoint-blocks", "polynomial roots vs mode spectrum", 1e-10),
-    ("disjoint-blocks", "mode spectrum vs dense oracle", 1e-10),
+    ("disjoint-blocks", "mode spectrum vs transfer oracle", 1e-10),
     ("disjoint-blocks", "anchor point (1,1,1)", 1e-10),
     ("disjoint-blocks", "independence from surroundings", 1e-10),
+    ("disjoint-blocks", "three-block contraction identity", 1e-15),
     ("open-transpose", "mode transpose min eigenvalue", 1e-12),
-    ("open-transpose", "dense transpose min eigenvalue", 1e-12),
+    ("open-transpose", "transfer-oracle transpose min eigenvalue", 1e-12),
     ("open-transpose", "transpose equals sign-flipped gap", 0.0),
-    ("adjacent-blocks", "negativity vs dense oracle", 1e-10),
+    ("adjacent-blocks", "negativity vs transfer oracle", 1e-10),
     ("adjacent-blocks", "transpose spectrum vs z=-1 polynomials", 1e-10),
     ("adjacent-blocks", "equal-blocks radical formula", 1e-12),
     ("adjacent-blocks", "sine-form root is the cubic minimum", 1e-12),
     ("ring-blocks", "mode spectrum vs ring oracle", 1e-10),
     ("ring-blocks", "mode transpose min eigenvalue", 1e-12),
-    ("ring-blocks", "dense transpose min eigenvalue", 1e-12),
+    ("ring-blocks", "transfer-oracle transpose min eigenvalue", 1e-12),
     ("ring-blocks", "mixture weights within [0,1]", 0.0),
     ("ring-blocks", "mixture weights sum to 1", 1e-15),
     ("hamiltonian", "open-chain energy", 1e-12),
     ("hamiltonian", "ring energy", 1e-12),
     ("hamiltonian", "kernel dimension 1 (N<=4)", 0.0),
     ("hamiltonian", "tensor completeness", 0.0),
+    ("hamiltonian", "ring norm 1 + 3 z(N)", 1e-12),
     ("correlations", "z-z correlator law (all bulk pairs)", 1e-10),
     ("mutual-information", "I = 4 ln 2 - S identity", 1e-12),
     ("mutual-information", "I(0) = 0", 0.0),
@@ -130,7 +132,7 @@ def test_nan_deviation_fails_its_row(monkeypatch):
     rows = {r.name: r for r in vf.run_suites(["disjoint-blocks"])}
     row = rows["polynomial roots vs mode spectrum"]
     assert math.isnan(row.worst) and not row.passed
-    assert rows["mode spectrum vs dense oracle"].passed
+    assert rows["mode spectrum vs transfer oracle"].passed
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["verify", "--max-sites", "4", "--samples", "1000"])
