@@ -29,7 +29,6 @@ from .geometry import GEOMETRIES
 from .linalg import EIG_CLAMP, HERMITICITY_TOL
 
 GROUP_DISPLAY_TOL = 1e-9
-SIGMA_BOUND = 4.0
 
 SPECTRA_HEADER = ("geometry", "index", "eigenvalue", "multiplicity")
 MEASURES_HEADER = (
@@ -58,22 +57,22 @@ def _fmt(value) -> str:
 
 
 def _rounded(value):
-    """12-significant-digit float for the JSON mirror of a CSV cell."""
+    """The JSON mirror of a CSV cell: a float cell is its printed digits."""
     if value is None or isinstance(value, (bool, str, int)):
         return value
-    return float(f"{float(value) + 0.0:.12g}")
+    return float(_fmt(value))
 
 
-def group_spectrum(values, tol: float = GROUP_DISPLAY_TOL):
+def group_spectrum(values):
     """Collapse a descending spectrum into (mean, multiplicity) groups.
 
     Grouping affects display only; adjacent values are merged while they
-    stay within `tol` of the previous member.
+    stay within GROUP_DISPLAY_TOL of the previous member.
     """
     ordered = sorted(float(v) for v in values)[::-1]
     groups: list[list[float]] = []
     for v in ordered:
-        if groups and abs(groups[-1][-1] - v) <= tol:
+        if groups and abs(groups[-1][-1] - v) <= GROUP_DISPLAY_TOL:
             groups[-1].append(v)
         else:
             groups.append([v])
@@ -157,7 +156,7 @@ def _json_envelope(args, results) -> dict:
             "hermiticity": HERMITICITY_TOL,
             "eigenvalue_clamp": EIG_CLAMP,
             "display_grouping": GROUP_DISPLAY_TOL,
-            "verification": getattr(args, "tol", 1e-10),
+            "verification": getattr(args, "tol", vf.TOL),
         },
         "versions": {
             "artifact": __version__,
@@ -253,7 +252,7 @@ def cmd_mc(args) -> int:
                 parameter = f"mu={mu} nu={nu} L={args.length}"
                 rows.append(_mc_row("overlap", parameter, est, target))
     for row in rows:
-        if row["sigmas"] > SIGMA_BOUND:
+        if row["sigmas"] > mc.SIGMA_BOUND:
             failures.append(
                 f"{row['task']} {row['parameter']}: "
                 f"estimate {_fmt(row['estimate'])} vs target "
@@ -323,7 +322,7 @@ def _parse_span(flag: str, text: str):
     except ValueError:
         raise ValueError(f"--{flag} takes an integer or a range lo:hi, got {text!r}") from None
     if start > stop:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"--{flag} range {text!r} is empty")
     return list(range(start, stop + 1))
 
 
@@ -374,18 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--task", choices=("norm", "overlap", "discriminate", "all"), default="all"
     )
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=mc.SAMPLES)
+    p.add_argument("--seed", type=int, default=mc.SEED)
     p.add_argument("--length", type=int, default=1)
     p.add_argument("--ring", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_mc)
 
-    p = subs.add_parser("verify", help="run every oracle-vs-formula suite")
-    p.add_argument("--max-sites", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=7)
+    p = subs.add_parser(
+        "verify",
+        help="check the closed forms against the mode operator and the transfer "
+        "oracle, the identities, and the Monte Carlo sampler",
+    )
+    p.add_argument("--max-sites", type=int, default=vf.MAX_SITES)
+    p.add_argument("--tol", type=float, default=vf.TOL)
+    p.add_argument("--samples", type=int, default=vf.SAMPLES)
+    p.add_argument("--seed", type=int, default=vf.SEED)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

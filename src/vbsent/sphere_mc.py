@@ -37,6 +37,13 @@ from .closed_forms import CHANNEL_SIGNS, decay_parameter
 from .pauli_algebra import SIGMA
 
 MIN_SAMPLES = 1000
+# an estimate's defaults, read by the estimators and by the CLI's mc parser
+SAMPLES = 100_000
+SEED = 0
+# an estimate passes within this many standard errors of its target: the
+# bound of the mc subcommand, of verify's Monte Carlo rows and of
+# SignDiscrimination
+SIGMA_BOUND = 4.0
 # samples evaluated together: the temporaries are a few (ROW_BLOCK, sites)
 # arrays, small enough to stay in cache, whatever the sample count
 ROW_BLOCK = 4096
@@ -208,7 +215,7 @@ def _finish(values: np.ndarray, samples: int, seed: int) -> McEstimate:
 
 
 def estimate_vbs_norm(
-    n_bulk: int, samples: int = 100_000, seed: int = 0, ring: bool = False
+    n_bulk: int, samples: int = SAMPLES, seed: int = SEED, ring: bool = False
 ) -> McEstimate:
     """Sample the squared ground-state norm of a chain or ring.
 
@@ -250,7 +257,7 @@ def _mode_amplitude(first: tuple, last: tuple, mu: int) -> np.ndarray:
 
 
 def estimate_block_overlap(
-    mu: int, nu: int, length: int, samples: int = 100_000, seed: int = 0
+    mu: int, nu: int, length: int, samples: int = SAMPLES, seed: int = SEED
 ) -> McEstimate:
     """Sample the mode overlap <A_mu|A_nu> of one block of the given length.
 
@@ -286,7 +293,7 @@ def block_overlap_target(mu: int, nu: int, length: int) -> float:
 
 @dataclass(frozen=True)
 class SignDiscrimination:
-    """4-sigma test separating the two printed signs of the channel weight."""
+    """Test at SIGMA_BOUND separating the two printed signs of the channel weight."""
 
     estimate: McEstimate
     plus_target: float
@@ -296,10 +303,10 @@ class SignDiscrimination:
 
     @property
     def rejects_minus(self) -> bool:
-        return self.sigmas_from_minus > 4.0 and self.sigmas_from_plus <= 4.0
+        return self.sigmas_from_minus > SIGMA_BOUND and self.sigmas_from_plus <= SIGMA_BOUND
 
 
-def sign_discrimination(samples: int = 100_000, seed: int = 0) -> SignDiscrimination:
+def sign_discrimination(samples: int = SAMPLES, seed: int = SEED) -> SignDiscrimination:
     """Compare the overlap estimate against (1 +- s_mu z)/4.
 
     It is taken in the singlet channel mu = 2 at L = 1, the point that

@@ -14,9 +14,10 @@ The two-block suites read their mode and oracle routes from the geometry
 table, the mode route through `Geometry.reports` as the CLI does.  The CLI
 `verify` subcommand prints the rows and folds them into an exit code, and
 the test suite reuses them.  A check passes when its worst deviation
-stays within its bound.  Suites take what they read as keywords, with
-the defaults in `run_suites` only.  No row diagonalizes a dense reduced
-density, which would cost more than the whole battery (see README).
+stays within its bound.  Suites take what they read as keywords and
+default none of them; `run_suites` and the CLI take the battery's
+defaults from the module constants below.  No row diagonalizes a dense
+reduced density, which would cost more than the whole battery (see README).
 """
 from __future__ import annotations
 
@@ -36,6 +37,11 @@ from . import sphere_mc as mc
 from .geometry import GEOMETRIES
 
 EXACT = 0.0
+# the battery's defaults, read by run_suites and by the CLI's verify parser
+MAX_SITES = 8
+TOL = 1e-10
+SAMPLES = 20_000
+SEED = 7
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,14 @@ def _spectrum_gap(a, b) -> float:
     x = np.sort(np.concatenate([x, np.zeros(size - x.size)]))
     y = np.sort(np.concatenate([y, np.zeros(size - y.size)]))
     return float(np.max(np.abs(x - y)))
+
+
+# every disjoint layout of two blocks and their gap within six sites
+DISJOINT_GRID = tuple(
+    dict(la=la, gap=gap, lb=lb)
+    for la, gap, lb in product(range(1, 7), repeat=3)
+    if la + gap + lb <= 6
+)
 
 
 # ---------------------------------------------------------------- suites
@@ -157,9 +171,7 @@ def suite_bond_cut(*, tol: float, **_) -> Cases:
 @_suite("disjoint-blocks")
 def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
     geo = GEOMETRIES["disjoint"]
-    grid = product(range(1, 7), repeat=3)
-    points = [dict(la=la, gap=gap, lb=lb) for la, gap, lb in grid if la + gap + lb <= 6]
-    for params, (mode, _, _) in zip(points, geo.reports(points)):
+    for params, (mode, _, _) in zip(DISJOINT_GRID, geo.reports(DISJOINT_GRID)):
         closed = cf.disjoint_spectrum(params["la"], params["gap"], params["lb"])
         poly_gap = _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
         yield "polynomial roots vs mode spectrum", tol, poly_gap
@@ -181,9 +193,7 @@ def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
 @_suite("open-transpose")
 def suite_open_transpose_positivity(*, tol: float, **_) -> Cases:
     geo = GEOMETRIES["disjoint"]
-    grid = product(range(1, 7), repeat=3)
-    points = [dict(la=la, gap=gap, lb=lb) for la, gap, lb in grid if la + gap + lb <= 6]
-    for params, (_, mode_pt, _) in zip(points, geo.reports(points)):
+    for params, (_, mode_pt, _) in zip(DISJOINT_GRID, geo.reports(DISJOINT_GRID)):
         yield "mode transpose min eigenvalue", 1e-12, -min(mode_pt.eigenvalues)
         _, ed_pt = geo.oracle(**params)
         yield "transfer-oracle transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
@@ -289,18 +299,18 @@ def suite_end_blocks(*, tol: float, **_) -> Cases:
 @_suite("monte-carlo")
 def suite_monte_carlo(*, samples: int, seed: int, **_) -> Cases:
     first = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
-    yield "norm, open chain N=1", 4.0, first.sigmas_from(1.0)
+    yield "norm, open chain N=1", mc.SIGMA_BOUND, first.sigmas_from(1.0)
     est = mc.estimate_vbs_norm(4, samples=samples, seed=seed + 1)
-    yield "norm, open chain N=4", 4.0, est.sigmas_from(1.0)
+    yield "norm, open chain N=4", mc.SIGMA_BOUND, est.sigmas_from(1.0)
     est = mc.estimate_vbs_norm(3, samples=samples, seed=seed + 2, ring=True)
-    yield "ring partition N=3", 4.0, est.sigmas_from(mc.vbs_norm_target(3, ring=True))
+    yield "ring partition N=3", mc.SIGMA_BOUND, est.sigmas_from(mc.vbs_norm_target(3, ring=True))
     for mu, length in product(range(4), (1, 2)):
         est = mc.estimate_block_overlap(mu, mu, length, samples=samples, seed=seed + 3)
         target = mc.block_overlap_target(mu, mu, length)
-        yield "diagonal overlaps", 4.0, est.sigmas_from(target)
+        yield "diagonal overlaps", mc.SIGMA_BOUND, est.sigmas_from(target)
     for mu, nu in [(0, 1), (0, 3), (1, 2), (2, 3)]:
         est = mc.estimate_block_overlap(mu, nu, 2, samples=samples, seed=seed + 4)
-        yield "off-diagonal overlaps vanish", 4.0, est.sigmas_from(0.0)
+        yield "off-diagonal overlaps vanish", mc.SIGMA_BOUND, est.sigmas_from(0.0)
     disc = mc.sign_discrimination(samples=samples, seed=seed + 5)
     yield "sign discrimination rejects the minus reading", EXACT, 0.0 if disc.rejects_minus else 1.0
     rerun = mc.estimate_vbs_norm(1, samples=samples, seed=seed)
@@ -312,10 +322,10 @@ def suite_monte_carlo(*, samples: int, seed: int, **_) -> Cases:
 
 def run_suites(
     names=None,
-    max_sites: int = 8,
-    tol: float = 1e-10,
-    samples: int = 20_000,
-    seed: int = 7,
+    max_sites: int = MAX_SITES,
+    tol: float = TOL,
+    samples: int = SAMPLES,
+    seed: int = SEED,
 ) -> list[CheckResult]:
     if not 4 <= max_sites <= mo.MAX_BULK_SITES:
         raise ValueError(

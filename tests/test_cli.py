@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import pytest
 
 import vbsent.cli
 from vbsent import mps_oracle as mo
+from vbsent import sphere_mc as mc
 from vbsent import verify as vf
 from vbsent.cli import _fmt, group_spectrum, main
 
@@ -60,9 +62,52 @@ def test_group_spectrum_merges_within_tolerance():
     assert [v for v, _ in groups] == sorted((v for v, _ in groups), reverse=True)
 
 
-def test_group_spectrum_respects_custom_tolerance():
-    groups = group_spectrum([1.0, 0.9], tol=0.2)
-    assert groups == [(pytest.approx(0.95), 2)]
+def test_group_spectrum_splits_at_the_display_tolerance():
+    assert vbsent.cli.GROUP_DISPLAY_TOL == 1e-9
+    merged = group_spectrum([0.5, 0.5 + 5e-10])
+    assert [m for _, m in merged] == [2]
+    assert merged[0][0] == pytest.approx(0.5 + 2.5e-10, abs=1e-15)
+    split = group_spectrum([0.5, 0.5 + 2e-9])
+    assert split == [(0.5 + 2e-9, 1), (0.5, 1)]
+
+
+# ------------------------------------------------------- shared definitions
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = vbsent.cli.build_parser().parse_args
+    verify = parse(["verify"])
+    suites = inspect.signature(vf.run_suites).parameters
+    for name in ("max_sites", "tol", "samples", "seed"):
+        assert getattr(verify, name) == suites[name].default, name
+    mc_args = parse(["mc"])
+    for estimator in (mc.estimate_vbs_norm, mc.estimate_block_overlap, mc.sign_discrimination):
+        params = inspect.signature(estimator).parameters
+        for name in ("samples", "seed"):
+            assert getattr(mc_args, name) == params[name].default, (estimator.__name__, name)
+
+
+def test_sigma_bound_is_read_by_every_check(monkeypatch):
+    def disc(plus, minus):
+        return mc.SignDiscrimination(None, 0.0, 0.5, plus, minus)
+
+    assert not disc(0.0, 2.0).rejects_minus and disc(1.0, math.inf).rejects_minus
+    monkeypatch.setattr(mc, "SIGMA_BOUND", 0.5)
+    assert disc(0.0, 2.0).rejects_minus and not disc(1.0, math.inf).rejects_minus
+
+    rows = vf.run_suites(["monte-carlo"], samples=1000)
+    sigma_rows = [r for r in rows if r.bound != vf.EXACT]
+    assert len(sigma_rows) == 5 and all(r.bound == 0.5 for r in sigma_rows)
+
+    code, out, err = run_cli(["mc", "--task", "norm", "--samples", "1000"])
+    (table,) = csv_tables(out)
+    sigmas = {r[1]: float(r[5]) for r in table[1:]}
+    # every estimate passes at four standard errors and fails at 0.5
+    assert all(0.5 < s <= 4.0 for s in sigmas.values())
+    assert code == 1
+    assert [line.split(":")[1].strip() for line in err.splitlines()] == [
+        f"norm {parameter}" for parameter in sigmas
+    ]
 
 
 # ------------------------------------------------------------------ pure cut
@@ -361,7 +406,7 @@ def test_sweep_error_paths():
         (["sweep", "disjoint", "--la", "1", "--gap", "1:3"], "--lb"),
         (["sweep", "adjacent", "--la", "1:2", "--lb", "1:2"], "exactly one"),
         (["sweep", "adjacent", "--la", "1", "--lb", "2"], "range"),
-        (["sweep", "pure", "--length", "4:1"], "empty range"),
+        (["sweep", "pure", "--length", "4:1"], "--length range '4:1' is empty"),
         (["sweep", "pure", "--length", "1:2", "--la", "9"], "takes no --la"),
         (["sweep", "mutual-info", "--la", "2", "--lb", "3", "--gap", "1:2"], "equal"),
     ]:
