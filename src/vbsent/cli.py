@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import os
 import platform
 import sys
 
@@ -130,18 +131,26 @@ def _emit_tables(args, tables: list[tuple[tuple, list[dict]]]) -> None:
             results.setdefault(key, []).extend(
                 {k: _rounded(row[k]) for k in header} for row in rows
             )
-        print(json.dumps(_json_envelope(args, results), indent=2, sort_keys=True))
-        return
-    blocks = []
-    for header, rows in tables:
-        if not rows:
-            continue
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(row[k]) for k in header] for row in rows)
-        blocks.append(buf.getvalue().rstrip("\n"))
-    print("\n\n".join(blocks))
+        text = json.dumps(_json_envelope(args, results), indent=2, sort_keys=True)
+    else:
+        blocks = []
+        for header, rows in tables:
+            if not rows:
+                continue
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(row[k]) for k in header] for row in rows)
+            blocks.append(buf.getvalue().rstrip("\n"))
+        text = "\n\n".join(blocks)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: drop the rest, and keep the command's exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json_envelope(args, results) -> dict:
@@ -218,8 +227,7 @@ def _check_mc_args(args) -> None:
     if args.task in ("overlap", "all"):
         mc.check_overlap_args(0, 0, args.length, args.samples)
     mc.check_samples(args.samples)
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    mc.check_seed(args.seed)
 
 
 def _mc_row(task: str, parameter: str, est, target: float) -> dict:

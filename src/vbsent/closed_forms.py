@@ -58,8 +58,6 @@ def _xlogx(value: float) -> float:
 class ChannelWeights:
     """Per-channel weights w_mu(L) = (1 + s_mu z)/4 of a length-L block."""
 
-    length: int
-    z: float
     weights: tuple[float, float, float, float]
 
     @classmethod
@@ -68,7 +66,7 @@ class ChannelWeights:
             raise ValueError(f"block length must be >= 1, got {length}")
         z = decay_parameter(length)
         w = tuple((1.0 + s * z) / 4.0 for s in CHANNEL_SIGNS)
-        return cls(int(length), z, w)
+        return cls(w)
 
     # the singlet weight vanishes exactly at L=1: 3*(1/3) rounds to 1.0
     @property

@@ -4,7 +4,9 @@ Builds the exact valence-bond ground state from 2x2 matrix-product
 tensors (N bulk spin-1 sites, and for open chains one spin-1/2 on each
 end contracted straight onto the virtual bond), and assembles the
 projector Hamiltonian and the correlators with dense linear algebra.
-MAX_BULK_SITES = 12 bounds these dense builders only.
+MAX_BULK_SITES = 12 bounds these dense builders only; verify builds a
+dense state only for its Hamiltonian and correlator rows, where the
+state is what is checked.
 
 Block spectra, of one block or two, trace out everything outside the
 blocks on the same tensors: a traced-out bulk site is the 4x4 transfer
@@ -16,9 +18,10 @@ diagonalize 16 x 16 matrices at any length.  layout_spectra does this
 from the blocks' runs alone, with no state and no length limit, and
 reports only the support's eigenvalues; entanglement_report checks a
 dense state against the cached ground state and returns its reports as
-they are.  One block is a report whose block B is empty.  Nothing here
-reads a closed form, so everything downstream is checked against this
-module.
+they are.  One block is a report whose block B is empty, and
+pure_block_pt_spectrum builds the pure-state transpose from its
+spectrum by schmidt_pt_spectrum.  Nothing here reads a closed form, so
+everything downstream is checked against this module.
 """
 from __future__ import annotations
 
@@ -475,37 +478,18 @@ def entanglement_report(
     return layout_spectra(n_bulk, ring, _runs(n, ring, set_a, set_b))
 
 
-def schmidt_values(state: StateVector, block_sites) -> np.ndarray:
-    """Descending squared Schmidt coefficients of the block/rest bipartition.
-
-    They are the block's spectrum in a report with an empty block B, so
-    the state must be the ground state of its layout up to a global
-    phase, as entanglement_report requires: any other state raises its
-    "miss weight" ValueError, and a site outside the chain its IndexError.
-    One entry per value of the runs' support, clipped at 0: at most 4 for
-    a contiguous block, and none for the block's other basis states.
-    Raises ValueError for an empty block or the whole chain.
-    """
-    n = len(state.site_dims)
-    sites = {int(s) for s in block_sites}
-    if not sites or sites == set(range(n)):
-        raise ValueError("block must be a proper nonempty subset of the sites")
-    block, _ = entanglement_report(state, sites, ())
-    return np.clip(block.eigenvalues[::-1], 0.0, None)
-
-
 def schmidt_pt_spectrum(lams) -> SpectrumReport:
     """Nonzero partial-transpose spectrum of a pure-state bipartition.
 
     For a pure state with squared Schmidt coefficients {l_i}, transposing
     one side gives eigenvalues {l_i} plus a +sqrt(l_i l_j), -sqrt(l_i l_j)
     pair for each i < j; everything else is 0.  Only Schmidt values above
-    1e-12 enter, so at Schmidt rank r the spectrum has r^2 entries.
+    EIG_CLAMP enter, so at Schmidt rank r the spectrum has r^2 entries.
     """
     lams = np.asarray(lams, dtype=float)
     # numerical-noise Schmidt values would seed sqrt(eps * l) ~ 1e-8
     # phantom pairs, so cut at the rank rather than clamp later
-    lams = lams[lams > 1e-12]
+    lams = lams[lams > EIG_CLAMP]
     values = list(lams)
     for a, b in combinations(lams, 2):
         root = math.sqrt(a * b)
@@ -514,10 +498,14 @@ def schmidt_pt_spectrum(lams) -> SpectrumReport:
 
 
 def pure_block_pt_spectrum(state: StateVector, block_sites) -> SpectrumReport:
-    """schmidt_pt_spectrum of the block/rest cut, from schmidt_values.
+    """schmidt_pt_spectrum of the block/rest cut, for a proper nonempty block.
 
-    So the state must be the ground state of its layout up to a global
-    phase, and a contiguous block, of Schmidt rank at most 4, diagonalizes
-    at most 16 x 16 at any length.
+    The Schmidt values are the block's entanglement_report with an empty
+    block B, so the state is checked as there, and a contiguous block, of
+    Schmidt rank at most 4, diagonalizes at most 16 x 16 at any length.
     """
-    return schmidt_pt_spectrum(schmidt_values(state, block_sites))
+    sites = {int(s) for s in block_sites}
+    if not sites or sites == set(range(len(state.site_dims))):
+        raise ValueError("block must be a proper nonempty subset of the sites")
+    block, _ = entanglement_report(state, sites, ())
+    return schmidt_pt_spectrum(block.eigenvalues)

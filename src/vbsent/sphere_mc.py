@@ -120,6 +120,13 @@ def check_samples(samples: int) -> int:
     return samples
 
 
+def check_seed(seed: int) -> int:
+    """Raise the ValueError for a negative seed, which default_rng rejects; return it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def check_norm_args(n_bulk: int, samples: int, ring: bool = False) -> int:
     """Raise the ValueError ``estimate_vbs_norm`` would; return the samples."""
     if n_bulk < 1:
@@ -224,7 +231,7 @@ def estimate_vbs_norm(
     cyclic bond factors, integral 1 + 3(-1/3)^N.
     """
     samples = check_norm_args(n_bulk, samples, ring)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     sites = n_bulk if ring else n_bulk + 2
     config = SphereConfig.sample(rng, samples, sites)
     values = _evaluate_blocks(
@@ -268,7 +275,7 @@ def estimate_block_overlap(
     E|T_0|^2 = 2/3 at L = 1, whose weight must come out as 1/3.
     """
     samples = check_overlap_args(mu, nu, length, samples)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     config = SphereConfig.sample(rng, samples, length)
 
     def evaluate(rows):

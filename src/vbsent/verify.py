@@ -11,7 +11,10 @@ the suite's module name; the tracer in perfbench times each SUITES call,
 so the entries must not be generators.
 
 The two-block suites read their mode and oracle routes from the geometry
-table, the mode route through `Geometry.reports` as the CLI does.  The CLI
+table, the mode route through `Geometry.reports` as the CLI does.  The
+other oracle rows pass the blocks' runs to `mps_oracle.layout_spectra`
+as the table's oracles do, so only the `hamiltonian` and `correlations`
+suites build a dense state: there the state is what is checked.  The CLI
 `verify` subcommand prints the rows and folds them into an exit code, and
 the test suite reuses them.  A check passes when its worst deviation
 stays within its bound.  Suites take what they read as keywords and
@@ -134,12 +137,10 @@ def suite_sigma_identities(**_) -> Cases:
 @_suite("pure-bipartition")
 def suite_pure_bipartition(*, max_sites: int, tol: float, **_) -> Cases:
     for n in range(1, max_sites + 1):
-        state = mo.build_open_chain(n)
         for block_len in range(1, min(4, n) + 1):
             starts = {0, (n - block_len) // 2}
             for start in starts:
-                sites = [1 + start + k for k in range(block_len)]
-                ed_vals = mo.schmidt_values(state, sites)
+                ed_vals = mo.layout_spectra(n, False, [(True, 1 + start, block_len)])[0].eigenvalues
                 formula = cf.pure_block_spectrum(block_len).eigenvalues
                 yield "block spectrum vs channel weights", 1e-12, _spectrum_gap(ed_vals, formula)
                 pt_ed = mo.schmidt_pt_spectrum(ed_vals)
@@ -154,14 +155,12 @@ def suite_pure_bipartition(*, max_sites: int, tol: float, **_) -> Cases:
 def suite_bond_cut(*, tol: float, **_) -> Cases:
     target = [0.5, 0.5, 0.5, -0.5]
     for n in range(2, 5):
-        state = mo.build_open_chain(n)
         for cut in range(1, n + 2):
-            left = list(range(cut))
-            right = list(range(cut, n + 2))
-            _, pt = mo.entanglement_report(state, left, right)
+            _, pt = mo.layout_spectra(n, False, [(True, 0, cut), (False, cut, n + 2 - cut)])
             yield "transpose spectrum (1/2 x3, -1/2)", 1e-12, _spectrum_gap(pt.eigenvalues, target)
             yield "negativity 1/2", 1e-12, abs(pt.negativity - 0.5)
-            schmidt = mo.pure_block_pt_spectrum(state, left)
+            left, _ = mo.layout_spectra(n, False, [(True, 0, cut)])
+            schmidt = mo.schmidt_pt_spectrum(left.eigenvalues)
             schmidt_gap = _spectrum_gap(schmidt.eigenvalues, pt.eigenvalues)
             yield "schmidt route equals transfer-oracle transpose", tol, schmidt_gap
     closed = cf.bipartition_L0_pt_spectrum()
@@ -182,7 +181,7 @@ def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
     target = [4.0 / 27.0] * 5 + [2.0 / 27.0] * 3 + [1.0 / 27.0] + [0.0] * 7
     yield "anchor point (1,1,1)", tol, _spectrum_gap(anchor.eigenvalues, target)
     # blocks embedded in a longer chain see the same two-block operator
-    ed, _ = mo.entanglement_report(mo.build_open_chain(5), [2], [4])
+    ed, _ = mo.layout_spectra(5, False, [(True, 2, 1), (False, 4, 1)])
     yield "independence from surroundings", tol, _spectrum_gap(ed.eigenvalues, anchor.eigenvalues)
     # tracing out a middle block: two couplings chained across it give the
     # two-block coefficients at z(gap)
@@ -284,12 +283,9 @@ def suite_mutual_information(*, tol: float, **_) -> Cases:
 @_suite("end-blocks")
 def suite_end_blocks(*, tol: float, **_) -> Cases:
     for mid in range(1, 4):
-        state = mo.build_open_chain(mid + 2)
-        n_sites = mid + 4
-        left = [0, 1]
-        right = [n_sites - 2, n_sites - 1]
         formula, formula_pt = er.rho_ce_spectra(mid)
-        ed, ed_pt = mo.entanglement_report(state, right, left)
+        # block A is the right end's two sites, block B the left end's
+        ed, ed_pt = mo.layout_spectra(mid + 2, False, [(False, 0, 2), (True, mid + 2, 2)])
         spec_gap = _spectrum_gap(formula.eigenvalues, ed.eigenvalues)
         yield "spectrum equals middle-length weights", tol, spec_gap
         pt_gap = _spectrum_gap(formula_pt.eigenvalues, ed_pt.eigenvalues)
@@ -335,8 +331,7 @@ def run_suites(
         )
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    mc.check_seed(seed)
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

@@ -13,6 +13,10 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +338,40 @@ def test_verify_zero_tolerance_reports_failures():
     assert "check failed:" in err
     (rows,) = csv_tables(out)
     assert any(r[2] == "false" for r in rows[1:])
+
+
+def run_with_closed_stdout(argv):
+    """Exit code and stderr of a vbsent process whose reader has already gone."""
+    src = str(Path(vbsent.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vbsent.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+def test_verify_keeps_its_exit_code_when_stdout_is_closed():
+    code, err = run_with_closed_stdout(["verify", "--max-sites", "4", "--samples", "1000"])
+    assert (code, err) == (0, "")
+    code, err = run_with_closed_stdout(
+        ["verify", "--max-sites", "4", "--samples", "1000", "--tol", "0"]
+    )
+    assert code == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    lines = err.splitlines()
+    assert lines and all(line.startswith("check failed: ") for line in lines)
+
+
+def test_sweep_exits_0_when_stdout_is_closed():
+    argv = ["sweep", "disjoint", "--la", "1:2000", "--gap", "1", "--lb", "1"]
+    code, err = run_with_closed_stdout(argv)
+    assert (code, err) == (0, "")
 
 
 def test_verify_rejects_tiny_site_budget():

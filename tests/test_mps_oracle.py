@@ -12,6 +12,7 @@ import pytest
 
 from vbsent import effective_rho as er
 from vbsent.linalg import (
+    SpectrumReport,
     hermitian_eigvals,
     partial_transpose,
     reduced_density,
@@ -35,7 +36,6 @@ from vbsent.mps_oracle import (
     injectivity_defect,
     layout_spectra,
     pure_block_pt_spectrum,
-    schmidt_values,
     spin_correlation,
     zero_energy_degeneracy,
 )
@@ -229,19 +229,22 @@ def test_entanglement_report_rejects_sites_outside_the_chain():
             entanglement_report(state, a, [1])
 
 
-def test_schmidt_values_normalized():
-    state = build_open_chain(4)
-    lams = schmidt_values(state, [0, 1, 2])
-    assert lams.sum() == pytest.approx(1.0, abs=1e-13)
-    assert np.all(np.diff(lams) <= 0)
+def _one_block(state, block) -> SpectrumReport:
+    """The block's spectrum: an entanglement_report with an empty block B."""
+    return entanglement_report(state, block, ())[0]
 
 
-def test_schmidt_rejects_trivial_cut():
+def test_one_block_spectrum_normalized():
+    lams = _one_block(build_open_chain(4), [0, 1, 2]).eigenvalues
+    assert math.fsum(lams) == pytest.approx(1.0, abs=1e-13)
+    assert np.all(np.diff(lams) >= 0)
+
+
+def test_pure_block_pt_rejects_trivial_cut():
     for state in (build_open_chain(2), build_ring(3)):
-        for fn in (schmidt_values, pure_block_pt_spectrum):
-            for block in ([], range(len(state.site_dims))):
-                with pytest.raises(ValueError, match="proper nonempty subset"):
-                    fn(state, block)
+        for block in ([], range(len(state.site_dims))):
+            with pytest.raises(ValueError, match="proper nonempty subset"):
+                pure_block_pt_spectrum(state, block)
 
 
 def test_pure_pt_schmidt_route_matches_dense():
@@ -298,7 +301,7 @@ def test_one_block_route_matches_dense_reduced_density():
     for state, block in _one_block_cases():
         rho = reduced_density(state.amplitudes, state.site_dims, block)
         dense = np.clip(hermitian_eigvals(rho)[::-1], 0.0, None)
-        lams = schmidt_values(state, block)
+        lams = _one_block(state, block).eigenvalues
         # the support only: the dense values past it are checked against 0
         assert len(lams) <= len(dense)
         assert _padded(lams, len(dense)) == pytest.approx(np.sort(dense), abs=1e-13)
@@ -313,7 +316,7 @@ def test_one_block_route_matches_dense_reduced_density():
 
 def test_one_block_route_takes_only_the_ground_state():
     admixed = _admixed_ring(2.45e-12)
-    for fn in (schmidt_values, pure_block_pt_spectrum):
+    for fn in (_one_block, pure_block_pt_spectrum):
         with pytest.raises(ValueError, match="miss weight 2.45"):
             fn(admixed, [0, 1])
         for block in ([5, 6], [0, 1, 2, 3, 4, 9]):
@@ -550,7 +553,7 @@ def test_reports_hold_only_the_support(monkeypatch):
         assert len(block.eigenvalues) <= 16 and len(pt.eigenvalues) <= 16
         assert len(dims) <= 2 and max(dims) <= 16
     dims = _recorded_eigensolves(monkeypatch)
-    assert len(schmidt_values(state, range(0, 7))) <= 4
+    assert len(_one_block(state, range(0, 7)).eigenvalues) <= 4
     assert len(dims) <= 2 and max(dims) <= 16
 
 

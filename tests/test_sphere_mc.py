@@ -71,6 +71,18 @@ def test_argument_guards():
         estimate_block_overlap(0, 0, 0, samples=MIN_SAMPLES)
 
 
+def test_each_estimator_rejects_a_negative_seed_by_name():
+    estimates = (
+        lambda: estimate_vbs_norm(1, samples=MIN_SAMPLES, seed=-1),
+        lambda: estimate_vbs_norm(3, samples=MIN_SAMPLES, seed=-1, ring=True),
+        lambda: estimate_block_overlap(0, 0, 1, samples=MIN_SAMPLES, seed=-1),
+        lambda: sign_discrimination(samples=MIN_SAMPLES, seed=-1),
+    )
+    for estimate in estimates:
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            estimate()
+
+
 def test_open_norm_within_four_sigma():
     for n, seed in ((1, 3), (2, 4), (4, 5)):
         est = estimate_vbs_norm(n, samples=20_000, seed=seed)

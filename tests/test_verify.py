@@ -120,6 +120,20 @@ def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, re
     assert len(calls) == reports
 
 
+@pytest.mark.parametrize("max_sites", [8, 12])
+def test_only_the_state_claims_build_a_dense_state(monkeypatch, max_sites):
+    # the oracle rows read block layouts; a dense state is built only by
+    # the suites whose claim is about the state itself
+    def no_state(n_bulk):
+        raise AssertionError(f"a dense state of {n_bulk} bulk sites was built")
+
+    monkeypatch.setattr(mo, "build_open_chain", no_state)
+    monkeypatch.setattr(mo, "build_ring", no_state)
+    for name in [n for n in vf.SUITES if n not in ("hamiltonian", "correlations")]:
+        rows = vf.SUITES[name](max_sites=max_sites, tol=vf.TOL, samples=vf.SAMPLES, seed=vf.SEED)
+        assert rows and all(r.passed for r in rows), name
+
+
 def test_empty_suite_list_is_rejected():
     # a battery that checks nothing must not pass
     with pytest.raises(ValueError, match=r"no suites; available: \['adjacent-blocks'"):
