@@ -7,24 +7,43 @@ coefficient matrix over the unnormalized product states together with
 the diagonal Gram weights, and as the orthonormal-basis Hermitian matrix
 D^(1/2) C D^(1/2).  Composite index order is A-major: (mu, rho) -> 4*mu+rho.
 
-`stacked_measures` evaluates a list of operators as stacks: one
-`eigvalsh` over the (P, 16, 16) joint matrices, one over their mode
-transposes and one over each (P, 4, 4) stack of block marginals, each
-stack checked for Hermiticity first.  LAPACK solves every member of a
-stack on its own, so each float equals the one-operator result bitwise;
-`measures` is the one-operator call.  Callers build and evaluate at most
-STACK_POINTS operators at a time, which bounds the memory a long sweep
-holds.
+An OperatorStack holds P operators as arrays with a leading stack axis,
+and every operator is built as one: `open_stack` and `ring_stack` take
+the lengths of P points and broadcast the coefficient tensor, the Gram
+weights and the trace check over them, and `rho_ab_open`,
+`rho_ab_adjacent` and `rho_ab_pbc` are the same builds on a stack of one.
+
+`stacked_measures` evaluates a stack in three array passes.  Four
+`eigvalsh` calls solve the (P, 16, 16) joint matrices, their mode
+transposes and the two (P, 4, 4) stacks of block marginals, each stack
+checked for Hermiticity first.  The joint and transposed stacks are
+solved as complex: the real solver moves the last bit of most of their
+eigenvalues.  The marginals are diagonal in the mode basis, so they are
+solved as real with the same bits.  The joint and transposed eigenvalues
+then form one (2P, 16) array, which `linalg.spectrum_reports` reads in
+one pass, and the marginals one (2P, 4) array, whose entropies
+`linalg.spectrum_entropies` reads in one pass.  LAPACK solves every
+member of a stack on its own, so each float equals the one-operator
+result bitwise; `measures` is the one-operator call.  Callers build and
+evaluate at most STACK_POINTS operators at a time, which bounds the
+memory a long sweep holds.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .closed_forms import CHANNEL_SIGNS, ChannelWeights, decay_parameter
-from .linalg import SpectrumReport, hermitian_eigvals, spectrum_report
+from .linalg import (
+    SpectrumReport,
+    hermitian_eigvals,
+    spectrum_entropies,
+    spectrum_report,
+    spectrum_reports,
+)
 from .pauli_algebra import PARITY, calibrated_epsilon, m4_tensor
 
 TRACE_TOL = 1e-12
@@ -66,42 +85,72 @@ def _transposed(coeff: np.ndarray) -> np.ndarray:
     return coeff4.swapaxes(-4, -2).reshape(coeff.shape)
 
 
+class OperatorStack(NamedTuple):
+    """P operators: coeff and normalized (P, 16, 16), gram (P, 16)."""
+
+    coeff: np.ndarray
+    gram: np.ndarray
+    normalized: np.ndarray
+
+    @classmethod
+    def of(cls, ops: Sequence[EffectiveDensityOperator]) -> "OperatorStack":
+        return cls(
+            np.array([op.coeff for op in ops]),
+            np.array([op.gram for op in ops]),
+            np.array([op.normalized for op in ops]),
+        )
+
+    def member(self, index: int, note: str = "") -> EffectiveDensityOperator:
+        return EffectiveDensityOperator(
+            coeff=self.coeff[index],
+            gram=self.gram[index],
+            normalized=self.normalized[index],
+            note=note,
+        )
+
+
+def _decays(lengths: Sequence[int]) -> np.ndarray:
+    return np.array([decay_parameter(length) for length in lengths], dtype=float)
+
+
 def _assemble(
-    coeff4: np.ndarray, block_a: int, block_b: int, note: str = ""
-) -> EffectiveDensityOperator:
-    w_a = np.array(ChannelWeights.from_length(block_a).weights)
-    w_b = np.array(ChannelWeights.from_length(block_b).weights)
-    gram = np.einsum("m,r->mr", w_a, w_b).reshape(16)
-    coeff = coeff4.reshape(16, 16)
+    coeff4: np.ndarray, block_a: Sequence[int], block_b: Sequence[int]
+) -> OperatorStack:
+    """The stack of coefficient tensors (P, 4, 4, 4, 4) with its blocks' weights."""
+    w = np.array([ChannelWeights.from_length(length).weights for length in [*block_a, *block_b]])
+    count = len(block_a)
+    gram = (w[:count, :, None] * w[count:, None, :]).reshape(-1, 16)
+    coeff = coeff4.reshape(-1, 16, 16)
     normalized = _normalized(coeff, gram)
-    trace = float(np.trace(normalized).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"construction lost the unit trace: {trace!r}")
-    return EffectiveDensityOperator(
-        coeff=coeff,
-        gram=gram,
-        normalized=normalized / trace,
-        note=note,
-    )
+    trace = normalized.trace(axis1=1, axis2=2)
+    kept = np.abs(trace - 1.0) <= TRACE_TOL
+    if not kept.all():
+        raise ValueError(f"construction lost the unit trace: {float(trace[~kept][0])!r}")
+    return OperatorStack(coeff, gram, normalized / trace[:, None, None])
+
+
+_EYE = np.eye(4)
+
+# Kronecker deltas in the coefficient-tensor index order [mu, rho, alpha, beta]
+_D_MA_RB = np.einsum("ma,rb->mrab", _EYE, _EYE)
+_D_MR_AB = np.einsum("mr,ab->mrab", _EYE, _EYE)
+_D_RA_MB = np.einsum("ra,mb->mrab", _EYE, _EYE)
 
 
 def _obc_parts() -> tuple[np.ndarray, np.ndarray]:
     """Integer base and linear tensors with coeff(z) = base + z * linear."""
-    eye = np.eye(4)
-    base = np.einsum("ma,rb->mrab", eye, eye)
-    d_mr_ab = np.einsum("mr,ab->mrab", eye, eye)
-    d_ra_mb = np.einsum("ra,mb->mrab", eye, eye)
     s_ma = _S_PAIR[:, None, :, None]
     s_rb = _S_PAIR[None, :, None, :]
-    linear = -(d_mr_ab - d_ra_mb) * s_ma + _EPS * (s_rb - s_ma) / 2.0
-    return base, linear
+    linear = -(_D_MR_AB - _D_RA_MB) * s_ma + _EPS * (s_rb - s_ma) / 2.0
+    return _D_MA_RB, linear
 
 
 _OBC_BASE, _OBC_LINEAR = _obc_parts()
 
 
-def _obc_coefficients(z: float) -> np.ndarray:
-    return _OBC_BASE + z * _OBC_LINEAR
+def _obc_coefficients(z) -> np.ndarray:
+    """coeff(z) of one z, or of each z of an array, along leading axes."""
+    return _OBC_BASE + np.asarray(z)[..., None, None, None, None] * _OBC_LINEAR
 
 
 def contraction_defect(gap: int) -> float:
@@ -117,16 +166,26 @@ def contraction_defect(gap: int) -> float:
     return float(np.max(np.abs(direct - _obc_coefficients(decay_parameter(gap)))))
 
 
+def open_stack(
+    block_a: Sequence[int], gap: Sequence[int], block_b: Sequence[int]
+) -> OperatorStack:
+    """Two blocks on an open chain per point of the equal-length sequences.
+
+    A gap of 0 gives touching blocks: the coefficients at z(0) = 1.
+    """
+    return _assemble(_obc_coefficients(_decays(gap)), block_a, block_b)
+
+
 def rho_ab_open(block_a: int, gap: int, block_b: int) -> EffectiveDensityOperator:
     """Two disjoint blocks on an open chain, separated by gap >= 1 bulk sites."""
     if gap < 1:
         raise ValueError("disjoint blocks need gap >= 1; use rho_ab_adjacent for 0")
-    return _assemble(_obc_coefficients(decay_parameter(gap)), block_a, block_b)
+    return open_stack([block_a], [gap], [block_b]).member(0)
 
 
 def rho_ab_adjacent(block_a: int, block_b: int) -> EffectiveDensityOperator:
     """Two touching blocks: the gap-dependent coefficients at z = 1."""
-    return _assemble(_obc_coefficients(1.0), block_a, block_b)
+    return open_stack([block_a], [0], [block_b]).member(0)
 
 
 def rho_ce_spectra(middle_length: int) -> tuple[SpectrumReport, SpectrumReport]:
@@ -144,32 +203,57 @@ def rho_ce_spectra(middle_length: int) -> tuple[SpectrumReport, SpectrumReport]:
     return spectrum_report(list(w)), spectrum_report(pt)
 
 
-def _pbc_coefficients(z_c: float, z_d: float, z_total: float) -> np.ndarray:
+def _ring_signs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign tables of the ring coefficients: s s' + s + s', s + s' and R's."""
     s = _SIGNS
-    norm = 1.0 + 3.0 * z_total
-    x, y = z_d, z_c
-
-    def lam(xx: float, yy: float) -> np.ndarray:
-        pair = s[:, None] * s[None, :] + s[:, None] + s[None, :]
-        return (1.0 + pair * xx * yy) / norm
-
-    def gam(xx: float, yy: float) -> np.ndarray:
-        return (s[:, None] + s[None, :]) * (xx * yy - (xx + yy) / 2.0) / norm
-
-    eye = np.eye(4)
-    # R_{rho mu beta alpha}: antisymmetrized sign combination, one factor (x - y)
+    pair = s[:, None] * s[None, :] + s[:, None] + s[None, :]
+    # R_{rho mu beta alpha}: antisymmetrized sign combination
     r4 = (
         s[:, None, None, None]
         - s[None, :, None, None]
         + s[None, None, :, None]
         - s[None, None, None, :]
-    ) * (x - y) / (4.0 * norm)
+    )
+    return pair, s[:, None] + s[None, :], r4
 
-    term1 = np.einsum("ma,rb,ab->mrab", eye, eye, lam(x, y))
-    term2 = np.einsum("ar,mb,am->mrab", eye, eye, gam(x, y))
-    term3 = _EPS * np.einsum("rmba->mrab", r4)
-    term4 = np.einsum("mr,ab,ma->mrab", eye, eye, gam(-x, -y))
-    return term1 - term2 + term3 - term4
+
+_RING_PAIR, _RING_SUM, _RING_R4 = _ring_signs()
+
+
+def _pbc_coefficients(z_c, z_d, z_total) -> np.ndarray:
+    """Ring coefficients of one (z_c, z_d, z_total), or of each along leading axes."""
+    # every parameter carries two trailing axes for the 4x4 channel matrices
+    norm = 1.0 + 3.0 * np.asarray(z_total)[..., None, None]
+    x, y = np.asarray(z_d)[..., None, None], np.asarray(z_c)[..., None, None]
+
+    def lam(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+        return (1.0 + _RING_PAIR * xx * yy) / norm
+
+    def gam(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+        return _RING_SUM * (xx * yy - (xx + yy) / 2.0) / norm
+
+    # R carries one factor (x - y)
+    r4 = _RING_R4 * (x - y)[..., None, None] / (4.0 * norm[..., None, None])
+
+    # delta_ma delta_rb lam_ab - delta_ar delta_mb gam_am + eps R_rmba - delta_mr delta_ab gam'_ma
+    term1 = _D_MA_RB * lam(x, y)[..., None, None, :, :]
+    term2 = _D_RA_MB * gam(x, y).swapaxes(-1, -2)[..., :, None, :, None]
+    term3 = _EPS * r4.swapaxes(-4, -3).swapaxes(-2, -1)
+    term4 = _D_MR_AB * gam(-x, -y)[..., :, None, :, None]
+    # a delta's zeros times a negative entry are -0.0; + 0.0 makes every zero +0.0
+    return term1 - term2 + term3 - term4 + 0.0
+
+
+def ring_stack(
+    block_a: Sequence[int],
+    block_b: Sequence[int],
+    gap_c: Sequence[int],
+    gap_d: Sequence[int],
+) -> OperatorStack:
+    """Two blocks on a ring per point, arcs in cyclic order C, A, D, B."""
+    rings = [a + b + c + d for a, b, c, d in zip(block_a, block_b, gap_c, gap_d)]
+    coeff4 = _pbc_coefficients(_decays(gap_c), _decays(gap_d), _decays(rings))
+    return _assemble(coeff4, block_a, block_b)
 
 
 def rho_ab_pbc(
@@ -181,13 +265,8 @@ def rho_ab_pbc(
     since the positivity guarantee for transposed ring states needs both
     gaps >= 1.
     """
-    coeff4 = _pbc_coefficients(
-        decay_parameter(gap_c),
-        decay_parameter(gap_d),
-        decay_parameter(block_a + block_b + gap_c + gap_d),
-    )
     note = "" if gap_c >= 1 and gap_d >= 1 else "touching blocks on a ring"
-    return _assemble(coeff4, block_a, block_b, note)
+    return ring_stack([block_a], [block_b], [gap_c], [gap_d]).member(0, note)
 
 
 def convexity_coefficients(gap_c: int, gap_d: int) -> tuple[float, float, float, float]:
@@ -233,43 +312,45 @@ class Measures:
     mutual_information: float
 
 
-def stacked_measures(ops: Sequence[EffectiveDensityOperator]) -> list[Measures]:
-    """The measures of each operator, from four stacked eigensolves.
+def stacked_measures(stack: OperatorStack) -> list[Measures]:
+    """The measures of each operator of a stack, in three array passes.
 
-    The joint, transposed and marginal matrices of all the operators are
-    stacked and diagonalized in one call each, however many operators
-    the call takes (callers pass at most STACK_POINTS).  Each Measures is
+    Four eigensolves, over the joint, transposed and two marginal stacks
+    however long the stack is (callers pass at most STACK_POINTS), then
+    one report pass over the joint and transposed eigenvalues and one
+    over the marginals' (see the module docstring).  Each Measures is
     the one `measures` gives for that operator alone, bitwise: the
     marginals trace the orthonormal 16x16 matrix over the other block's
     modes, and the transposes are those of `mode_partial_transpose`.
     """
-    joint = np.array([op.normalized for op in ops], dtype=complex)
-    gram = np.array([op.gram for op in ops])
-    transposed = _normalized(_transposed(np.array([op.coeff for op in ops])), gram)
-    modes = joint.reshape(-1, 4, 4, 4, 4)
-    stacks = zip(
-        hermitian_eigvals(joint),
-        hermitian_eigvals(transposed),
-        hermitian_eigvals(np.einsum("pabcb->pac", modes)),
-        hermitian_eigvals(np.einsum("pabad->pbd", modes)),
+    count = len(stack.gram)
+    transposed = _normalized(_transposed(stack.coeff), stack.gram)
+    modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
+    spectra = spectrum_reports(
+        np.concatenate([hermitian_eigvals(stack.normalized), hermitian_eigvals(transposed)])
     )
-    out = []
-    for vals, pt_vals, vals_a, vals_b in stacks:
-        report = spectrum_report(vals)
-        entropy_a = spectrum_report(vals_a).entropy
-        entropy_b = spectrum_report(vals_b).entropy
-        out.append(
-            Measures(
-                report=report,
-                transpose=spectrum_report(pt_vals),
-                entropy_a=entropy_a,
-                entropy_b=entropy_b,
-                mutual_information=entropy_a + entropy_b - report.entropy,
-            )
+    entropies = spectrum_entropies(
+        np.concatenate(
+            [
+                hermitian_eigvals(np.einsum("pabcb->pac", modes), dtype=float),
+                hermitian_eigvals(np.einsum("pabad->pbd", modes), dtype=float),
+            ]
         )
-    return out
+    )
+    return [
+        Measures(
+            report=report,
+            transpose=transpose,
+            entropy_a=entropy_a,
+            entropy_b=entropy_b,
+            mutual_information=entropy_a + entropy_b - report.entropy,
+        )
+        for report, transpose, entropy_a, entropy_b in zip(
+            spectra[:count], spectra[count:], entropies[:count], entropies[count:]
+        )
+    ]
 
 
 def measures(op: EffectiveDensityOperator) -> Measures:
     """Joint and transpose spectra, the block entropies and their mutual information."""
-    return stacked_measures([op])[0]
+    return stacked_measures(OperatorStack.of([op]))[0]

@@ -37,7 +37,8 @@ class Geometry(NamedTuple):
     params as keywords.  A geometry has one of two routes to its Reports,
     the block spectrum, the partial-transpose spectrum and I(A:B), which
     `reports` reads: `closed` returns them from the closed forms, and
-    `operator` builds the 16x16 mode operator they are read from.  A
+    `operators` builds the stack of 16x16 mode operators they are read
+    from; it takes each flag as the list of its values over the points.  A
     two-block geometry has a third route, `oracle`, which returns the
     block and partial-transpose spectra of mps_oracle.layout_spectra on
     the blocks' runs in its chain or ring.  `limit` is the closed-form
@@ -48,7 +49,7 @@ class Geometry(NamedTuple):
     help: str
     flags: tuple[tuple[str, int | None, int], ...]
     closed: Callable[..., Reports] | None = None
-    operator: Callable[..., er.EffectiveDensityOperator] | None = None
+    operators: Callable[..., er.OperatorStack] | None = None
     oracle: Callable[..., Spectra] | None = None
     limit: Callable[..., float] | None = None
     equal_blocks: bool = False
@@ -79,22 +80,28 @@ class Geometry(NamedTuple):
     def label(self, params: dict, head: str | None = None) -> str:
         return " ".join([head or self.name] + [f"{k}={params[k]}" for k in self.names])
 
+    def operator(self, **params) -> er.EffectiveDensityOperator:
+        """The mode operator of one point of validated params."""
+        return self.operators(**{name: [value] for name, value in params.items()}).member(0)
+
     def reports(self, points: list[dict]) -> list[Reports]:
         """One Reports per point of validated params, in order.
 
         A closed-form geometry evaluates point by point.  An operator
-        geometry builds its operators in stacks of at most
-        er.STACK_POINTS points and reads each stack's measures with
-        er.stacked_measures, so a call costs four eigensolves per stack
-        and holds one stack's operators at a time.  Every float equals
-        the one a single-point call gives.
+        geometry takes its points in stacks of at most er.STACK_POINTS
+        and evaluates each stack as arrays from build to report: one
+        broadcast build of the stack's operators, four eigensolves and
+        two report passes in er.stacked_measures.  A call holds one
+        stack's operators at a time, and every float equals the one a
+        single-point call gives.
         """
-        if self.operator is None:
+        if self.operators is None:
             return [self.closed(**params) for params in points]
         out = []
         for start in range(0, len(points), er.STACK_POINTS):
             stack = points[start : start + er.STACK_POINTS]
-            measures = er.stacked_measures([self.operator(**p) for p in stack])
+            columns = {name: [params[name] for params in stack] for name in self.names}
+            measures = er.stacked_measures(self.operators(**columns))
             out += [(m.report, m.transpose, m.mutual_information) for m in measures]
         return out
 
@@ -138,28 +145,28 @@ GEOMETRIES = {
             "disjoint",
             "two separated blocks on the open chain",
             (("la", None, 1), ("gap", None, 1), ("lb", None, 1)),
-            operator=lambda la, gap, lb: er.rho_ab_open(la, gap, lb),
+            operators=lambda la, gap, lb: er.open_stack(la, gap, lb),
             oracle=_open_oracle,
         ),
         Geometry(
             "adjacent",
             "two touching blocks on the open chain",
             (("la", None, 1), ("lb", None, 1)),
-            operator=lambda la, lb: er.rho_ab_adjacent(la, lb),
+            operators=lambda la, lb: er.open_stack(la, [0] * len(la), lb),
             oracle=lambda la, lb: _open_oracle(la, 0, lb),
         ),
         Geometry(
             "pbc",
             "two blocks on a ring",
             (("la", None, 1), ("lb", None, 1), ("lc", None, 0), ("ld", None, 0)),
-            operator=lambda la, lb, lc, ld: er.rho_ab_pbc(la, lb, lc, ld),
+            operators=lambda la, lb, lc, ld: er.ring_stack(la, lb, lc, ld),
             oracle=_ring_oracle,
         ),
         Geometry(
             "mutual-info",
             "finite-size vs asymptotic mutual information",
             (("la", 6, 1), ("lb", 6, 1), ("gap", None, 1)),
-            operator=lambda la, lb, gap: er.rho_ab_open(la, gap, lb),
+            operators=lambda la, lb, gap: er.open_stack(la, gap, lb),
             oracle=_open_oracle,
             limit=lambda la, lb, gap: cf.mutual_information(cf.decay_parameter(gap)),
             equal_blocks=True,

@@ -4,6 +4,13 @@ Index layout is site major everywhere: the leftmost site is the
 slowest-varying index of the flattened vector or matrix, i.e. plain
 ``reshape(site_dims)`` order.  All entropies use the natural log; the
 logarithmic negativity uses log base 2.
+
+`spectrum_report` reads the measures of one spectrum; `spectrum_reports`
+reads those of every row of a (R, n) eigenvalue array in one pass, and
+`spectrum_entropies` only their entropies, each float equal to
+`spectrum_report`'s for that row bitwise.  Eigensolves go
+through `hermitian_eigvals`, which checks raw input for Hermiticity and
+solves it as complex unless the caller asks for the real solver.
 """
 from __future__ import annotations
 
@@ -23,7 +30,8 @@ EIG_CLAMP = 1e-12
 def _check_hermitian(m: np.ndarray) -> None:
     """Raise unless m, one matrix or a stack (..., n, n), is Hermitian."""
     asym = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
-    if asym > HERMITICITY_TOL:
+    # a NaN asymmetry fails the comparison, so it is rejected too
+    if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e}")
 
 
@@ -90,22 +98,84 @@ def spectrum_report(values) -> SpectrumReport:
     )
 
 
-def _as_matrix(op) -> np.ndarray:
+def _groups(counts: np.ndarray):
+    """(count, row selector) for each distinct count of a (R,) array."""
+    distinct = set(counts.tolist())
+    if len(distinct) == 1:
+        return [(distinct.pop(), slice(None))]
+    return [(count, counts == count) for count in distinct]
+
+
+def _entropies(vals: np.ndarray) -> np.ndarray:
+    """The entropy of each row of sorted values, over its values above EIG_CLAMP."""
+    out = np.empty(len(vals))
+    n = vals.shape[-1]
+    for count, group in _groups((vals > EIG_CLAMP).sum(axis=-1)):
+        positive = vals[group, n - count :]
+        out[group] = -(positive * np.log(positive)).sum(axis=-1)
+    return out
+
+
+def spectrum_entropies(rows) -> list[float]:
+    """spectrum_report(row).entropy of each row of a (R, n) array, bitwise."""
+    return _entropies(np.sort(np.asarray(rows, dtype=float), axis=-1)).tolist()
+
+
+def spectrum_reports(rows) -> list[SpectrumReport]:
+    """spectrum_report of each row of a (R, n) array of real eigenvalues.
+
+    Trace, negativity, entropy and purity are computed for all rows at
+    once, and each float equals spectrum_report's for its row bitwise.
+    numpy's pairwise sum depends on the summed length, so the negativity
+    and the entropy are summed per group of rows with the same count of
+    values below -EIG_CLAMP (above EIG_CLAMP): each row's sorted prefix
+    (suffix) of that length is then the run spectrum_report sums.
+    """
+    vals = np.sort(np.asarray(rows, dtype=float), axis=-1)
+    trace = vals.sum(axis=-1)
+    neg = np.empty_like(trace)
+    for count, group in _groups((vals < -EIG_CLAMP).sum(axis=-1)):
+        neg[group] = -vals[group, :count].sum(axis=-1)
+    columns = zip(
+        vals,
+        trace.tolist(),
+        neg.tolist(),
+        (trace + 2.0 * neg).tolist(),
+        _entropies(vals).tolist(),
+        (vals**2).sum(axis=-1).tolist(),
+    )
+    return [
+        SpectrumReport(
+            eigenvalues=tuple(row),
+            trace=t,
+            negativity=ng,
+            log_negativity=math.log2(trace_norm),
+            entropy=e,
+            purity=p,
+        )
+        for row, t, ng, trace_norm, e, p in columns
+    ]
+
+
+def _as_matrix(op, dtype) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.entries
-    m = np.asarray(op, dtype=complex)
+    m = np.asarray(op, dtype=dtype)
     _check_hermitian(m)
     return m
 
 
-def hermitian_eigvals(op) -> np.ndarray:
+def hermitian_eigvals(op, dtype=complex) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each in a stack.
 
     Accepts a HermitianOperator, a raw matrix or a raw stack (..., n, n),
     whose result is (..., n); raw input is checked for Hermiticity first
-    and rejected with the maximal asymmetry in the message.
+    and rejected with the maximal asymmetry in the message.  Raw input
+    is solved as dtype: complex unless the caller passes float for a
+    real symmetric matrix.  The real and the complex solver can differ
+    in the last bit of an eigenvalue.
     """
-    return np.linalg.eigvalsh(_as_matrix(op))
+    return np.linalg.eigvalsh(_as_matrix(op, dtype))
 
 
 def _check_sites(sites, n: int) -> list[int]:

@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 import vbsent.cli
+from vbsent import effective_rho as er
+from vbsent import linalg
 from vbsent import mps_oracle as mo
 from vbsent import sphere_mc as mc
 from vbsent import verify as vf
@@ -542,6 +544,56 @@ def test_sweep_solves_four_stacks_per_16_points_with_one_parser(monkeypatch):
     finally:
         vbsent.cli.build_parser.cache_clear()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disjoint", "--la", "2", "--gap", "1:200", "--lb", "3"],
+        ["adjacent", "--la", "1:200", "--lb", "2"],
+        ["pbc", "--la", "1:200", "--lb", "2", "--lc", "0", "--ld", "1"],
+        ["mutual-info", "--gap", "1:200"],
+    ],
+)
+def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved.append((a.dtype, a.shape))
+        return eigvalsh(a, *args, **kwargs)
+
+    builds = []
+    assemble = er._assemble
+
+    def counted_assemble(*args, **kwargs):
+        builds.append(args)
+        return assemble(*args, **kwargs)
+
+    reports = []
+    spectrum_report = linalg.spectrum_report
+
+    def counted_report(*args, **kwargs):
+        reports.append(args)
+        return spectrum_report(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(er, "_assemble", counted_assemble)
+    # every binding of spectrum_report in the package, module attribute or import
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vbsent") and getattr(module, "spectrum_report", None) is spectrum_report:
+            monkeypatch.setattr(module, "spectrum_report", counted_report)
+    code, out, _ = run_cli(["sweep"] + argv)
+    assert code == 0 and len(csv_tables(out)[0]) == 201
+    stacks = math.ceil(200 / 16)
+    assert len(builds) == stacks
+    assert reports == []
+    assert len(solved) == 4 * stacks
+    # the joint and transposed stacks keep the complex solver, as the real
+    # one moves the last bit of their eigenvalues; the block marginals are
+    # diagonal, so the real solver gives them the same bits
+    assert {str(dtype) for dtype, shape in solved if shape[1:] == (16, 16)} == {"complex128"}
+    assert {str(dtype) for dtype, shape in solved if shape[1:] == (4, 4)} == {"float64"}
 
 
 def test_cached_parser_carries_no_flags_between_calls():

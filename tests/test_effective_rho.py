@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vbsent import mps_oracle as mo
 from vbsent.closed_forms import (
@@ -20,6 +22,8 @@ from vbsent.closed_forms import (
     mutual_information,
 )
 from vbsent.effective_rho import (
+    EffectiveDensityOperator,
+    OperatorStack,
     _obc_coefficients,
     _pbc_coefficients,
     contraction_defect,
@@ -371,8 +375,64 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
     for size in (1, 7, 16, len(ops)):
         stacked = []
         for start in range(0, len(ops), size):
-            stacked += stacked_measures(ops[start : start + size])
+            stacked += stacked_measures(OperatorStack.of(ops[start : start + size]))
         for op, m in zip(ops, stacked, strict=True):
             got = (m.report, m.transpose, m.entropy_a, m.entropy_b, m.mutual_information)
             assert repr(got) == repr(_measures_one_by_one(op))
             assert repr(measures(op)) == repr(m)
+
+
+def _built_one_by_one(coeff4, block_a, block_b):
+    """The per-point build the broadcast one replaced: one operator, its own trace."""
+    w_a = np.array(ChannelWeights.from_length(block_a).weights)
+    w_b = np.array(ChannelWeights.from_length(block_b).weights)
+    gram = np.einsum("m,r->mr", w_a, w_b).reshape(16)
+    coeff = coeff4.reshape(16, 16)
+    half = np.sqrt(gram)
+    normalized = half[:, None] * coeff * half[None, :]
+    return EffectiveDensityOperator(coeff, gram, normalized / float(np.trace(normalized)))
+
+
+def _operator_one_by_one(name, params):
+    la, lb = params["la"], params["lb"]
+    if name == "pbc":
+        lc, ld = params["lc"], params["ld"]
+        z = [decay_parameter(length) for length in (lc, ld, la + lb + lc + ld)]
+        return _built_one_by_one(_pbc_coefficients(*z), la, lb)
+    z = 1.0 if name == "adjacent" else decay_parameter(params["gap"])
+    return _built_one_by_one(_obc_coefficients(z), la, lb)
+
+
+# short blocks give clamped zeros (w_singlet(1) = 0) and negative transpose
+# eigenvalues; from 679 on, z underflows to a signed zero
+_LENGTHS = st.one_of(st.integers(1, 4), st.integers(1, 1000), st.integers(679, 1000))
+_RING_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000))
+
+
+@st.composite
+def _geometry_points(draw):
+    name = draw(st.sampled_from(["disjoint", "adjacent", "pbc", "mutual-info"]))
+    geo = GEOMETRIES[name]
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        given = {f: draw(_RING_GAPS if f in ("lc", "ld") else _LENGTHS) for f in geo.names}
+        if geo.equal_blocks:
+            given["lb"] = given["la"]
+        points.append(geo.params(**given))
+    return name, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_geometry_points())
+@example(("adjacent", [dict(la=1, lb=1), dict(la=1, lb=3), dict(la=2, lb=679)]))
+@example(("disjoint", [dict(la=1, gap=1, lb=1), dict(la=679, gap=1000, lb=680)]))
+@example(("pbc", [dict(la=1, lb=1, lc=0, ld=0), dict(la=700, lb=2, lc=0, ld=679)]))
+def test_geometry_reports_equal_the_per_point_reference_bitwise(drawn):
+    # the stacked route from broadcast build to report pass against one
+    # operator built, solved and reported at a time
+    name, points = drawn
+    want = []
+    for params in points:
+        report, transpose, _, _, mutual = _measures_one_by_one(_operator_one_by_one(name, params))
+        want.append((report, transpose, mutual))
+    assert repr(GEOMETRIES[name].reports(points)) == repr(want)

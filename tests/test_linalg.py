@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vbsent.linalg import (
     EIG_CLAMP,
@@ -12,7 +14,9 @@ from vbsent.linalg import (
     partial_trace,
     partial_transpose,
     reduced_density,
+    spectrum_entropies,
     spectrum_report,
+    spectrum_reports,
 )
 
 
@@ -102,6 +106,66 @@ def test_hermitian_eigvals_of_a_stack_check_every_member():
     stack[1, 2, 5] += 1e-6
     with pytest.raises(ValueError, match=r"max \|M - M\^H\| = 1\.000e-06"):
         hermitian_eigvals(stack)
+
+
+def test_hermitian_eigvals_rejects_a_nan_entry():
+    # NaN - 2 is NaN, which fails every comparison with the tolerance
+    m = np.array([[1.0, 2.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian: max .* = nan"):
+        hermitian_eigvals(m)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigvals(m, dtype=float)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(m, (2,))
+
+
+def test_hermitian_eigvals_rejects_a_nan_stack_member():
+    stack = np.array([np.eye(4)] * 3)
+    stack[1, 3, 3] = np.nan
+    for dtype in (complex, float):
+        with pytest.raises(ValueError, match="not Hermitian: max .* = nan"):
+            hermitian_eigvals(stack, dtype=dtype)
+
+
+def test_hermitian_eigvals_solves_real_input_as_asked():
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.dtype)
+        return eigvalsh(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", spy)
+        for dtype in (complex, float):
+            assert hermitian_eigvals(m, dtype=dtype).tolist() == [1.0, 3.0]
+    assert seen == [np.dtype(complex), np.dtype(float)]
+
+
+# values around the clamp: clamped zeros of either sign, round-off and
+# genuine negative eigenvalues, and weights down to underflow
+_EIGENVALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-15, -1e-15, EIG_CLAMP, -EIG_CLAMP, 0.25, 1.0]),
+    st.floats(-0.5, 1.0, allow_subnormal=True),
+)
+
+
+def _rows(n: int):
+    # each row keeps one weight of at least 0.01, so its trace norm is positive
+    row = st.tuples(st.lists(_EIGENVALUES, min_size=n - 1, max_size=n - 1), st.floats(0.01, 1.0))
+    return st.lists(row.map(lambda drawn: drawn[0] + [drawn[1]]), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 16).flatmap(_rows))
+@example([[0.5, 0.5, 0.5, -0.5], [1.0, -1e-15, 1e-15, 0.0], [0.25, 0.25, 0.25, 0.25]])
+def test_spectrum_reports_equal_spectrum_report_bitwise(rows):
+    # rows of one length with any mix of negative, clamped and positive
+    # counts; repr tells every float (and -0.0) apart
+    want = [spectrum_report(row) for row in rows]
+    assert repr(spectrum_reports(np.array(rows))) == repr(want)
+    assert repr(spectrum_entropies(np.array(rows))) == repr([r.entropy for r in want])
 
 
 def test_partial_trace_of_product_operator():
