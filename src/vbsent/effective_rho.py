@@ -13,7 +13,7 @@ the lengths of P points and broadcast the coefficient tensor, the Gram
 weights and the trace check over them, and `rho_ab_open`,
 `rho_ab_adjacent` and `rho_ab_pbc` are the same builds on a stack of one.
 
-`stacked_measures` evaluates a stack in three array passes.  Four
+`stacked_measures` evaluates a stack as arrays.  Four
 `eigvalsh` calls solve the (P, 16, 16) joint matrices, their mode
 transposes and the two (P, 4, 4) stacks of block marginals, each stack
 checked for Hermiticity first.  The joint and transposed stacks are
@@ -313,7 +313,7 @@ class Measures:
 
 
 def stacked_measures(stack: OperatorStack) -> list[Measures]:
-    """The measures of each operator of a stack, in three array passes.
+    """The measures of each operator of a stack, from stacked solves and reports.
 
     Four eigensolves, over the joint, transposed and two marginal stacks
     however long the stack is (callers pass at most STACK_POINTS), then
