@@ -13,13 +13,11 @@ the lengths of P points and broadcast the coefficient tensor, the Gram
 weights and the trace check over them, and `rho_ab_open`,
 `rho_ab_adjacent` and `rho_ab_pbc` are the same builds on a stack of one.
 
-`stacked_measures` evaluates a stack as arrays.  Four
-`eigvalsh` calls solve the (P, 16, 16) joint matrices, their mode
-transposes and the two (P, 4, 4) stacks of block marginals, each stack
-checked for Hermiticity first.  The joint and transposed stacks are
-solved as complex: the real solver moves the last bit of most of their
-eigenvalues.  The marginals are diagonal in the mode basis, so they are
-solved as real with the same bits.  The joint and transposed eigenvalues
+`stacked_measures` evaluates a stack as arrays.  Four `eigvalsh` calls
+solve the (P, 16, 16) joint matrices, their mode transposes and the two
+(P, 4, 4) stacks of block marginals, each stack checked for Hermiticity
+first and solved as complex: the real solver moves the last bit of most
+joint and transposed eigenvalues.  The joint and transposed eigenvalues
 then form one (2P, 16) array, which `linalg.spectrum_reports` reads in
 one pass, and the marginals one (2P, 4) array, whose entropies
 `linalg.spectrum_entropies` reads in one pass.  LAPACK solves every
@@ -240,8 +238,7 @@ def _pbc_coefficients(z_c, z_d, z_total) -> np.ndarray:
     term2 = _D_RA_MB * gam(x, y).swapaxes(-1, -2)[..., :, None, :, None]
     term3 = _EPS * r4.swapaxes(-4, -3).swapaxes(-2, -1)
     term4 = _D_MR_AB * gam(-x, -y)[..., :, None, :, None]
-    # a delta's zeros times a negative entry are -0.0; + 0.0 makes every zero +0.0
-    return term1 - term2 + term3 - term4 + 0.0
+    return term1 - term2 + term3 - term4
 
 
 def ring_stack(
@@ -332,8 +329,8 @@ def stacked_measures(stack: OperatorStack) -> list[Measures]:
     entropies = spectrum_entropies(
         np.concatenate(
             [
-                hermitian_eigvals(np.einsum("pabcb->pac", modes), dtype=float),
-                hermitian_eigvals(np.einsum("pabad->pbd", modes), dtype=float),
+                hermitian_eigvals(np.einsum("pabcb->pac", modes)),
+                hermitian_eigvals(np.einsum("pabad->pbd", modes)),
             ]
         )
     )

@@ -10,7 +10,7 @@ reads those of every row of a (R, n) eigenvalue array in one pass, and
 `spectrum_entropies` only their entropies, each float equal to
 `spectrum_report`'s for that row bitwise.  Eigensolves go
 through `hermitian_eigvals`, which checks raw input for Hermiticity and
-solves it as complex unless the caller asks for the real solver.
+solves it as complex.
 """
 from __future__ import annotations
 
@@ -157,25 +157,22 @@ def spectrum_reports(rows) -> list[SpectrumReport]:
     ]
 
 
-def _as_matrix(op, dtype) -> np.ndarray:
+def _as_matrix(op) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.entries
-    m = np.asarray(op, dtype=dtype)
+    m = np.asarray(op, dtype=complex)
     _check_hermitian(m)
     return m
 
 
-def hermitian_eigvals(op, dtype=complex) -> np.ndarray:
+def hermitian_eigvals(op) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each in a stack.
 
     Accepts a HermitianOperator, a raw matrix or a raw stack (..., n, n),
     whose result is (..., n); raw input is checked for Hermiticity first
-    and rejected with the maximal asymmetry in the message.  Raw input
-    is solved as dtype: complex unless the caller passes float for a
-    real symmetric matrix.  The real and the complex solver can differ
-    in the last bit of an eigenvalue.
+    and rejected with the maximal asymmetry in the message.
     """
-    return np.linalg.eigvalsh(_as_matrix(op, dtype))
+    return np.linalg.eigvalsh(_as_matrix(op))
 
 
 def _check_sites(sites, n: int) -> list[int]:

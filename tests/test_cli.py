@@ -589,11 +589,9 @@ def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
     assert len(builds) == stacks
     assert reports == []
     assert len(solved) == 4 * stacks
-    # the joint and transposed stacks keep the complex solver, as the real
-    # one moves the last bit of their eigenvalues; the block marginals are
-    # diagonal, so the real solver gives them the same bits
-    assert {str(dtype) for dtype, shape in solved if shape[1:] == (16, 16)} == {"complex128"}
-    assert {str(dtype) for dtype, shape in solved if shape[1:] == (4, 4)} == {"float64"}
+    # every stack keeps the complex solver, as the real one moves the last
+    # bit of most joint and transposed eigenvalues
+    assert {str(dtype) for dtype, _ in solved} == {"complex128"}
 
 
 def test_cached_parser_carries_no_flags_between_calls():

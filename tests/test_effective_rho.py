@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from vbsent import mps_oracle as mo
 from vbsent.closed_forms import (
+    CHANNEL_SIGNS,
     ChannelWeights,
     adjacent_pt_negativity,
     adjacent_pt_spectrum,
@@ -43,6 +44,7 @@ from vbsent.linalg import (
     partial_trace,
     spectrum_report,
 )
+from vbsent.pauli_algebra import calibrated_epsilon
 
 
 def mode_partial_trace(op, over):
@@ -382,6 +384,49 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
             assert repr(measures(op)) == repr(m)
 
 
+_SIGNS = np.array(CHANNEL_SIGNS, dtype=float)
+_EYE = np.eye(4)
+# calibrated epsilon in the coefficient-tensor index order [mu, rho, alpha, beta]
+_EPS = np.einsum("abmr->mrab", calibrated_epsilon().astype(float))
+
+
+def _obc_one_by_one(z):
+    """The open-chain coefficients of one scalar z, in the per-point einsum form."""
+    s_pair = (_SIGNS[:, None] + _SIGNS[None, :]) / 2.0
+    s_ma = s_pair[:, None, :, None]
+    s_rb = s_pair[None, :, None, :]
+    d_mr_ab = np.einsum("mr,ab->mrab", _EYE, _EYE)
+    d_ra_mb = np.einsum("ra,mb->mrab", _EYE, _EYE)
+    linear = -(d_mr_ab - d_ra_mb) * s_ma + _EPS * (s_rb - s_ma) / 2.0
+    return np.einsum("ma,rb->mrab", _EYE, _EYE) + z * linear
+
+
+def _pbc_one_by_one(z_c, z_d, z_total):
+    """The ring coefficients of one scalar triple, in the per-point einsum form."""
+    s = _SIGNS
+    norm = 1.0 + 3.0 * z_total
+    x, y = z_d, z_c
+
+    def lam(xx, yy):
+        pair = s[:, None] * s[None, :] + s[:, None] + s[None, :]
+        return (1.0 + pair * xx * yy) / norm
+
+    def gam(xx, yy):
+        return (s[:, None] + s[None, :]) * (xx * yy - (xx + yy) / 2.0) / norm
+
+    r4 = (
+        s[:, None, None, None]
+        - s[None, :, None, None]
+        + s[None, None, :, None]
+        - s[None, None, None, :]
+    ) * (x - y) / (4.0 * norm)
+    term1 = np.einsum("ma,rb,ab->mrab", _EYE, _EYE, lam(x, y))
+    term2 = np.einsum("ar,mb,am->mrab", _EYE, _EYE, gam(x, y))
+    term3 = _EPS * np.einsum("rmba->mrab", r4)
+    term4 = np.einsum("mr,ab,ma->mrab", _EYE, _EYE, gam(-x, -y))
+    return term1 - term2 + term3 - term4
+
+
 def _built_one_by_one(coeff4, block_a, block_b):
     """The per-point build the broadcast one replaced: one operator, its own trace."""
     w_a = np.array(ChannelWeights.from_length(block_a).weights)
@@ -398,15 +443,39 @@ def _operator_one_by_one(name, params):
     if name == "pbc":
         lc, ld = params["lc"], params["ld"]
         z = [decay_parameter(length) for length in (lc, ld, la + lb + lc + ld)]
-        return _built_one_by_one(_pbc_coefficients(*z), la, lb)
+        return _built_one_by_one(_pbc_one_by_one(*z), la, lb)
     z = 1.0 if name == "adjacent" else decay_parameter(params["gap"])
-    return _built_one_by_one(_obc_coefficients(z), la, lb)
+    return _built_one_by_one(_obc_one_by_one(z), la, lb)
 
 
 # short blocks give clamped zeros (w_singlet(1) = 0) and negative transpose
 # eigenvalues; from 679 on, z underflows to a signed zero
 _LENGTHS = st.one_of(st.integers(1, 4), st.integers(1, 1000), st.integers(679, 1000))
 _RING_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000))
+
+
+# a ring holds its two blocks, so its total length is at least 2
+_RING_TOTALS = st.one_of(st.integers(2, 5), st.integers(2, 4000), st.integers(679, 4000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_RING_GAPS, _RING_GAPS, _RING_TOTALS), min_size=1, max_size=40))
+@example([(0, 0, 2), (0, 679, 700), (1, 2, 2000), (679, 680, 5)])
+def test_broadcast_coefficients_equal_the_einsum_reference_bitwise(rings):
+    # tobytes tells -0.0 from 0.0, which repr of a report need not show
+    z_c, z_d, z_total = (
+        np.array([decay_parameter(length) for length in column]) for column in zip(*rings)
+    )
+    stacked = _pbc_coefficients(z_c, z_d, z_total)
+    for member, zs in zip(stacked, zip(z_c, z_d, z_total), strict=True):
+        want = _pbc_one_by_one(*map(float, zs)).tobytes()
+        assert member.tobytes() == want
+        assert _pbc_coefficients(*map(float, zs)).tobytes() == want
+    zs = np.append(z_c, 1.0)
+    for member, z in zip(_obc_coefficients(zs), zs, strict=True):
+        want = _obc_one_by_one(float(z)).tobytes()
+        assert member.tobytes() == want
+        assert _obc_coefficients(float(z)).tobytes() == want
 
 
 @st.composite
