@@ -141,6 +141,7 @@ def _rows(n: int):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 16).flatmap(_rows))
 @example([[0.5, 0.5, 0.5, -0.5], [1.0, -1e-15, 1e-15, 0.0], [0.25, 0.25, 0.25, 0.25]])
+@example([[0.5, 0.5, 0.25, -0.25], [1.0, -1e-15, 1e-15, 0.0]])  # every row its own group
 def test_spectrum_reports_equal_spectrum_report_bitwise(rows):
     # rows of one length with any mix of negative, clamped and positive
     # counts; repr tells every float (and -0.0) apart
