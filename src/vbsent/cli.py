@@ -31,6 +31,10 @@ from .linalg import EIG_CLAMP, HERMITICITY_TOL
 
 GROUP_DISPLAY_TOL = 1e-9
 
+# points per sweep: from length 679 on z = (-1/3)^L is a signed zero, so
+# a longer sweep only repeats rows
+MAX_SWEEP_POINTS = 10_000
+
 SPECTRA_HEADER = ("geometry", "index", "eigenvalue", "multiplicity")
 MEASURES_HEADER = (
     "geometry",
@@ -331,6 +335,11 @@ def _parse_span(flag: str, text: str):
         raise ValueError(f"--{flag} takes an integer or a range lo:hi, got {text!r}") from None
     if start > stop:
         raise ValueError(f"--{flag} range {text!r} is empty")
+    if stop - start >= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"--{flag} range {text!r} has {stop - start + 1} points; "
+            f"sweep takes at most {MAX_SWEEP_POINTS}"
+        )
     return list(range(start, stop + 1))
 
 

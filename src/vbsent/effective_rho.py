@@ -7,11 +7,12 @@ coefficient matrix over the unnormalized product states together with
 the diagonal Gram weights, and as the orthonormal-basis Hermitian matrix
 D^(1/2) C D^(1/2).  Composite index order is A-major: (mu, rho) -> 4*mu+rho.
 
-An OperatorStack holds P operators as arrays with a leading stack axis,
-and every operator is built as one: `open_stack` and `ring_stack` take
-the lengths of P points and broadcast the coefficient tensor, the Gram
-weights and the trace check over them, and `rho_ab_open`,
-`rho_ab_adjacent` and `rho_ab_pbc` are the same builds on a stack of one.
+An EffectiveDensityOperator holds one operator, or a stack of P along a
+leading axis of all three arrays, and indexing it indexes all three.
+`open_stack` and `ring_stack` take the lengths of P points and broadcast
+the coefficient tensor, the Gram weights and the trace check over them;
+`rho_ab_open`, `rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a
+one-point build.
 
 `stacked_measures` evaluates a stack as arrays.  Four `eigvalsh` calls
 solve the (P, 16, 16) joint matrices, their mode transposes and the two
@@ -21,16 +22,16 @@ joint and transposed eigenvalues.  The joint and transposed eigenvalues
 then form one (2P, 16) array, which `linalg.spectrum_reports` reads in
 one pass, and the marginals one (2P, 4) array, whose entropies
 `linalg.spectrum_entropies` reads in one pass.  LAPACK solves every
-member of a stack on its own, so each float equals the one-operator
-result bitwise; `measures` is the one-operator call.  Callers build and
-evaluate at most STACK_POINTS operators at a time, which bounds the
-memory a long sweep holds.
+member of a stack on its own, and the report passes read every row on
+its own, so a member's measures do not depend on its stack; `measures`
+is the one-operator call.  Callers build and evaluate at most
+STACK_POINTS operators at a time, which bounds the memory a long sweep
+holds.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +61,21 @@ _EPS = np.einsum("abmr->mrab", calibrated_epsilon().astype(float))
 
 @dataclass(frozen=True)
 class EffectiveDensityOperator:
-    """coeff over unnormalized modes, Gram weights, orthonormal matrix."""
+    """coeff over unnormalized modes, Gram weights, orthonormal matrix.
+
+    One operator has coeff and normalized (16, 16) and gram (16,); a
+    stack of P has a leading axis of P on each.
+    """
 
     coeff: np.ndarray
     gram: np.ndarray
     normalized: np.ndarray
     note: str = ""
+
+    def __getitem__(self, index) -> "EffectiveDensityOperator":
+        return EffectiveDensityOperator(
+            self.coeff[index], self.gram[index], self.normalized[index], self.note
+        )
 
     def spectrum(self) -> SpectrumReport:
         return spectrum_report(hermitian_eigvals(self.normalized))
@@ -77,43 +87,13 @@ def _normalized(coeff: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return half[..., :, None] * coeff * half[..., None, :]
 
 
-def _transposed(coeff: np.ndarray) -> np.ndarray:
-    """Swap the two A-mode indices of one coefficient matrix or of a stack."""
-    coeff4 = coeff.reshape(coeff.shape[:-2] + (4, 4, 4, 4))
-    return coeff4.swapaxes(-4, -2).reshape(coeff.shape)
-
-
-class OperatorStack(NamedTuple):
-    """P operators: coeff and normalized (P, 16, 16), gram (P, 16)."""
-
-    coeff: np.ndarray
-    gram: np.ndarray
-    normalized: np.ndarray
-
-    @classmethod
-    def of(cls, ops: Sequence[EffectiveDensityOperator]) -> "OperatorStack":
-        return cls(
-            np.array([op.coeff for op in ops]),
-            np.array([op.gram for op in ops]),
-            np.array([op.normalized for op in ops]),
-        )
-
-    def member(self, index: int, note: str = "") -> EffectiveDensityOperator:
-        return EffectiveDensityOperator(
-            coeff=self.coeff[index],
-            gram=self.gram[index],
-            normalized=self.normalized[index],
-            note=note,
-        )
-
-
 def _decays(lengths: Sequence[int]) -> np.ndarray:
     return np.array([decay_parameter(length) for length in lengths], dtype=float)
 
 
 def _assemble(
     coeff4: np.ndarray, block_a: Sequence[int], block_b: Sequence[int]
-) -> OperatorStack:
+) -> EffectiveDensityOperator:
     """The stack of coefficient tensors (P, 4, 4, 4, 4) with its blocks' weights."""
     w = np.array([ChannelWeights.from_length(length).weights for length in [*block_a, *block_b]])
     count = len(block_a)
@@ -124,7 +104,7 @@ def _assemble(
     kept = np.abs(trace - 1.0) <= TRACE_TOL
     if not kept.all():
         raise ValueError(f"construction lost the unit trace: {float(trace[~kept][0])!r}")
-    return OperatorStack(coeff, gram, normalized / trace[:, None, None])
+    return EffectiveDensityOperator(coeff, gram, normalized / trace[:, None, None])
 
 
 _EYE = np.eye(4)
@@ -166,7 +146,7 @@ def contraction_defect(gap: int) -> float:
 
 def open_stack(
     block_a: Sequence[int], gap: Sequence[int], block_b: Sequence[int]
-) -> OperatorStack:
+) -> EffectiveDensityOperator:
     """Two blocks on an open chain per point of the equal-length sequences.
 
     A gap of 0 gives touching blocks: the coefficients at z(0) = 1.
@@ -178,12 +158,12 @@ def rho_ab_open(block_a: int, gap: int, block_b: int) -> EffectiveDensityOperato
     """Two disjoint blocks on an open chain, separated by gap >= 1 bulk sites."""
     if gap < 1:
         raise ValueError("disjoint blocks need gap >= 1; use rho_ab_adjacent for 0")
-    return open_stack([block_a], [gap], [block_b]).member(0)
+    return open_stack([block_a], [gap], [block_b])[0]
 
 
 def rho_ab_adjacent(block_a: int, block_b: int) -> EffectiveDensityOperator:
     """Two touching blocks: the gap-dependent coefficients at z = 1."""
-    return open_stack([block_a], [0], [block_b]).member(0)
+    return open_stack([block_a], [0], [block_b])[0]
 
 
 def rho_ce_spectra(middle_length: int) -> tuple[SpectrumReport, SpectrumReport]:
@@ -198,7 +178,8 @@ def rho_ce_spectra(middle_length: int) -> tuple[SpectrumReport, SpectrumReport]:
     w = ChannelWeights.from_length(middle_length).weights
     shift = (w[2] - w[1]) / 2.0
     pt = [w[mu] - PARITY[mu] * shift for mu in range(4)]
-    return spectrum_report(list(w)), spectrum_report(pt)
+    block, transpose = spectrum_reports([w, pt])
+    return block, transpose
 
 
 def _ring_signs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +227,7 @@ def ring_stack(
     block_b: Sequence[int],
     gap_c: Sequence[int],
     gap_d: Sequence[int],
-) -> OperatorStack:
+) -> EffectiveDensityOperator:
     """Two blocks on a ring per point, arcs in cyclic order C, A, D, B."""
     rings = [a + b + c + d for a, b, c, d in zip(block_a, block_b, gap_c, gap_d)]
     coeff4 = _pbc_coefficients(_decays(gap_c), _decays(gap_d), _decays(rings))
@@ -263,7 +244,7 @@ def rho_ab_pbc(
     gaps >= 1.
     """
     note = "" if gap_c >= 1 and gap_d >= 1 else "touching blocks on a ring"
-    return ring_stack([block_a], [block_b], [gap_c], [gap_d]).member(0, note)
+    return replace(ring_stack([block_a], [block_b], [gap_c], [gap_d])[0], note=note)
 
 
 def convexity_coefficients(gap_c: int, gap_d: int) -> tuple[float, float, float, float]:
@@ -290,13 +271,14 @@ def convexity_coefficients(gap_c: int, gap_d: int) -> tuple[float, float, float,
 
 
 def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOperator:
-    """Swap the two A-mode indices of the coefficient tensor.
+    """Swap the two A-mode indices of the coefficient tensor (of each member of a stack).
 
     Equivalent to flipping the sign of every gap parameter: z -> -z for
     the open constructions, (z_c, z_d) -> (-z_c, -z_d) on the ring.  Pure
     index movement, so applying it twice restores the input bitwise.
     """
-    coeff = _transposed(op.coeff)
+    shape = op.coeff.shape
+    coeff = op.coeff.reshape(shape[:-2] + (4, 4, 4, 4)).swapaxes(-4, -2).reshape(shape)
     return replace(op, coeff=coeff, normalized=_normalized(coeff, op.gram))
 
 
@@ -309,19 +291,18 @@ class Measures:
     mutual_information: float
 
 
-def stacked_measures(stack: OperatorStack) -> list[Measures]:
+def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
     """The measures of each operator of a stack, from stacked solves and reports.
 
     Four eigensolves, over the joint, transposed and two marginal stacks
     however long the stack is (callers pass at most STACK_POINTS), then
     one report pass over the joint and transposed eigenvalues and one
-    over the marginals' (see the module docstring).  Each Measures is
-    the one `measures` gives for that operator alone, bitwise: the
-    marginals trace the orthonormal 16x16 matrix over the other block's
-    modes, and the transposes are those of `mode_partial_transpose`.
+    over the marginals' (see the module docstring).  A member's Measures
+    do not depend on the rest of its stack, bitwise.  The marginals trace
+    the orthonormal 16x16 matrix over the other block's modes.
     """
     count = len(stack.gram)
-    transposed = _normalized(_transposed(stack.coeff), stack.gram)
+    transposed = mode_partial_transpose(stack).normalized
     modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
     spectra = spectrum_reports(
         np.concatenate([hermitian_eigvals(stack.normalized), hermitian_eigvals(transposed)])
@@ -350,4 +331,4 @@ def stacked_measures(stack: OperatorStack) -> list[Measures]:
 
 def measures(op: EffectiveDensityOperator) -> Measures:
     """Joint and transpose spectra, the block entropies and their mutual information."""
-    return stacked_measures(OperatorStack.of([op]))[0]
+    return stacked_measures(op[None])[0]

@@ -49,7 +49,7 @@ class Geometry(NamedTuple):
     help: str
     flags: tuple[tuple[str, int | None, int], ...]
     closed: Callable[..., Reports] | None = None
-    operators: Callable[..., er.OperatorStack] | None = None
+    operators: Callable[..., er.EffectiveDensityOperator] | None = None
     oracle: Callable[..., Spectra] | None = None
     limit: Callable[..., float] | None = None
     equal_blocks: bool = False
@@ -79,10 +79,6 @@ class Geometry(NamedTuple):
 
     def label(self, params: dict, head: str | None = None) -> str:
         return " ".join([head or self.name] + [f"{k}={params[k]}" for k in self.names])
-
-    def operator(self, **params) -> er.EffectiveDensityOperator:
-        """The mode operator of one point of validated params."""
-        return self.operators(**{name: [value] for name, value in params.items()}).member(0)
 
     def reports(self, points: list[dict]) -> list[Reports]:
         """One Reports per point of validated params, in order.

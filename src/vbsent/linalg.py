@@ -5,10 +5,9 @@ slowest-varying index of the flattened vector or matrix, i.e. plain
 ``reshape(site_dims)`` order.  All entropies use the natural log; the
 logarithmic negativity uses log base 2.
 
-`spectrum_report` reads the measures of one spectrum; `spectrum_reports`
-reads those of every row of a (R, n) eigenvalue array in one pass, and
-`spectrum_entropies` only their entropies, each float equal to
-`spectrum_report`'s for that row bitwise.  Eigensolves go
+`spectrum_reports` reads the measures of every row of a (R, n)
+eigenvalue array in one pass, and `spectrum_entropies` only their
+entropies; `spectrum_report` is the one-row call.  Eigensolves go
 through `hermitian_eigvals`, which checks raw input for Hermiticity and
 solves it as complex.
 """
@@ -80,24 +79,6 @@ class SpectrumReport:
         return tuple(-math.log(v) for v in self.eigenvalues if v > EIG_CLAMP)
 
 
-def spectrum_report(values) -> SpectrumReport:
-    """Build a SpectrumReport from a list of real eigenvalues."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    trace = float(vals.sum())
-    neg = float(-vals[vals < -EIG_CLAMP].sum())
-    trace_norm = trace + 2.0 * neg
-    positive = vals[vals > EIG_CLAMP]
-    entropy = float(-(positive * np.log(positive)).sum())
-    return SpectrumReport(
-        eigenvalues=tuple(vals),
-        trace=trace,
-        negativity=neg,
-        log_negativity=math.log2(trace_norm),
-        entropy=entropy,
-        purity=float((vals**2).sum()),
-    )
-
-
 def _groups(counts: np.ndarray):
     """(count, row selector) for each distinct count of a (R,) array.
 
@@ -124,22 +105,30 @@ def _entropies(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sorted_rows(rows) -> np.ndarray:
+    """Each row of a (R, n) array of real eigenvalues, sorted ascending."""
+    vals = np.asarray(rows, dtype=float)
+    if vals.ndim != 2:
+        raise ValueError(f"eigenvalues must form a (rows, values) array, got shape {vals.shape}")
+    return np.sort(vals, axis=-1)
+
+
 def spectrum_entropies(rows) -> list[float]:
-    """spectrum_report(row).entropy of each row of a (R, n) array, bitwise."""
-    return _entropies(np.sort(np.asarray(rows, dtype=float), axis=-1)).tolist()
+    """The von Neumann entropy of each row of a (R, n) array, as spectrum_reports'."""
+    return _entropies(_sorted_rows(rows)).tolist()
 
 
 def spectrum_reports(rows) -> list[SpectrumReport]:
-    """spectrum_report of each row of a (R, n) array of real eigenvalues.
+    """The SpectrumReport of each row of a (R, n) array of real eigenvalues.
 
     Trace, negativity, entropy and purity are computed for all rows at
-    once, and each float equals spectrum_report's for its row bitwise.
-    numpy's pairwise sum depends on the summed length, so the negativity
-    and the entropy are summed per group of rows with the same count of
-    values below -EIG_CLAMP (above EIG_CLAMP): each row's sorted prefix
-    (suffix) of that length is then the run spectrum_report sums.
+    once, and each row's floats do not depend on the other rows.  numpy's
+    pairwise sum depends on the summed length, so the negativity and the
+    entropy are summed per group of rows with the same count of values
+    below -EIG_CLAMP (above EIG_CLAMP): each row's sorted prefix (suffix)
+    of that length is then the run of values that enters, summed alone.
     """
-    vals = np.sort(np.asarray(rows, dtype=float), axis=-1)
+    vals = _sorted_rows(rows)
     trace = vals.sum(axis=-1)
     neg = np.empty_like(trace)
     for count, group in _groups((vals < -EIG_CLAMP).sum(axis=-1)):
@@ -163,6 +152,11 @@ def spectrum_reports(rows) -> list[SpectrumReport]:
         )
         for row, t, ng, trace_norm, e, p in columns
     ]
+
+
+def spectrum_report(values) -> SpectrumReport:
+    """The SpectrumReport of one list of real eigenvalues."""
+    return spectrum_reports([values])[0]
 
 
 def _as_matrix(op) -> np.ndarray:

@@ -33,7 +33,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .linalg import EIG_CLAMP, SpectrumReport, hermitian_eigvals, spectrum_report
+from .linalg import EIG_CLAMP, SpectrumReport, hermitian_eigvals, spectrum_report, spectrum_reports
 
 # physical order m = +1, 0, -1 on every spin-1 site; S_z = diag(1, 0, -1)
 S1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -420,12 +420,13 @@ def layout_spectra(
     sigma = sigma.transpose([2 * k for k in order] + [2 * k + 1 for k in order])
     dim = math.prod(ranks)
     sigma = sigma.reshape(dim, dim)
-    block = spectrum_report(hermitian_eigvals(sigma))
     if len({in_a for in_a, _, _ in runs}) == 1:
+        block = spectrum_report(hermitian_eigvals(sigma))
         return block, block
     r_a = math.prod(r for r, run in zip(ranks, runs) if run[0])
     sigma_pt = sigma.reshape(r_a, dim // r_a, r_a, -1).transpose(2, 1, 0, 3).reshape(dim, dim)
-    return block, spectrum_report(hermitian_eigvals(sigma_pt))
+    block, transpose = spectrum_reports([hermitian_eigvals(sigma), hermitian_eigvals(sigma_pt)])
+    return block, transpose
 
 
 def entanglement_report(

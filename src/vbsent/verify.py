@@ -192,13 +192,15 @@ def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
 @_suite("open-transpose")
 def suite_open_transpose_positivity(*, tol: float, **_) -> Cases:
     geo = GEOMETRIES["disjoint"]
-    for params, (_, mode_pt, _) in zip(DISJOINT_GRID, geo.reports(DISJOINT_GRID)):
+    columns = {name: [params[name] for params in DISJOINT_GRID] for name in geo.names}
+    transposes = er.mode_partial_transpose(geo.operators(**columns)).coeff
+    reports = geo.reports(DISJOINT_GRID)
+    for params, (_, mode_pt, _), pt in zip(DISJOINT_GRID, reports, transposes):
         yield "mode transpose min eigenvalue", 1e-12, -min(mode_pt.eigenvalues)
         _, ed_pt = geo.oracle(**params)
         yield "transfer-oracle transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
-        pt = er.mode_partial_transpose(geo.operator(**params))
         flipped = er._obc_coefficients(-cf.decay_parameter(params["gap"])).reshape(16, 16)
-        yield "transpose equals sign-flipped gap", EXACT, float(np.max(np.abs(pt.coeff - flipped)))
+        yield "transpose equals sign-flipped gap", EXACT, float(np.max(np.abs(pt - flipped)))
 
 
 @_suite("adjacent-blocks")

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,25 @@ def test_sweep_range_errors_name_the_flag(span):
     code, out, err = run_cli(["sweep", "disjoint", "--la", span, "--gap", "1", "--lb", "1"])
     assert code == 2 and out == ""
     assert err.startswith("error: --la ") and repr(span) in err
+
+
+def test_sweep_span_is_capped_at_max_sweep_points():
+    cap = vbsent.cli.MAX_SWEEP_POINTS
+    assert vbsent.cli._parse_span("la", f"1:{cap}") == list(range(1, cap + 1))
+    assert len(vbsent.cli._parse_span("gap", f"-5:{cap - 6}")) == cap
+    with pytest.raises(ValueError, match=f"--gap range '1:{cap + 1}' has {cap + 1} points; "
+                       f"sweep takes at most {cap}"):
+        vbsent.cli._parse_span("gap", f"1:{cap + 1}")
+
+
+def test_sweep_rejects_a_huge_range_before_building_it():
+    # a list of a billion points would take minutes and gigabytes
+    start = time.perf_counter()
+    argv = ["sweep", "disjoint", "--la", "1:1000000000", "--gap", "1", "--lb", "1"]
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: --la ") and f"at most {vbsent.cli.MAX_SWEEP_POINTS}" in err
 
 
 def test_sweep_mutual_info_honours_block_flags():

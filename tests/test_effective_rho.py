@@ -24,7 +24,6 @@ from vbsent.closed_forms import (
 )
 from vbsent.effective_rho import (
     EffectiveDensityOperator,
-    OperatorStack,
     _obc_coefficients,
     _pbc_coefficients,
     contraction_defect,
@@ -42,9 +41,9 @@ from vbsent.linalg import (
     HermitianOperator,
     hermitian_eigvals,
     partial_trace,
-    spectrum_report,
 )
 from vbsent.pauli_algebra import calibrated_epsilon
+from spectrum_reference import reference_report
 
 
 def mode_partial_trace(op, over):
@@ -352,14 +351,14 @@ def test_measures_entropy_symmetry():
 
 def _measures_one_by_one(op):
     """The per-operator measures the stacked evaluation replaced."""
-    report = op.spectrum()
+    report = reference_report(hermitian_eigvals(op.normalized))
     ent = {}
     for side in ("A", "B"):
         vals = hermitian_eigvals(mode_partial_trace(op, "B" if side == "A" else "A"))
-        ent[side] = spectrum_report(vals).entropy
+        ent[side] = reference_report(vals).entropy
     return (
         report,
-        mode_partial_transpose(op).spectrum(),
+        reference_report(hermitian_eigvals(mode_partial_transpose(op).normalized)),
         ent["A"],
         ent["B"],
         ent["A"] + ent["B"] - report.entropy,
@@ -377,7 +376,14 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
     for size in (1, 7, 16, len(ops)):
         stacked = []
         for start in range(0, len(ops), size):
-            stacked += stacked_measures(OperatorStack.of(ops[start : start + size]))
+            chunk = ops[start : start + size]
+            stacked += stacked_measures(
+                EffectiveDensityOperator(
+                    np.array([op.coeff for op in chunk]),
+                    np.array([op.gram for op in chunk]),
+                    np.array([op.normalized for op in chunk]),
+                )
+            )
         for op, m in zip(ops, stacked, strict=True):
             got = (m.report, m.transpose, m.entropy_a, m.entropy_b, m.mutual_information)
             assert repr(got) == repr(_measures_one_by_one(op))

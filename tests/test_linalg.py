@@ -18,6 +18,7 @@ from vbsent.linalg import (
     spectrum_report,
     spectrum_reports,
 )
+from spectrum_reference import reference_report
 
 
 def random_hermitian(rng, dims):
@@ -145,9 +146,25 @@ def _rows(n: int):
 def test_spectrum_reports_equal_spectrum_report_bitwise(rows):
     # rows of one length with any mix of negative, clamped and positive
     # counts; repr tells every float (and -0.0) apart
-    want = [spectrum_report(row) for row in rows]
+    want = [reference_report(row) for row in rows]
     assert repr(spectrum_reports(np.array(rows))) == repr(want)
     assert repr(spectrum_entropies(np.array(rows))) == repr([r.entropy for r in want])
+    assert repr([spectrum_report(row) for row in rows]) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "call, values, shape",
+    [
+        (spectrum_report, [[0.5, 0.5], [0.5, 0.5]], r"\(1, 2, 2\)"),
+        (spectrum_reports, [0.5, 0.5], r"\(2,\)"),
+        (spectrum_entropies, [0.5, 0.5], r"\(2,\)"),
+    ],
+)
+def test_spectrum_statistics_reject_the_wrong_rank(call, values, shape):
+    # one spectrum per row: a flat list is one spectrum, not many, and a
+    # nested list is many, not one
+    with pytest.raises(ValueError, match=f"got shape {shape}"):
+        call(values)
 
 
 def test_partial_trace_of_product_operator():

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from vbsent import closed_forms as cf
+from vbsent import effective_rho as er
 from vbsent import mps_oracle as mo
 from vbsent import verify as vf
 from vbsent.cli import main
@@ -118,6 +119,22 @@ def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, re
     rows = vf.SUITES[name](max_sites=max_sites, tol=1e-10)
     assert all(r.passed for r in rows)
     assert len(calls) == reports
+
+
+def test_open_transpose_builds_its_grid_in_three_stacks(monkeypatch):
+    # the mode rows read two report stacks of the 20-point grid, and the
+    # sign-flip row one stack of the same grid's transposes
+    sizes = []
+    real = er.open_stack
+
+    def counted(block_a, gap, block_b):
+        sizes.append(len(block_a))
+        return real(block_a, gap, block_b)
+
+    monkeypatch.setattr(er, "open_stack", counted)
+    rows = vf.SUITES["open-transpose"](max_sites=8, tol=1e-10)
+    assert all(r.passed for r in rows)
+    assert sorted(sizes) == [4, 16, 20]
 
 
 @pytest.mark.parametrize("max_sites", [8, 12])
