@@ -14,13 +14,17 @@ the coefficient tensor, the Gram weights and the trace check over them;
 `rho_ab_open`, `rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a
 one-point build.
 
-`stacked_measures` evaluates a stack as arrays.  Four `eigvalsh` calls
-solve the (P, 16, 16) joint matrices, their mode transposes and the two
-(P, 4, 4) stacks of block marginals, each stack checked for Hermiticity
-first and solved as complex: the real solver moves the last bit of most
-joint and transposed eigenvalues.  The joint and transposed eigenvalues
-then form one (2P, 16) array, which `linalg.spectrum_reports` reads in
-one pass, and the marginals one (2P, 4) array, whose entropies
+`stacked_measures` evaluates a stack as arrays.  Two `eigvalsh` calls
+solve the (P, 16, 16) joint matrices and their mode transposes, each
+stack checked for Hermiticity first and solved as complex: the real
+solver moves the last bit of most joint and transposed eigenvalues.
+The two block marginals need no solve: every coefficient that a
+partial trace sums into an entry off a marginal's diagonal, [mu, rho,
+alpha, rho] with mu != alpha or [mu, rho, mu, beta] with rho != beta,
+is exactly 0.0, so each marginal is diagonal and its spectrum is its
+diagonal.  The joint and transposed eigenvalues form one (2P, 16)
+array, which `linalg.spectrum_reports` reads in one pass, and the
+marginals' diagonals one (2P, 4) array, whose entropies
 `linalg.spectrum_entropies` reads in one pass.  LAPACK solves every
 member of a stack on its own, and the report passes read every row on
 its own, so a member's measures do not depend on its stack; `measures`
@@ -294,12 +298,12 @@ class Measures:
 def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
     """The measures of each operator of a stack, from stacked solves and reports.
 
-    Four eigensolves, over the joint, transposed and two marginal stacks
-    however long the stack is (callers pass at most STACK_POINTS), then
-    one report pass over the joint and transposed eigenvalues and one
-    over the marginals' (see the module docstring).  A member's Measures
-    do not depend on the rest of its stack, bitwise.  The marginals trace
-    the orthonormal 16x16 matrix over the other block's modes.
+    Two eigensolves, over the joint and transposed stacks however long
+    the stack is (callers pass at most STACK_POINTS), then one report
+    pass over their eigenvalues and one over the block marginals'
+    spectra, which are the marginals' diagonals (see the module
+    docstring).  A member's Measures do not depend on the rest of its
+    stack, bitwise.
     """
     count = len(stack.gram)
     transposed = mode_partial_transpose(stack).normalized
@@ -307,13 +311,9 @@ def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
     spectra = spectrum_reports(
         np.concatenate([hermitian_eigvals(stack.normalized), hermitian_eigvals(transposed)])
     )
+    # the block marginals are diagonal in the mode basis: their spectra are the diagonals
     entropies = spectrum_entropies(
-        np.concatenate(
-            [
-                hermitian_eigvals(np.einsum("pabcb->pac", modes)),
-                hermitian_eigvals(np.einsum("pabad->pbd", modes)),
-            ]
-        )
+        np.concatenate([np.einsum("pabab->pa", modes), np.einsum("pabab->pb", modes)])
     )
     return [
         Measures(

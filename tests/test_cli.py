@@ -536,7 +536,7 @@ def test_sweep_rows_equal_single_point_measures(command, fixed, swept, first, po
         assert row == expected
 
 
-def test_sweep_solves_four_stacks_per_16_points_with_one_parser(monkeypatch):
+def test_sweep_solves_two_stacks_per_16_points_with_one_parser(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -558,7 +558,7 @@ def test_sweep_solves_four_stacks_per_16_points_with_one_parser(monkeypatch):
     try:
         code, out, _ = run_cli(["sweep", "disjoint", "--la", "2", "--gap", "1:200", "--lb", "3"])
         assert code == 0 and len(csv_tables(out)[0]) == 201
-        assert len(shapes) <= 4 * math.ceil(200 / 16)
+        assert len(shapes) == 2 * math.ceil(200 / 16)
         assert max(shape[0] for shape in shapes) == 16
         assert run_cli(["pure", "--length", "2"])[0] == 0
     finally:
@@ -608,7 +608,7 @@ def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
     stacks = math.ceil(200 / 16)
     assert len(builds) == stacks
     assert reports == []
-    assert len(solved) == 4 * stacks
+    assert len(solved) == 2 * stacks
     # every stack keeps the complex solver, as the real one moves the last
     # bit of most joint and transposed eigenvalues
     assert {str(dtype) for dtype, _ in solved} == {"complex128"}

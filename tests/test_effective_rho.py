@@ -30,10 +30,12 @@ from vbsent.effective_rho import (
     convexity_coefficients,
     measures,
     mode_partial_transpose,
+    open_stack,
     rho_ab_adjacent,
     rho_ab_open,
     rho_ab_pbc,
     rho_ce_spectra,
+    ring_stack,
     stacked_measures,
 )
 from vbsent.geometry import GEOMETRIES
@@ -49,8 +51,8 @@ from spectrum_reference import reference_report
 def mode_partial_trace(op, over):
     """Trace the orthonormal 16x16 matrix over one block's mode factor.
 
-    The per-operator reference for the marginals that `stacked_measures`
-    takes by einsum.
+    The per-operator reference for the block marginals, whose spectra
+    `stacked_measures` reads off their diagonals without a solve.
     """
     if over not in ("A", "B"):
         raise ValueError(f"over must be 'A' or 'B', got {over!r}")
@@ -390,6 +392,31 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
             assert repr(measures(op)) == repr(m)
 
 
+# short blocks give clamped zeros (w_singlet(1) = 0) and negative transpose
+# eigenvalues; from 679 on, z underflows to a signed zero
+_LENGTHS = st.one_of(st.integers(1, 4), st.integers(1, 1000), st.integers(679, 1000))
+_RING_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000))
+_OPEN_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000), st.integers(679, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_LENGTHS, _OPEN_GAPS, _LENGTHS), min_size=1, max_size=16),
+    st.lists(st.tuples(_LENGTHS, _LENGTHS, _RING_GAPS, _RING_GAPS), min_size=1, max_size=16),
+)
+@example([(1, 0, 1), (1, 1, 1), (679, 1000, 680)], [(1, 1, 0, 0), (700, 2, 0, 679)])
+def test_block_marginals_are_diagonal_and_their_diagonal_is_their_spectrum(opens, rings):
+    # stacked_measures reads each marginal's spectrum off its diagonal
+    stacks = [open_stack(*zip(*opens)), ring_stack(*zip(*rings))]
+    off = ~np.eye(4, dtype=bool)
+    for stack in stacks:
+        modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
+        for marginal in (np.einsum("pabcb->pac", modes), np.einsum("pabad->pbd", modes)):
+            assert np.all(marginal[:, off] == 0.0)
+            diagonal = np.sort(np.diagonal(marginal, axis1=1, axis2=2), axis=-1)
+            assert hermitian_eigvals(marginal).tobytes() == diagonal.tobytes()
+
+
 _SIGNS = np.array(CHANNEL_SIGNS, dtype=float)
 _EYE = np.eye(4)
 # calibrated epsilon in the coefficient-tensor index order [mu, rho, alpha, beta]
@@ -452,12 +479,6 @@ def _operator_one_by_one(name, params):
         return _built_one_by_one(_pbc_one_by_one(*z), la, lb)
     z = 1.0 if name == "adjacent" else decay_parameter(params["gap"])
     return _built_one_by_one(_obc_one_by_one(z), la, lb)
-
-
-# short blocks give clamped zeros (w_singlet(1) = 0) and negative transpose
-# eigenvalues; from 679 on, z underflows to a signed zero
-_LENGTHS = st.one_of(st.integers(1, 4), st.integers(1, 1000), st.integers(679, 1000))
-_RING_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000))
 
 
 # a ring holds its two blocks, so its total length is at least 2
