@@ -74,12 +74,9 @@ class EffectiveDensityOperator:
     coeff: np.ndarray
     gram: np.ndarray
     normalized: np.ndarray
-    note: str = ""
 
     def __getitem__(self, index) -> "EffectiveDensityOperator":
-        return EffectiveDensityOperator(
-            self.coeff[index], self.gram[index], self.normalized[index], self.note
-        )
+        return EffectiveDensityOperator(self.coeff[index], self.gram[index], self.normalized[index])
 
     def spectrum(self) -> SpectrumReport:
         return spectrum_report(hermitian_eigvals(self.normalized))
@@ -243,12 +240,10 @@ def rho_ab_pbc(
 ) -> EffectiveDensityOperator:
     """Two blocks on a ring, arcs in cyclic order: gap C, block A, gap D, block B.
 
-    Gaps of 0 are constructed (the touching-on-ring case) but flagged,
-    since the positivity guarantee for transposed ring states needs both
-    gaps >= 1.
+    Gaps of 0 are constructed (the touching-on-ring case), but the
+    positivity guarantee for transposed ring states needs both gaps >= 1.
     """
-    note = "" if gap_c >= 1 and gap_d >= 1 else "touching blocks on a ring"
-    return replace(ring_stack([block_a], [block_b], [gap_c], [gap_d])[0], note=note)
+    return ring_stack([block_a], [block_b], [gap_c], [gap_d])[0]
 
 
 def convexity_coefficients(gap_c: int, gap_d: int) -> tuple[float, float, float, float]:
@@ -279,7 +274,11 @@ def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOper
 
     Equivalent to flipping the sign of every gap parameter: z -> -z for
     the open constructions, (z_c, z_d) -> (-z_c, -z_d) on the ring.  Pure
-    index movement, so applying it twice restores the input bitwise.
+    index movement on coeff, so applying it twice restores coeff bitwise.
+    normalized is rebuilt from coeff and gram without the division by the
+    trace that the construction applies, so after two transposes it
+    differs from the input's in the last bits wherever that trace was not
+    exactly 1.0.
     """
     shape = op.coeff.shape
     coeff = op.coeff.reshape(shape[:-2] + (4, 4, 4, 4)).swapaxes(-4, -2).reshape(shape)

@@ -265,12 +265,6 @@ def test_rho_pbc_unit_trace_and_psd():
         vals = np.real(hermitian_eigvals(op.normalized))
         assert np.trace(op.normalized).real == pytest.approx(1.0, abs=1e-13)
         assert vals.min() > -1e-13
-        assert op.note == ""
-
-
-def test_rho_pbc_flags_touching():
-    op = rho_ab_pbc(1, 1, 0, 2)
-    assert "touching" in op.note
 
 
 def test_rho_pbc_pt_positive_with_gaps():

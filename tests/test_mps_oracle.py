@@ -543,6 +543,16 @@ def test_layout_spectra_reject_malformed_runs():
             layout_spectra(n_bulk, ring, runs)
 
 
+def test_empty_layout_reports_the_one_value_spectrum():
+    # no kept site leaves the scalar trace of the normalized state, 1
+    one = spectrum_report([1.0])
+    assert one.eigenvalues == (1.0,)
+    for n_bulk, ring in ((5, False), (4, True)):
+        assert layout_spectra(n_bulk, ring, []) == (one, one)
+    for state in (build_open_chain(3), build_ring(4)):
+        assert entanglement_report(state, (), ()) == (one, one)
+
+
 def test_reports_hold_only_the_support(monkeypatch):
     # a two-block report of 12 kept sites, and a Schmidt spectrum of 7,
     # list at most 16 and 4 values, not one per basis state of the block
