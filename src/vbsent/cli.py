@@ -162,15 +162,20 @@ def _json_envelope(args, results) -> dict:
     request = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
+    tolerances = {
+        "hermiticity": HERMITICITY_TOL,
+        "eigenvalue_clamp": EIG_CLAMP,
+        "display_grouping": GROUP_DISPLAY_TOL,
+    }
+    # each command's own bound, and only where that command applied it
+    if args.subcommand == "verify":
+        tolerances["verification"] = args.tol
+    elif args.subcommand == "mc":
+        tolerances["sigma_bound"] = mc.SIGMA_BOUND
     return {
         "request": request,
         "results": results,
-        "tolerances": {
-            "hermiticity": HERMITICITY_TOL,
-            "eigenvalue_clamp": EIG_CLAMP,
-            "display_grouping": GROUP_DISPLAY_TOL,
-            "verification": getattr(args, "tol", vf.TOL),
-        },
+        "tolerances": tolerances,
         "versions": {
             "artifact": __version__,
             "numpy": np.__version__,

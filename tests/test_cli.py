@@ -417,6 +417,27 @@ def test_ring_suite_passes_at_ten_sites():
     assert rows and all(r.passed for r in rows)
 
 
+def test_json_tolerances_name_only_the_bounds_the_command_applied(monkeypatch):
+    shared = {"hermiticity", "eigenvalue_clamp", "display_grouping"}
+    for argv in (
+        ["pure", "--length", "2"],
+        ["bipartition0"],
+        ["disjoint", "--la", "1", "--gap", "1", "--lb", "1"],
+        ["pbc", "--la", "1", "--lb", "1", "--lc", "0", "--ld", "2"],
+        ["sweep", "mutual-info", "--gap", "1:2"],
+    ):
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        assert set(json.loads(out)["tolerances"]) == shared, argv
+    # mc names the bound its checks read at run time
+    monkeypatch.setattr(mc, "SIGMA_BOUND", 0.5)
+    _, out, _ = run_cli(["mc", "--task", "discriminate", "--samples", "1000", "--format", "json"])
+    tolerances = json.loads(out)["tolerances"]
+    assert set(tolerances) == shared | {"sigma_bound"} and tolerances["sigma_bound"] == 0.5
+    code, out, _ = run_cli(["verify", "--max-sites", "4", "--samples", "1000", "--format", "json"])
+    assert set(json.loads(out)["tolerances"]) == shared | {"verification"}
+
+
 def test_verify_reports_the_values_it_used():
     code, out, _ = run_cli(
         ["verify", "--max-sites", "4", "--samples", "1000", "--tol", "0", "--format", "json"]
