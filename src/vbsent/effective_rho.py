@@ -310,7 +310,6 @@ def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
     spectra = spectrum_reports(
         np.concatenate([hermitian_eigvals(stack.normalized), hermitian_eigvals(transposed)])
     )
-    # the block marginals are diagonal in the mode basis: their spectra are the diagonals
     entropies = spectrum_entropies(
         np.concatenate([np.einsum("pabab->pa", modes), np.einsum("pabab->pb", modes)])
     )
