@@ -2,17 +2,16 @@
 
 A length-L block supports exactly four ground states |A_mu>, mutually
 orthogonal with norms w_mu(L).  Two disjoint blocks therefore live in a
-16-dimensional space; the operators here are stored as the raw
-coefficient matrix over the unnormalized product states together with
-the diagonal Gram weights, and as the orthonormal-basis Hermitian matrix
-D^(1/2) C D^(1/2).  Composite index order is A-major: (mu, rho) -> 4*mu+rho.
+16-dimensional space.  An operator is stored only as its orthonormal-basis
+Hermitian matrix D^(1/2) C D^(1/2) / trace, built from the coefficient
+matrix C over the unnormalized product states and their diagonal Gram
+weights D.  Composite index order is A-major: (mu, rho) -> 4*mu+rho.
 
 An EffectiveDensityOperator holds one operator, or a stack of P along a
-leading axis of all three arrays, and indexing it indexes all three.
-`open_stack` and `ring_stack` take the lengths of P points and broadcast
-the coefficient tensor, the Gram weights and the trace check over them;
-`rho_ab_open`, `rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a
-one-point build.
+leading axis, and indexing it indexes the stack.  `open_stack` and
+`ring_stack` take the lengths of P points and broadcast the coefficient
+tensor, the Gram weights and the trace check over them; `rho_ab_open`,
+`rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a one-point build.
 
 `stacked_measures` evaluates a stack as arrays.  Two `eigvalsh` calls
 solve the (P, 16, 16) joint matrices and their mode transposes, each
@@ -35,7 +34,7 @@ holds.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,27 +64,18 @@ _EPS = np.einsum("abmr->mrab", calibrated_epsilon().astype(float))
 
 @dataclass(frozen=True)
 class EffectiveDensityOperator:
-    """coeff over unnormalized modes, Gram weights, orthonormal matrix.
+    """The unit-trace orthonormal-basis matrix D^(1/2) C D^(1/2) / trace.
 
-    One operator has coeff and normalized (16, 16) and gram (16,); a
-    stack of P has a leading axis of P on each.
+    One operator is (16, 16); a stack of P has a leading axis of P.
     """
 
-    coeff: np.ndarray
-    gram: np.ndarray
     normalized: np.ndarray
 
     def __getitem__(self, index) -> "EffectiveDensityOperator":
-        return EffectiveDensityOperator(self.coeff[index], self.gram[index], self.normalized[index])
+        return EffectiveDensityOperator(self.normalized[index])
 
     def spectrum(self) -> SpectrumReport:
         return spectrum_report(hermitian_eigvals(self.normalized))
-
-
-def _normalized(coeff: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """D^(1/2) C D^(1/2) of one coefficient matrix or of a stack (P, 16, 16)."""
-    half = np.sqrt(gram)
-    return half[..., :, None] * coeff * half[..., None, :]
 
 
 def _decays(lengths: Sequence[int]) -> np.ndarray:
@@ -98,14 +88,13 @@ def _assemble(
     """The stack of coefficient tensors (P, 4, 4, 4, 4) with its blocks' weights."""
     w = np.array([ChannelWeights.from_length(length).weights for length in [*block_a, *block_b]])
     count = len(block_a)
-    gram = (w[:count, :, None] * w[count:, None, :]).reshape(-1, 16)
-    coeff = coeff4.reshape(-1, 16, 16)
-    normalized = _normalized(coeff, gram)
+    half = np.sqrt((w[:count, :, None] * w[count:, None, :]).reshape(-1, 16))
+    normalized = half[:, :, None] * coeff4.reshape(-1, 16, 16) * half[:, None, :]
     trace = normalized.trace(axis1=1, axis2=2)
     kept = np.abs(trace - 1.0) <= TRACE_TOL
     if not kept.all():
         raise ValueError(f"construction lost the unit trace: {float(trace[~kept][0])!r}")
-    return EffectiveDensityOperator(coeff, gram, normalized / trace[:, None, None])
+    return EffectiveDensityOperator(normalized / trace[:, None, None])
 
 
 _EYE = np.eye(4)
@@ -269,20 +258,23 @@ def convexity_coefficients(gap_c: int, gap_d: int) -> tuple[float, float, float,
     return high_d * high_c, low_d * high_c, high_d * low_c, low_d * low_c
 
 
+def _swap_a_modes(matrix: np.ndarray) -> np.ndarray:
+    """Swap the two A-mode indices of 16x16 matrices, or of a stack along leading axes."""
+    shape = matrix.shape
+    return matrix.reshape(shape[:-2] + (4, 4, 4, 4)).swapaxes(-4, -2).reshape(shape)
+
+
 def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOperator:
-    """Swap the two A-mode indices of the coefficient tensor (of each member of a stack).
+    """Swap the two A-mode indices of the operator (of each member of a stack).
 
     Equivalent to flipping the sign of every gap parameter: z -> -z for
-    the open constructions, (z_c, z_d) -> (-z_c, -z_d) on the ring.  Pure
-    index movement on coeff, so applying it twice restores coeff bitwise.
-    normalized is rebuilt from coeff and gram without the division by the
-    trace that the construction applies, so after two transposes it
-    differs from the input's in the last bits wherever that trace was not
-    exactly 1.0.
+    the open constructions, (z_c, z_d) -> (-z_c, -z_d) on the ring: the
+    Gram weighting scales entry [mu rho, alpha beta] by a factor symmetric
+    in mu and alpha, so the swap commutes with it.  Pure index movement,
+    so applying it twice restores the operator bitwise, and it maps the
+    diagonal onto itself, so the transpose keeps the unit trace.
     """
-    shape = op.coeff.shape
-    coeff = op.coeff.reshape(shape[:-2] + (4, 4, 4, 4)).swapaxes(-4, -2).reshape(shape)
-    return replace(op, coeff=coeff, normalized=_normalized(coeff, op.gram))
+    return EffectiveDensityOperator(_swap_a_modes(op.normalized))
 
 
 @dataclass(frozen=True)
@@ -304,7 +296,7 @@ def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
     docstring).  A member's Measures do not depend on the rest of its
     stack, bitwise.
     """
-    count = len(stack.gram)
+    count = len(stack.normalized)
     transposed = mode_partial_transpose(stack).normalized
     modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
     spectra = spectrum_reports(
