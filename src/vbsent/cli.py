@@ -235,7 +235,7 @@ def _check_mc_args(args) -> None:
             mc.check_norm_args(n, args.samples, ring)
     if args.task in ("overlap", "all"):
         mc.check_overlap_args(0, 0, args.length, args.samples)
-    mc.check_samples(args.samples)
+    mc.check_samples(args.samples, 1)  # sign_discrimination samples a single site
     mc.check_seed(args.seed)
 
 

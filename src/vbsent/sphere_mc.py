@@ -37,6 +37,8 @@ from .closed_forms import CHANNEL_SIGNS, decay_parameter
 from .pauli_algebra import SIGMA
 
 MIN_SAMPLES = 1000
+# the most samples x sites one estimate draws, at 16 B of angles each (1.6 GB)
+MAX_SAMPLE_SITES = 10**8
 # an estimate's defaults, read by the estimators and by the CLI's mc parser
 SAMPLES = 100_000
 SEED = 0
@@ -113,10 +115,14 @@ class McEstimate:
         return gap / self.standard_error
 
 
-def check_samples(samples: int) -> int:
+def check_samples(samples: int, sites: int) -> int:
+    """Raise the ValueError an estimate over `sites` sites would; return the samples."""
     samples = int(samples)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    if samples * sites > MAX_SAMPLE_SITES:
+        budget = f"the budget of {MAX_SAMPLE_SITES} sample-sites per estimate"
+        raise ValueError(f"{samples} samples of {sites} sites exceed {budget}")
     return samples
 
 
@@ -133,7 +139,7 @@ def check_norm_args(n_bulk: int, samples: int, ring: bool = False) -> int:
         raise ValueError(f"need at least one bulk site, got {n_bulk}")
     if ring and n_bulk < 2:
         raise ValueError("a ring needs at least two sites")
-    return check_samples(samples)
+    return check_samples(samples, n_bulk if ring else n_bulk + 2)
 
 
 def check_overlap_args(mu: int, nu: int, length: int, samples: int) -> int:
@@ -143,7 +149,7 @@ def check_overlap_args(mu: int, nu: int, length: int, samples: int) -> int:
             raise ValueError(f"mode index must be 0..3, got {idx}")
     if length < 1:
         raise ValueError(f"block length must be >= 1, got {length}")
-    return check_samples(samples)
+    return check_samples(samples, length)
 
 
 def _row_blocks(samples: int) -> list[slice]:

@@ -340,7 +340,8 @@ def run_suites(
         given = f"unknown suites: {unknown}" if unknown else "no suites"
         raise ValueError(f"{given}; available: {sorted(SUITES)}")
     if "monte-carlo" in names:
-        mc.check_samples(samples)
+        # the suite's widest estimate: the open chain of 4 bulk sites
+        mc.check_norm_args(4, samples)
     results: list[CheckResult] = []
     for name in names:
         results.extend(

@@ -73,6 +73,21 @@ def test_oracle_referee_accepts_support_only_reports(monkeypatch):
         assert outcome.ok, outcome.note
 
 
+def test_sample_site_budget_admits_every_mc_sampling_op(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import McSampling
+
+    ops = McSampling().round(random.Random(0))
+    for op in ops:
+        p = op.params
+        if op.kind == "norm":
+            assert mc.check_norm_args(p["n"], p["samples"], p["ring"]) == p["samples"]
+        elif op.kind == "overlap":
+            assert mc.check_overlap_args(p["mu"], p["nu"], p["length"], p["samples"]) > 0
+        else:
+            assert mc.check_overlap_args(2, 2, 1, p["samples"]) == p["samples"]
+
+
 def test_workloads_find_every_name_they_read():
     entry_points = {
         vbsent: ("build_open_chain", "build_ring", "entanglement_report",

@@ -310,6 +310,26 @@ def test_mc_rejects_bad_arguments_before_any_estimate(monkeypatch):
         assert err.startswith("error: ") and message in err, (flags, err)
 
 
+def test_mc_rejects_a_sample_site_budget_before_any_estimate(monkeypatch):
+    # exit 2, not a MemoryError's exit 1 after the allocation fails
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the budget was checked")
+
+    for name in ("estimate_vbs_norm", "estimate_block_overlap", "sign_discrimination"):
+        monkeypatch.setattr(vbsent.cli.mc, name, no_estimate)
+    cases = [
+        ["--task", "norm", "--samples", "1000000000000"],
+        ["--task", "overlap", "--length", "1000000000", "--samples", "1000"],
+        ["--task", "norm", "--ring", "1000000000", "--samples", "1000"],
+        ["--task", "discriminate", "--samples", "100000001"],
+        ["--samples", "1000000000000"],
+    ]
+    for flags in cases:
+        code, out, err = run_cli(["mc", *flags])
+        assert (code, out) == (2, ""), flags
+        assert err.startswith("error: ") and "sample-sites per estimate" in err, (flags, err)
+
+
 def test_mc_rejects_negative_seed_by_name(monkeypatch):
     def no_estimate(*args, **kwargs):
         raise AssertionError("an estimate ran before the seed was checked")
@@ -409,6 +429,17 @@ def test_verify_rejects_bad_values_before_any_suite(monkeypatch, flags, message)
     code, out, err = run_cli(["verify", "--max-sites", "4", *flags])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_verify_rejects_a_sample_site_budget_before_any_suite(monkeypatch):
+    for name in vf.SUITES:
+        monkeypatch.setitem(vf.SUITES, name, lambda **_: pytest.fail("suite ran"))
+    code, out, err = run_cli(["verify", "--samples", "1000000000000"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 1000000000000 samples of 6 sites exceed the budget of "
+        "100000000 sample-sites per estimate\n"
+    )
 
 
 def test_ring_suite_passes_at_ten_sites():

@@ -62,6 +62,27 @@ def test_sample_count_guard():
         estimate_block_overlap(0, 0, 1, samples=MIN_SAMPLES - 1)
 
 
+def test_sample_site_budget_rejects_before_drawing(monkeypatch):
+    # the budget is samples x sites of the one estimate, checked before a draw
+    monkeypatch.setattr(SphereConfig, "sample", lambda *a: pytest.fail("drew samples"))
+    budget = sphere_mc.MAX_SAMPLE_SITES
+    estimates = (
+        lambda: estimate_vbs_norm(4, samples=budget // 6 + 1),
+        lambda: estimate_vbs_norm(10**9, samples=MIN_SAMPLES, ring=True),
+        lambda: estimate_block_overlap(0, 0, 10**9, samples=MIN_SAMPLES),
+        lambda: sign_discrimination(samples=budget + 1),
+    )
+    for estimate in estimates:
+        with pytest.raises(ValueError, match="exceed the budget of 100000000 sample-sites"):
+            estimate()
+    # the budget itself passes, and so do the CLI's default and verify's
+    # estimates, the open chain of 4 bulk sites (6 sites) at most
+    assert sphere_mc.check_norm_args(4, budget // 6) == budget // 6
+    assert sphere_mc.check_overlap_args(0, 0, budget // MIN_SAMPLES, MIN_SAMPLES) == MIN_SAMPLES
+    for samples in (sphere_mc.SAMPLES, 20_000):
+        assert sphere_mc.check_norm_args(4, samples) == samples
+
+
 def test_argument_guards():
     with pytest.raises(ValueError, match="bulk site"):
         estimate_vbs_norm(0)
