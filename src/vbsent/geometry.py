@@ -86,7 +86,7 @@ class Geometry(NamedTuple):
         A closed-form geometry evaluates point by point.  An operator
         geometry takes its points in stacks of at most er.STACK_POINTS
         and evaluates each stack as arrays from build to report: one
-        broadcast build of the stack's operators, four eigensolves and
+        broadcast build of the stack's operators, two eigensolves and
         two report passes in er.stacked_measures.  A call holds one
         stack's operators at a time, and every float equals the one a
         single-point call gives.
