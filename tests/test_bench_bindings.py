@@ -83,7 +83,7 @@ def test_sample_site_budget_admits_every_mc_sampling_op(monkeypatch):
         if op.kind == "norm":
             assert mc.check_norm_args(p["n"], p["samples"], p["ring"]) == p["samples"]
         elif op.kind == "overlap":
-            assert mc.check_overlap_args(p["mu"], p["nu"], p["length"], p["samples"]) > 0
+            assert mc.check_overlap_args(p["mu"], p["nu"], p["length"], p["samples"]) == p["samples"]
         else:
             assert mc.check_overlap_args(2, 2, 1, p["samples"]) == p["samples"]
 
