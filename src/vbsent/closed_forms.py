@@ -78,25 +78,6 @@ class ChannelWeights:
         return self.weights[0]
 
 
-@dataclass(frozen=True)
-class PairWeights:
-    """Products of the two blocks' singlet/triplet weights."""
-
-    lam00: float
-    lam10: float
-    lam11: float
-
-    @classmethod
-    def from_lengths(cls, L1: int, L2: int) -> "PairWeights":
-        a = ChannelWeights.from_length(L1)
-        b = ChannelWeights.from_length(L2)
-        return cls(
-            lam00=a.singlet * b.singlet,
-            lam10=a.singlet * b.triplet + b.singlet * a.triplet,
-            lam11=a.triplet * b.triplet,
-        )
-
-
 def quadratic_roots(b: float, c: float) -> tuple[float, float]:
     """Both real roots, ascending, of the monic quadratic y^2 + b y + c."""
     disc = b * b - 4.0 * c
@@ -229,19 +210,17 @@ def bipartition_L0_pt_spectrum() -> SpectrumReport:
     return spectrum_report([0.5, 0.5, 0.5, -0.5])
 
 
-def _check_pair_lengths(L1: int, L2: int) -> None:
-    if L1 < 1 or L2 < 1:
-        raise ValueError(f"block lengths must be >= 1, got ({L1}, {L2})")
+def _pair_factors(L1: int, L2: int, z: float) -> tuple[float, float, CharPolys]:
+    """(lam00, lam11, factors) of two blocks at decay parameter z.
 
-
-def _check_disjoint_lengths(L1: int, L: int, L2: int) -> None:
-    _check_pair_lengths(L1, L2)
-    if L < 1:
-        raise ValueError(f"separation must be >= 1 for disjoint blocks, got {L}")
-
-
-def _char_polys_from_weights(pw: PairWeights, z: float) -> CharPolys:
-    l00, l10, l11 = pw.lam00, pw.lam10, pw.lam11
+    lam00, lam10 and lam11 are the products of the blocks' singlet (0)
+    and triplet (1) weights; the factors are p1's root, p2 and p3.
+    """
+    a = ChannelWeights.from_length(L1)
+    b = ChannelWeights.from_length(L2)
+    l00 = a.singlet * b.singlet
+    l10 = a.singlet * b.triplet + b.singlet * a.triplet
+    l11 = a.triplet * b.triplet
     p1_root = (1.0 - z) * l11
     p2 = (
         -(l00 + (1.0 + 2.0 * z) * l11),
@@ -252,14 +231,14 @@ def _char_polys_from_weights(pw: PairWeights, z: float) -> CharPolys:
         ((1.0 + z) * l00 + (1.0 + 2.0 * z) * l10) * (1.0 - z) * l11,
         -((1.0 - z) ** 2) * (1.0 + 3.0 * z) * l00 * l11**2,
     )
-    return p1_root, p2, p3
+    return l00, l11, (p1_root, p2, p3)
 
 
 def disjoint_char_polys(L1: int, L: int, L2: int) -> CharPolys:
     """Characteristic factors p(Y) = p1^5 p2 p3^3 of the two-block operator."""
-    _check_disjoint_lengths(L1, L, L2)
-    pw = PairWeights.from_lengths(L1, L2)
-    return _char_polys_from_weights(pw, decay_parameter(L))
+    if L < 1:
+        raise ValueError(f"separation must be >= 1 for disjoint blocks, got {L}")
+    return _pair_factors(L1, L2, decay_parameter(L))[2]
 
 
 def _spectrum_from_polys(p1_root, p2, p3) -> list[float]:
@@ -321,9 +300,7 @@ def asymptotic_disjoint_spectrum(x1: float, x2: float, z: float) -> AsymptoticSp
 
 def adjacent_pt_char_polys(L1: int, L2: int) -> CharPolys:
     """PT characteristic factors for touching blocks: the z=-1 polynomials."""
-    _check_pair_lengths(L1, L2)
-    pw = PairWeights.from_lengths(L1, L2)
-    return _char_polys_from_weights(pw, -1.0)
+    return _pair_factors(L1, L2, -1.0)[2]
 
 
 def adjacent_pt_spectrum(L1: int, L2: int) -> SpectrumReport:
@@ -347,13 +324,10 @@ def adjacent_pt_negativity(L1: int, L2: int) -> AdjacentNegativity:
     negativity is -(y1 + 3 y2) and the logarithmic negativity
     log2(1 - 2(y1 + 3 y2)).
     """
-    _check_pair_lengths(L1, L2)
-    pw = PairWeights.from_lengths(L1, L2)
-    l00, l11 = pw.lam00, pw.lam11
+    l00, l11, (_, _, p3) = _pair_factors(L1, L2, -1.0)
     y1 = 0.5 * (
         l00 - l11 - math.sqrt(l00 * l00 + 14.0 * l00 * l11 + l11 * l11)
     )
-    _, _, p3 = _char_polys_from_weights(pw, -1.0)
     y2 = cubic_min_root_sine(*p3)
     total = y1 + 3.0 * y2
     return AdjacentNegativity(

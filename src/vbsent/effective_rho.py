@@ -26,10 +26,10 @@ array, which `linalg.spectrum_reports` reads in one pass, and the
 marginals' diagonals one (2P, 4) array, whose entropies
 `linalg.spectrum_entropies` reads in one pass.  LAPACK solves every
 member of a stack on its own, and the report passes read every row on
-its own, so a member's measures do not depend on its stack; `measures`
-is the one-operator call.  Callers build and evaluate at most
-STACK_POINTS operators at a time, which bounds the memory a long sweep
-holds.
+its own, so a member's (block, transpose, mutual information) triple
+does not depend on its stack; `measures` is the one-operator call.
+Callers build and evaluate at most STACK_POINTS operators at a time,
+which bounds the memory a long sweep holds.
 """
 from __future__ import annotations
 
@@ -277,23 +277,16 @@ def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOper
     return EffectiveDensityOperator(_swap_a_modes(op.normalized))
 
 
-@dataclass(frozen=True)
-class Measures:
-    report: SpectrumReport
-    transpose: SpectrumReport
-    entropy_a: float
-    entropy_b: float
-    mutual_information: float
-
-
-def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
-    """The measures of each operator of a stack, from stacked solves and reports.
+def stacked_measures(
+    stack: EffectiveDensityOperator,
+) -> list[tuple[SpectrumReport, SpectrumReport, float]]:
+    """(block, transpose, mutual_information) of each operator of a stack.
 
     Two eigensolves, over the joint and transposed stacks however long
     the stack is (callers pass at most STACK_POINTS), then one report
     pass over their eigenvalues and one over the block marginals'
     spectra, which are the marginals' diagonals (see the module
-    docstring).  A member's Measures do not depend on the rest of its
+    docstring).  A member's triple does not depend on the rest of its
     stack, bitwise.
     """
     count = len(stack.normalized)
@@ -306,19 +299,13 @@ def stacked_measures(stack: EffectiveDensityOperator) -> list[Measures]:
         np.concatenate([np.einsum("pabab->pa", modes), np.einsum("pabab->pb", modes)])
     )
     return [
-        Measures(
-            report=report,
-            transpose=transpose,
-            entropy_a=entropy_a,
-            entropy_b=entropy_b,
-            mutual_information=entropy_a + entropy_b - report.entropy,
-        )
+        (report, transpose, entropy_a + entropy_b - report.entropy)
         for report, transpose, entropy_a, entropy_b in zip(
             spectra[:count], spectra[count:], entropies[:count], entropies[count:]
         )
     ]
 
 
-def measures(op: EffectiveDensityOperator) -> Measures:
-    """Joint and transpose spectra, the block entropies and their mutual information."""
+def measures(op: EffectiveDensityOperator) -> tuple[SpectrumReport, SpectrumReport, float]:
+    """Joint and transpose spectra and the blocks' mutual information."""
     return stacked_measures(op[None])[0]

@@ -97,8 +97,7 @@ class Geometry(NamedTuple):
         for start in range(0, len(points), er.STACK_POINTS):
             stack = points[start : start + er.STACK_POINTS]
             columns = {name: [params[name] for params in stack] for name in self.names}
-            measures = er.stacked_measures(self.operators(**columns))
-            out += [(m.report, m.transpose, m.mutual_information) for m in measures]
+            out += er.stacked_measures(self.operators(**columns))
         return out
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import CHANNEL_SIGNS, decay_parameter
+from .closed_forms import CHANNEL_SIGNS, ChannelWeights, decay_parameter
 from .pauli_algebra import SIGMA
 
 MIN_SAMPLES = 1000
@@ -299,9 +299,10 @@ def estimate_block_overlap(
 
 
 def block_overlap_target(mu: int, nu: int, length: int) -> float:
+    """<A_mu|A_nu> of a block: the closed-form channel weight on the diagonal."""
     if mu != nu:
         return 0.0
-    return 0.25 * (1.0 + CHANNEL_SIGNS[mu] * decay_parameter(length))
+    return ChannelWeights.from_length(length).weights[mu]
 
 
 @dataclass(frozen=True)
@@ -330,9 +331,9 @@ def sign_discrimination(samples: int = SAMPLES, seed: int = SEED) -> SignDiscrim
     """
     mu, length = 2, 1
     est = estimate_block_overlap(mu, mu, length, samples=samples, seed=seed)
-    z = decay_parameter(length)
-    plus = 0.25 * (1.0 + CHANNEL_SIGNS[mu] * z)
-    minus = 0.25 * (1.0 - CHANNEL_SIGNS[mu] * z)
+    plus = ChannelWeights.from_length(length).weights[mu]
+    # the rejected reading, written out: the package has no formula for it
+    minus = 0.25 * (1.0 - CHANNEL_SIGNS[mu] * decay_parameter(length))
     return SignDiscrimination(
         estimate=est,
         plus_target=plus,

@@ -200,7 +200,7 @@ def test_criterion_07_mutual_information():
     assert target2 == pytest.approx(0.017372, abs=5e-7)
 
     for gap, bound in [(1, 0.01), (2, 0.002)]:
-        finite = er.measures(er.rho_ab_open(6, gap, 6)).mutual_information
+        _, _, finite = er.measures(er.rho_ab_open(6, gap, 6))
         target = cf.mutual_information(cf.decay_parameter(gap))
         assert abs(finite - target) < bound
 

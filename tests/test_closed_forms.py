@@ -12,9 +12,9 @@ from vbsent.closed_forms import (
     DISJOINT_MULTIPLICITIES,
     AdjacentNegativity,
     ChannelWeights,
-    PairWeights,
     adjacent_negativity_asymptote,
     adjacent_negativity_equal,
+    adjacent_pt_char_polys,
     adjacent_pt_negativity,
     adjacent_pt_spectrum,
     asymptotic_disjoint_spectrum,
@@ -72,12 +72,48 @@ def test_channel_weights_single_site():
     assert w.triplet == pytest.approx(1.0 / 3.0, abs=1e-16)
 
 
-def test_pair_weights_are_products():
-    pw = PairWeights.from_lengths(2, 3)
-    wa = ChannelWeights.from_length(2)
-    wb = ChannelWeights.from_length(3)
-    assert pw.lam00 == pytest.approx(wa.singlet * wb.singlet, abs=1e-16)
-    assert pw.lam11 == pytest.approx(wa.triplet * wb.triplet, abs=1e-16)
+def _pair_factors_one_by_one(L1, L2, z):
+    """The pair products and factor coefficients, as the closed forms first wrote them."""
+    a = ChannelWeights.from_length(L1)
+    b = ChannelWeights.from_length(L2)
+    l00 = a.singlet * b.singlet
+    l10 = a.singlet * b.triplet + b.singlet * a.triplet
+    l11 = a.triplet * b.triplet
+    p1_root = (1.0 - z) * l11
+    p2 = (
+        -(l00 + (1.0 + 2.0 * z) * l11),
+        (1.0 - z) * (1.0 + 3.0 * z) * l00 * l11,
+    )
+    p3 = (
+        -(l10 + l11 * (1.0 + z)),
+        ((1.0 + z) * l00 + (1.0 + 2.0 * z) * l10) * (1.0 - z) * l11,
+        -((1.0 - z) ** 2) * (1.0 + 3.0 * z) * l00 * l11**2,
+    )
+    return l00, l11, (p1_root, p2, p3)
+
+
+def _adjacent_negativity_one_by_one(L1, L2):
+    l00, l11, (_, _, p3) = _pair_factors_one_by_one(L1, L2, -1.0)
+    y1 = 0.5 * (l00 - l11 - math.sqrt(l00 * l00 + 14.0 * l00 * l11 + l11 * l11))
+    y2 = cubic_min_root_sine(*p3)
+    total = y1 + 3.0 * y2
+    return AdjacentNegativity(y1, y2, -total, math.log2(1.0 - 2.0 * total))
+
+
+def test_pair_factors_equal_the_written_out_reference_bitwise():
+    # short blocks zero the singlet weight (L=1) and from 679 on z is a
+    # signed zero; repr tells every float, and -0.0, apart
+    lengths = [*range(1, 41), 679, 680, 1000]
+    gaps = [*range(1, 41), 679, 1000]
+    for la in lengths:
+        for lb in lengths:
+            for gap in gaps:
+                want = _pair_factors_one_by_one(la, lb, decay_parameter(gap))[2]
+                assert repr(disjoint_char_polys(la, gap, lb)) == repr(want)
+            want = _pair_factors_one_by_one(la, lb, -1.0)[2]
+            assert repr(adjacent_pt_char_polys(la, lb)) == repr(want)
+            want = _adjacent_negativity_one_by_one(la, lb)
+            assert repr(adjacent_pt_negativity(la, lb)) == repr(want)
 
 
 # ------------------------------------------------------ pure bipartition
