@@ -174,10 +174,14 @@ def cubic_min_root_sine(b: float, c: float, d: float) -> float:
     return _newton_polish(b, c, d, root)
 
 
-def pure_block_spectrum(length: int) -> SpectrumReport:
-    """Reduced-density spectrum of one block of a pure chain: singlet + 3 triplet."""
+def pure_block_values(length: int) -> list[float]:
+    """Reduced-density eigenvalues of one block of a pure chain: singlet + 3 triplet."""
     w = ChannelWeights.from_length(length)
-    return spectrum_report([w.singlet, w.triplet, w.triplet, w.triplet])
+    return [w.singlet, w.triplet, w.triplet, w.triplet]
+
+
+def pure_block_spectrum(length: int) -> SpectrumReport:
+    return spectrum_report(pure_block_values(length))
 
 
 def pure_block_entanglement_xi(length: int) -> tuple[float, float]:
@@ -192,8 +196,8 @@ def pure_block_entanglement_xi(length: int) -> tuple[float, float]:
     return xi_s, math.log(4.0 / (1.0 - z))
 
 
-def pure_pt_spectrum(length: int) -> SpectrumReport:
-    """Partial-transpose spectrum across a single cut at block length L >= 1.
+def pure_pt_values(length: int) -> list[float]:
+    """Partial-transpose eigenvalues across a single cut at block length L >= 1.
 
     Multiset {t x6, -t x3, +sqrt(st) x3, -sqrt(st) x3, s x1}; negativity
     3(t + sqrt(st)).
@@ -201,13 +205,20 @@ def pure_pt_spectrum(length: int) -> SpectrumReport:
     w = ChannelWeights.from_length(length)
     s, t = w.singlet, w.triplet
     cross = math.sqrt(s * t)
-    values = [t] * 6 + [-t] * 3 + [cross] * 3 + [-cross] * 3 + [s]
-    return spectrum_report(values)
+    return [t] * 6 + [-t] * 3 + [cross] * 3 + [-cross] * 3 + [s]
+
+
+def pure_pt_spectrum(length: int) -> SpectrumReport:
+    return spectrum_report(pure_pt_values(length))
+
+
+def bipartition_L0_pt_values() -> list[float]:
+    """Cut through a single bond: PT eigenvalues {1/2 x3, -1/2}, negativity 1/2."""
+    return [0.5, 0.5, 0.5, -0.5]
 
 
 def bipartition_L0_pt_spectrum() -> SpectrumReport:
-    """Cut through a single bond: PT spectrum {1/2 x3, -1/2}, negativity 1/2."""
-    return spectrum_report([0.5, 0.5, 0.5, -0.5])
+    return spectrum_report(bipartition_L0_pt_values())
 
 
 def _pair_factors(L1: int, L2: int, z: float) -> tuple[float, float, CharPolys]:

@@ -13,21 +13,35 @@ leading axis, and indexing it indexes the stack.  `open_stack` and
 tensor, the Gram weights and the trace check over them; `rho_ab_open`,
 `rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a one-point build.
 
-`stacked_measures` evaluates a stack as arrays.  Two `eigvalsh` calls
-solve the (P, 16, 16) joint matrices and their mode transposes, each
-stack checked for Hermiticity first and solved as complex: the real
-solver moves the last bit of most joint and transposed eigenvalues.
-The two block marginals need no solve: every coefficient that a
-partial trace sums into an entry off a marginal's diagonal, [mu, rho,
-alpha, rho] with mu != alpha or [mu, rho, mu, beta] with rho != beta,
-is exactly 0.0, so each marginal is diagonal and its spectrum is its
-diagonal.  The joint and transposed eigenvalues form one (2P, 16)
-array, which `linalg.spectrum_reports` reads in one pass, and the
-marginals' diagonals one (2P, 4) array, whose entropies
-`linalg.spectrum_entropies` reads in one pass.  LAPACK solves every
-member of a stack on its own, and the report passes read every row on
-its own, so a member's (block, transpose, mutual information) triple
-does not depend on its stack; `measures` is the one-operator call.
+The state is SU(2)-invariant.  Each block's four modes are one singlet
+(mode 2) and one triplet (modes 0, 1, 3), so the 16 two-block modes are
+two singlets, three triplets and one quintet: the p1^5 p2 p3^3 of the
+closed forms.  The fixed orthogonal SECTOR_ROTATION Q takes every
+operator, joint or mode-transposed, to blockdiag(S, A (x) I_3, q I_5),
+with a 2x2 singlet block S, a 3x3 triplet block A and a quintet scalar
+q; `sector_residuals` measures how far a rotated operator is from that
+form.  The blocks come from the sigma-algebra coefficients, not from the
+closed forms.
+
+`stacked_measures` evaluates a stack as arrays.  It checks the joint
+matrices and their mode transposes, one (2P, 16, 16) stack, for
+Hermiticity, rotates it by Q in one stacked product, checks the whole
+off-sector residual against SECTOR_RESIDUAL_BOUND and solves the
+(2P, 2, 2) singlet and (2P, 3, 3) triplet blocks as real stacks.  The
+multiplicities 1, 3 and 5 come from the sector, not from a tolerance,
+and no 16x16 matrix is diagonalized.  The two block marginals need no
+solve: every coefficient that a partial trace sums into an entry off a
+marginal's diagonal, [mu, rho, alpha, rho] with mu != alpha or
+[mu, rho, mu, beta] with rho != beta, is exactly 0.0, so each marginal
+is diagonal and its spectrum is its diagonal.  The joint and transposed
+eigenvalues form one (2P, 16) array, which `linalg.spectrum_reports`
+reads in one pass, and the marginals' diagonals one (2P, 4) array,
+whose entropies `linalg.spectrum_entropies` reads in one pass.  The
+rotation and LAPACK act on every member of a stack on its own, and the
+report passes read every row on its own, so a member's (block,
+transpose, mutual information) triple does not depend on its stack;
+`measures` is the one-operator call, and
+`EffectiveDensityOperator.spectrum` reads the same sector solve.
 Callers build and evaluate at most STACK_POINTS operators at a time,
 which bounds the memory a long sweep holds.
 """
@@ -35,12 +49,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .closed_forms import CHANNEL_SIGNS, ChannelWeights, decay_parameter
 from .linalg import (
     SpectrumReport,
+    check_hermitian,
     hermitian_eigvals,
     spectrum_entropies,
     spectrum_report,
@@ -75,7 +91,8 @@ class EffectiveDensityOperator:
         return EffectiveDensityOperator(self.normalized[index])
 
     def spectrum(self) -> SpectrumReport:
-        return spectrum_report(hermitian_eigvals(self.normalized))
+        """The report of one operator, from its sector solve."""
+        return spectrum_report(_sector_eigvals(self.normalized[None])[0])
 
 
 def _decays(lengths: Sequence[int]) -> np.ndarray:
@@ -277,24 +294,151 @@ def mode_partial_transpose(op: EffectiveDensityOperator) -> EffectiveDensityOper
     return EffectiveDensityOperator(_swap_a_modes(op.normalized))
 
 
+# each block's triplet modes; mode 2 is its singlet
+_TRIPLET_MODES = (0, 1, 3)
+
+
+def _sector_rotation() -> np.ndarray:
+    """The orthogonal Q whose columns are the SU(2) sector states, in order.
+
+    Column entries are integer combinations of the mode pairs
+    (mu, rho) = 4*mu+rho, each column scaled to unit norm.  Mode 2 is the
+    singlet and t = (0, 1, 3) the triplet modes; the pair (i, j) of
+    triplet mode k is the cyclic one, (1, 3), (3, 0) and (0, 1):
+      - singlets: (2, 2), then sum_k (t_k, t_k) / sqrt 3;
+      - triplets, type-major and k-minor: the three (2, t_k), the three
+        (t_k, 2), then the three ((i, j) - (j, i)) / sqrt 2;
+      - quintet: the three ((i, j) + (j, i)) / sqrt 2, then
+        ((0, 0) - (1, 1)) / sqrt 2 and ((0, 0) + (1, 1) - 2 (3, 3)) / sqrt 6.
+    """
+    pairs = np.eye(16).reshape(4, 4, 16)
+    t = _TRIPLET_MODES
+    cyclic = [(t[1], t[2]), (t[2], t[0]), (t[0], t[1])]
+    columns = [pairs[2, 2], sum(pairs[k, k] for k in t)]
+    columns += [pairs[2, k] for k in t] + [pairs[k, 2] for k in t]
+    columns += [pairs[i, j] - pairs[j, i] for i, j in cyclic]
+    columns += [pairs[i, j] + pairs[j, i] for i, j in cyclic]
+    columns += [pairs[0, 0] - pairs[1, 1], pairs[0, 0] + pairs[1, 1] - 2.0 * pairs[3, 3]]
+    q = np.array(columns).T
+    return q / np.sqrt((q * q).sum(axis=0))
+
+
+SECTOR_ROTATION = _sector_rotation()
+
+
+def _sector_sources() -> np.ndarray:
+    """Flat index of the rotated entry each entry of the sector form copies, or -1.
+
+    The form is blockdiag(S, A (x) I_3, q I_5): S is the singlet block
+    itself, A the triplet block of the first copy (rows and columns 2, 5
+    and 8), q the first quintet diagonal entry, and every other entry 0.
+    """
+    source = np.full((16, 16), -1)
+    source[:2, :2] = [[0, 1], [16, 17]]
+    for a, b, k in product(range(3), repeat=3):
+        source[2 + 3 * a + k, 2 + 3 * b + k] = 16 * (2 + 3 * a) + 2 + 3 * b
+    source[range(11, 16), range(11, 16)] = 16 * 11 + 11
+    return source.reshape(256)
+
+
+_SOURCES = _sector_sources()
+_FORM_INDEX = np.maximum(_SOURCES, 0)
+_FORM_MASK = (_SOURCES >= 0).astype(float)
+
+# the two singlet levels once, the three triplet levels three times each
+# and the quintet level five times
+_MULTIPLIED = np.repeat(np.arange(6), (1, 1, 3, 3, 3, 5))
+
+# 22 u with u = 2^-53 the unit round-off (derivation in sector_residuals)
+SECTOR_RESIDUAL_BOUND = 22 * (np.finfo(float).eps / 2)
+
+
+def _rotated(modes: np.ndarray) -> np.ndarray:
+    """Q^T M Q of each (16, 16) member of a stack."""
+    return SECTOR_ROTATION.T @ modes @ SECTOR_ROTATION
+
+
+def _off_sector(rotated: np.ndarray) -> np.ndarray:
+    """Max |R - blockdiag(S, A (x) I_3, q I_5)| of each rotated member R."""
+    flat = rotated.reshape(-1, 256)
+    return np.abs(flat - np.take(flat, _FORM_INDEX, axis=1) * _FORM_MASK).max(axis=1)
+
+
+def _joint_and_transposed(stack: EffectiveDensityOperator) -> np.ndarray:
+    """The (2P, 16, 16) stack of the P joint matrices, then their mode transposes."""
+    return np.concatenate([stack.normalized, _swap_a_modes(stack.normalized)])
+
+
+def sector_residuals(stack: EffectiveDensityOperator) -> np.ndarray:
+    """The off-sector residual of each joint member, then of each transposed one.
+
+    The residual of a member rho is max |R - blockdiag(S, A (x) I_3, q I_5)|
+    over R = fl(Q^T rho Q), with S, A and q read from R (see
+    `_sector_sources`).  SECTOR_RESIDUAL_BOUND = 22 u, u = 2^-53, bounds
+    the residual that the rotation's round-off leaves:
+      - Every entry of Q is 0, 1 or c / sqrt(n) with integer c and n, one
+        square root and one division: |fl(Q) - Q| <= gamma_2 |Q|, with
+        gamma_k = k u / (1 - k u).
+      - Every column of Q has at most 3 nonzero entries and unit 2-norm,
+        and adding an exact zero rounds nothing, so each of the two
+        products rounds sums of at most 3 terms:
+        |R - Q^T rho Q| <= (2 gamma_3 + 2 gamma_2 + O(u^2)) |Q|^T |rho| |Q|,
+        under 11 u |Q|^T |rho| |Q|.
+      - An entry of |Q|^T |rho| |Q| is at most || |rho| ||_2 <= ||rho||_F
+        (Cauchy-Schwarz over unit columns), and ||rho||_F <= tr rho = 1
+        for a unit-trace positive rho; the mode transpose permutes the
+        same entries.  So every rotated entry is within 11 u of its exact
+        value.
+      - For an SU(2)-invariant rho the exact Q^T rho Q is the sector form.
+        Each residual entry sets a rotated entry against another one (the
+        copy the form reads) or against 0, so it is at most 2 x 11 u.
+    The bound budgets the rotation only.  The open-chain build forms the
+    entries SU(2) relates by the same operations on the same operands,
+    and the ring build's own departure from invariance is a fraction of
+    u; the hypothesis test over open, adjacent and ring stacks pins that
+    it fits.
+    """
+    return _off_sector(_rotated(_joint_and_transposed(stack)))
+
+
+def _sector_eigvals(modes: np.ndarray) -> np.ndarray:
+    """The 16 eigenvalues of each member of a (n, 16, 16) stack, by sector.
+
+    Raises, as `linalg.check_hermitian` does, on a non-Hermitian stack and
+    on an off-sector residual above SECTOR_RESIDUAL_BOUND or NaN.
+    """
+    check_hermitian(modes)
+    rotated = _rotated(modes)
+    worst = float(_off_sector(rotated).max())
+    # a NaN residual fails the comparison, so it is rejected too
+    if not worst <= SECTOR_RESIDUAL_BOUND:
+        raise ValueError(
+            f"operator is not SU(2) block diagonal: off-sector residual {worst:.3e} "
+            f"exceeds {SECTOR_RESIDUAL_BOUND:.3e}"
+        )
+    singlets = hermitian_eigvals(rotated[:, :2, :2])
+    triplets = hermitian_eigvals(rotated[:, 2:11:3, 2:11:3])
+    levels = np.concatenate([singlets, triplets, rotated[:, 11, 11:12]], axis=1)
+    return np.take(levels, _MULTIPLIED, axis=1)
+
+
 def stacked_measures(
     stack: EffectiveDensityOperator,
 ) -> list[tuple[SpectrumReport, SpectrumReport, float]]:
     """(block, transpose, mutual_information) of each operator of a stack.
 
-    Two eigensolves, over the joint and transposed stacks however long
-    the stack is (callers pass at most STACK_POINTS), then one report
-    pass over their eigenvalues and one over the block marginals'
-    spectra, which are the marginals' diagonals (see the module
-    docstring).  A member's triple does not depend on the rest of its
-    stack, bitwise.
+    One sector solve over the joint and transposed stacks together,
+    however long the stack is (callers pass at most STACK_POINTS): a
+    Hermiticity check of the (2P, 16, 16) stack, one rotation, one
+    residual check and two real solves, of the (2P, 2, 2) singlet and
+    (2P, 3, 3) triplet blocks.  Then one report pass over the
+    eigenvalues and one over the block marginals' spectra, which are the
+    marginals' diagonals (see the module docstring).  A member's triple
+    does not depend on the rest of its stack, bitwise.
     """
     count = len(stack.normalized)
-    transposed = mode_partial_transpose(stack).normalized
     modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
-    spectra = spectrum_reports(
-        np.concatenate([hermitian_eigvals(stack.normalized), hermitian_eigvals(transposed)])
-    )
+    spectra = spectrum_reports(_sector_eigvals(_joint_and_transposed(stack)))
     entropies = spectrum_entropies(
         np.concatenate([np.einsum("pabab->pa", modes), np.einsum("pabab->pb", modes)])
     )

@@ -18,15 +18,18 @@ bound it) and reports at most 16 eigenvalues per spectrum.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
 from . import effective_rho as er
 from . import mps_oracle as mo
-from .linalg import SpectrumReport, spectrum_report
+from .linalg import SpectrumReport, spectrum_reports
 
 Reports = tuple[SpectrumReport, SpectrumReport, float]
 Spectra = tuple[SpectrumReport, SpectrumReport]
+# the block and partial-transpose eigenvalues of one point
+Rows = tuple[list[float], list[float]]
 
 
 class Geometry(NamedTuple):
@@ -36,9 +39,10 @@ class Geometry(NamedTuple):
     None makes the flag required.  Each callable takes the validated
     params as keywords.  A geometry has one of two routes to its Reports,
     the block spectrum, the partial-transpose spectrum and I(A:B), which
-    `reports` reads: `closed` returns them from the closed forms, and
-    `operators` builds the stack of 16x16 mode operators they are read
-    from; it takes each flag as the list of its values over the points.  A
+    `reports` reads: `closed` returns a point's block and
+    partial-transpose eigenvalues from the closed forms, and `operators`
+    builds the stack of 16x16 mode operators they are read from; it takes
+    each flag as the list of its values over the points.  A
     two-block geometry has a third route, `oracle`, which returns the
     block and partial-transpose spectra of mps_oracle.layout_spectra on
     the blocks' runs in its chain or ring.  `limit` is the closed-form
@@ -48,7 +52,7 @@ class Geometry(NamedTuple):
     name: str
     help: str
     flags: tuple[tuple[str, int | None, int], ...]
-    closed: Callable[..., Reports] | None = None
+    closed: Callable[..., Rows] | None = None
     operators: Callable[..., er.EffectiveDensityOperator] | None = None
     oracle: Callable[..., Spectra] | None = None
     limit: Callable[..., float] | None = None
@@ -80,30 +84,32 @@ class Geometry(NamedTuple):
     def label(self, params: dict, head: str | None = None) -> str:
         return " ".join([head or self.name] + [f"{k}={params[k]}" for k in self.names])
 
+    def stacks(self, points: list[dict]) -> Iterator[er.EffectiveDensityOperator]:
+        """The operator stacks of the points, at most er.STACK_POINTS each, in order."""
+        for start in range(0, len(points), er.STACK_POINTS):
+            stack = points[start : start + er.STACK_POINTS]
+            yield self.operators(**{name: [p[name] for p in stack] for name in self.names})
+
     def reports(self, points: list[dict]) -> list[Reports]:
         """One Reports per point of validated params, in order.
 
-        A closed-form geometry evaluates point by point.  An operator
-        geometry takes its points in stacks of at most er.STACK_POINTS
-        and evaluates each stack as arrays from build to report: one
-        broadcast build of the stack's operators, two eigensolves and
+        A closed-form geometry reads every point's block eigenvalues in
+        one report pass and every point's transpose eigenvalues in
+        another.  An operator geometry takes its points in `stacks` and
+        evaluates each stack as arrays from build to report: one
+        broadcast build of the stack's operators, one sector solve and
         two report passes in er.stacked_measures.  A call holds one
         stack's operators at a time, and every float equals the one a
         single-point call gives.
         """
-        if self.operators is None:
-            return [self.closed(**params) for params in points]
-        out = []
-        for start in range(0, len(points), er.STACK_POINTS):
-            stack = points[start : start + er.STACK_POINTS]
-            columns = {name: [params[name] for params in stack] for name in self.names}
-            out += er.stacked_measures(self.operators(**columns))
-        return out
-
-
-def _pure(block: SpectrumReport, pt: SpectrumReport) -> Reports:
-    # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
-    return block, pt, 2.0 * block.entropy
+        if self.operators is not None:
+            return [m for stack in self.stacks(points) for m in er.stacked_measures(stack)]
+        blocks, transposes = zip(*[self.closed(**params) for params in points])
+        # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
+        return [
+            (block, pt, 2.0 * block.entropy)
+            for block, pt in zip(spectrum_reports(blocks), spectrum_reports(transposes))
+        ]
 
 
 def _open_oracle(la: int, gap: int, lb: int) -> Spectra:
@@ -124,17 +130,13 @@ GEOMETRIES = {
             "pure",
             "single-block bipartition closed forms",
             (("length", None, 1),),
-            closed=lambda length: _pure(
-                cf.pure_block_spectrum(length), cf.pure_pt_spectrum(length)
-            ),
+            closed=lambda length: (cf.pure_block_values(length), cf.pure_pt_values(length)),
         ),
         Geometry(
             "bipartition0",
             "single-bond cut (L=0)",
             (),
-            closed=lambda: _pure(
-                spectrum_report([0.5, 0.5]), cf.bipartition_L0_pt_spectrum()
-            ),
+            closed=lambda: ([0.5, 0.5], cf.bipartition_L0_pt_values()),
         ),
         Geometry(
             "disjoint",

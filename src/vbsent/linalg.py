@@ -9,7 +9,7 @@ logarithmic negativity uses log base 2.
 eigenvalue array in one pass, and `spectrum_entropies` only their
 entropies; `spectrum_report` is the one-row call.  Eigensolves go
 through `hermitian_eigvals`, which checks raw input for Hermiticity and
-solves it as complex.
+solves real input as real and any other as complex.
 """
 from __future__ import annotations
 
@@ -26,9 +26,12 @@ HERMITICITY_TOL = 1e-12
 EIG_CLAMP = 1e-12
 
 
-def _check_hermitian(m: np.ndarray) -> None:
+def check_hermitian(m: np.ndarray) -> None:
     """Raise unless m, one matrix or a stack (..., n, n), is Hermitian."""
-    asym = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
+    adjoint = m.swapaxes(-1, -2)
+    if np.iscomplexobj(m):
+        adjoint = adjoint.conj()
+    asym = float(np.abs(m - adjoint).max()) if m.size else 0.0
     # a NaN asymmetry fails the comparison, so it is rejected too
     if not asym <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |M - M^H| = {asym:.3e}")
@@ -50,7 +53,7 @@ class HermitianOperator:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         if math.prod(dims) != m.shape[0]:
             raise ValueError(f"site_dims {dims} do not multiply to dim {m.shape[0]}")
-        _check_hermitian(m)
+        check_hermitian(m)
 
     @property
     def dim(self) -> int:
@@ -106,8 +109,13 @@ def _entropies(vals: np.ndarray) -> np.ndarray:
 
 
 def _sorted_rows(rows) -> np.ndarray:
-    """Each row of a (R, n) array of real eigenvalues, sorted ascending."""
-    vals = np.asarray(rows, dtype=float)
+    """Each row of a (R, n) array of real eigenvalues, sorted ascending.
+
+    The rows are laid out C-contiguous: numpy sums a strided row in
+    another order than a contiguous one, so a Fortran-ordered input would
+    make a row's sums depend on the rows beside it.
+    """
+    vals = np.asarray(rows, dtype=float, order="C")
     if vals.ndim != 2:
         raise ValueError(f"eigenvalues must form a (rows, values) array, got shape {vals.shape}")
     return np.sort(vals, axis=-1)
@@ -162,8 +170,9 @@ def spectrum_report(values) -> SpectrumReport:
 def _as_matrix(op) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.entries
-    m = np.asarray(op, dtype=complex)
-    _check_hermitian(m)
+    m = np.asarray(op)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    check_hermitian(m)
     return m
 
 
@@ -172,7 +181,8 @@ def hermitian_eigvals(op) -> np.ndarray:
 
     Accepts a HermitianOperator, a raw matrix or a raw stack (..., n, n),
     whose result is (..., n); raw input is checked for Hermiticity first
-    and rejected with the maximal asymmetry in the message.
+    and rejected with the maximal asymmetry in the message.  Real raw
+    input is solved as real symmetric, other raw input as complex.
     """
     return np.linalg.eigvalsh(_as_matrix(op))
 

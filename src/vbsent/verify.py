@@ -14,7 +14,10 @@ The two-block suites read their mode and oracle routes from the geometry
 table, the mode route through `Geometry.reports` as the CLI does.  The
 other oracle rows pass the blocks' runs to `mps_oracle.layout_spectra`
 as the table's oracles do, so only the `hamiltonian` and `correlations`
-suites build a dense state: there the state is what is checked.  The CLI
+suites build a dense state: there the state is what is checked.  Each
+suite that reads the mode route also has one "SU(2) sectors" row over
+the operators it read, joint and transposed: the off-sector residual and
+bound that the sector solve checks, named with the count of operators.  The CLI
 `verify` subcommand prints the rows and folds them into an exit code, and
 the test suite reuses them.  A check passes when its worst deviation
 stays within its bound.  Suites take what they read as keywords and
@@ -103,6 +106,21 @@ def _spectrum_gap(a, b) -> float:
     return float(np.max(np.abs(x - y)))
 
 
+def _sector_case(geo, points) -> tuple[str, float, float]:
+    """The off-sector residual case of every mode operator of the points.
+
+    One case over the points' operators, joint and transposed, rebuilt
+    in the stacks `Geometry.reports` builds and measured by the residual
+    function and bound that `effective_rho.stacked_measures` checks.  Its
+    name counts the operators, and a case over none fails.
+    """
+    residuals = [r for stack in geo.stacks(points) for r in er.sector_residuals(stack)]
+    # np.max keeps a NaN where max() would drop it
+    worst = float(np.max(residuals)) if residuals else math.inf
+    name = f"SU(2) sectors: off-sector residual ({len(residuals)} operators)"
+    return name, er.SECTOR_RESIDUAL_BOUND, worst
+
+
 # every disjoint layout of two blocks and their gap within six sites
 DISJOINT_GRID = tuple(
     dict(la=la, gap=gap, lb=lb)
@@ -187,6 +205,7 @@ def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
     # two-block coefficients at z(gap)
     for gap in range(1, max_sites + 1):
         yield "three-block contraction identity", 1e-15, er.contraction_defect(gap)
+    yield _sector_case(geo, DISJOINT_GRID)
 
 
 @_suite("open-transpose")
@@ -200,6 +219,7 @@ def suite_open_transpose_positivity(*, tol: float, **_) -> Cases:
         swapped = er._swap_a_modes(er._obc_coefficients(z).reshape(16, 16))
         flipped = er._obc_coefficients(-z).reshape(16, 16)
         yield "transpose equals sign-flipped gap", EXACT, float(np.max(np.abs(swapped - flipped)))
+    yield _sector_case(geo, DISJOINT_GRID)
 
 
 @_suite("adjacent-blocks")
@@ -220,6 +240,7 @@ def suite_adjacent_blocks(*, tol: float, **_) -> Cases:
         cubic = cf.adjacent_pt_char_polys(l1, l2)[2]
         sine = cf.cubic_min_root_sine(*cubic) - cf.cubic_roots_trig(*cubic)[0]
         yield "sine-form root is the cubic minimum", 1e-12, abs(sine)
+    yield _sector_case(geo, points)
 
 
 @_suite("ring-blocks")
@@ -236,6 +257,7 @@ def suite_ring_blocks(*, max_sites: int, tol: float, **_) -> Cases:
         coeffs = er.convexity_coefficients(params["lc"], params["ld"])
         yield "mixture weights within [0,1]", EXACT, max(max(-c, c - 1.0) for c in coeffs)
         yield "mixture weights sum to 1", 1e-15, abs(sum(coeffs) - 1.0)
+    yield _sector_case(geo, points)
 
 
 @_suite("hamiltonian")
@@ -275,10 +297,11 @@ def suite_mutual_information(*, tol: float, **_) -> Cases:
         yield "I = 4 ln 2 - S identity", 1e-12, abs(cf.mutual_information(z) - identity)
     yield "I(0) = 0", EXACT, abs(cf.mutual_information(0.0))
     geo = GEOMETRIES["mutual-info"]
-    for gap, bound in ((1, 0.01), (2, 0.002)):
-        params = geo.params(gap=gap)
-        [(_, _, finite)] = geo.reports([params])
-        yield f"finite blocks vs limit at gap {gap}", bound, abs(finite - geo.limit(**params))
+    points = [geo.params(gap=gap) for gap in (1, 2)]
+    for params, bound, (_, _, finite) in zip(points, (0.01, 0.002), geo.reports(points)):
+        gap_row = f"finite blocks vs limit at gap {params['gap']}"
+        yield gap_row, bound, abs(finite - geo.limit(**params))
+    yield _sector_case(geo, points)
 
 
 @_suite("end-blocks")

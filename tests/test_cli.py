@@ -610,8 +610,10 @@ def test_sweep_solves_two_stacks_per_16_points_with_one_parser(monkeypatch):
     try:
         code, out, _ = run_cli(["sweep", "disjoint", "--la", "2", "--gap", "1:200", "--lb", "3"])
         assert code == 0 and len(csv_tables(out)[0]) == 201
-        assert len(shapes) == 2 * math.ceil(200 / 16)
-        assert max(shape[0] for shape in shapes) == 16
+        # per stack one singlet and one triplet solve, each over the
+        # stack's joint and transposed operators: 12 stacks of 16, then 8
+        stacks = [16] * (200 // 16) + [200 % 16]
+        assert shapes == [(2 * size, n, n) for size in stacks for n in (2, 3)]
         assert run_cli(["pure", "--length", "2"])[0] == 0
     finally:
         vbsent.cli.build_parser.cache_clear()
@@ -660,10 +662,12 @@ def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
     stacks = math.ceil(200 / 16)
     assert len(builds) == stacks
     assert reports == []
-    assert len(solved) == 2 * stacks
-    # every stack keeps the complex solver, as the real one moves the last
-    # bit of most joint and transposed eigenvalues
-    assert {str(dtype) for dtype, _ in solved} == {"complex128"}
+    # one real singlet and one real triplet solve per stack, each over the
+    # stack's joint and transposed operators; no 16x16 matrix is solved
+    sizes = [2 * min(16, 200 - start) for start in range(0, 200, 16)]
+    assert solved == [
+        (np.dtype(float), (size, n, n)) for size in sizes for n in (2, 3)
+    ]
 
 
 def test_cached_parser_carries_no_flags_between_calls():

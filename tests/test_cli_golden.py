@@ -29,7 +29,7 @@ import pytest
 
 from vbsent import effective_rho
 from vbsent.cli import main
-from vbsent.linalg import EIG_CLAMP, hermitian_eigvals
+from vbsent.linalg import EIG_CLAMP
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 LENGTHS = (1, 2, 3, 12, 40, 1000)  # z underflows to zero at 1000
@@ -150,21 +150,28 @@ def test_cli_output_matches_golden(line):
 
 def test_round_off_on_zero_mode_eigenvalues_leaves_the_output_unchanged(monkeypatch):
     # another numeric stack prints other round-off for the zero eigenvalues
-    # of the mode spectra; +-1e-15 on each must not move a byte.  Nonzero
+    # of the mode spectra; +-1e-15 on each must not move a byte.  The noise
+    # goes on the sector solve's 16 values per operator, singlet, triplet
+    # and quintet levels alike, each copy of a level on its own.  Nonzero
     # eigenvalues stay exact: their round-off moves the trailing digits of
     # measures that cancel, as a mutual information of 5e-12, whatever the
     # display does.  verify is left out, as its rows print round-off.
     rng = np.random.default_rng(0)
+    solve = effective_rho._sector_eigvals
 
-    def noisy(op):
-        vals = hermitian_eigvals(op)
-        noise = rng.choice([-1e-15, 1e-15], size=vals.shape)
-        return vals + np.where(np.abs(vals) <= EIG_CLAMP, noise, 0.0)
+    perturbed = []
 
-    monkeypatch.setattr(effective_rho, "hermitian_eigvals", noisy)
+    def noisy(modes):
+        vals = solve(modes)
+        zeros = np.abs(vals) <= EIG_CLAMP
+        perturbed.append(int(zeros.sum()))
+        return vals + np.where(zeros, rng.choice([-1e-15, 1e-15], size=vals.shape), 0.0)
+
+    monkeypatch.setattr(effective_rho, "_sector_eigvals", noisy)
     lines = [line for line in corpus() if not line.startswith("verify")]
     changed = [line for line in lines if run_line(line) != _recorded()[line]]
     assert changed == []
+    assert sum(perturbed) > 0
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:

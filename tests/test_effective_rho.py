@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vbsent import effective_rho as er
 from vbsent import mps_oracle as mo
 from vbsent.closed_forms import (
     CHANNEL_SIGNS,
@@ -23,6 +24,8 @@ from vbsent.closed_forms import (
     mutual_information,
 )
 from vbsent.effective_rho import (
+    SECTOR_RESIDUAL_BOUND,
+    SECTOR_ROTATION,
     EffectiveDensityOperator,
     _obc_coefficients,
     _pbc_coefficients,
@@ -36,6 +39,7 @@ from vbsent.effective_rho import (
     rho_ab_pbc,
     rho_ce_spectra,
     ring_stack,
+    sector_residuals,
     stacked_measures,
 )
 from vbsent.geometry import GEOMETRIES
@@ -339,16 +343,30 @@ def test_measures_mutual_information_tracks_closed_form():
         assert abs(mutual - target) < tol
 
 
+def _sector_values_one_by_one(matrix):
+    """The 16 eigenvalues of one 16x16 operator, solved by sector on its own.
+
+    One 2-D rotation, the singlet block S, the triplet block A of the
+    first copy (rows and columns 2, 5, 8), solved three times over, and
+    the first quintet entry five times: the per-operator reference for
+    the stacked sector solve.
+    """
+    rotated = SECTOR_ROTATION.T @ matrix @ SECTOR_ROTATION
+    singlets = hermitian_eigvals(rotated[:2, :2])
+    triplets = hermitian_eigvals(rotated[2:11:3, 2:11:3])
+    return [*singlets, *np.repeat(triplets, 3), *[rotated[11, 11]] * 5]
+
+
 def _measures_one_by_one(op):
     """The per-operator measures the stacked evaluation replaced."""
-    report = reference_report(hermitian_eigvals(op.normalized))
+    report = reference_report(_sector_values_one_by_one(op.normalized))
     ent = {}
     for side in ("A", "B"):
         vals = hermitian_eigvals(mode_partial_trace(op, "B" if side == "A" else "A"))
         ent[side] = reference_report(vals).entropy
     return (
         report,
-        reference_report(hermitian_eigvals(mode_partial_transpose(op).normalized)),
+        reference_report(_sector_values_one_by_one(mode_partial_transpose(op).normalized)),
         ent["A"] + ent["B"] - report.entropy,
     )
 
@@ -378,6 +396,107 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
 _LENGTHS = st.one_of(st.integers(1, 4), st.integers(1, 1000), st.integers(679, 1000))
 _RING_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000))
 _OPEN_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000), st.integers(679, 1000))
+
+
+# u = 2^-53, the unit round-off of binary64
+_U = np.finfo(float).eps / 2
+# Each entry of a member's sector form is within 11 u of the exact
+# Q^T rho Q (the rotation's round-off, derived in sector_residuals) plus
+# its residual, at most SECTOR_RESIDUAL_BOUND = 22 u; an entrywise gap of
+# e moves the 2-norm by at most 16 e, hence each eigenvalue by at most
+# 16 x 33 u (Weyl).  A LAPACK symmetric solve moves an eigenvalue by at
+# most p(n) u ||rho||_2 more, taken as n u with ||rho||_2 <= ||rho||_F <= 1:
+# 16 u for the dense referee, 3 u for the largest sector block.
+_SECTOR_SPECTRUM_BOUND = 16 * 33 * _U + (16 + 3) * _U
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_LENGTHS, _OPEN_GAPS, _LENGTHS), min_size=1, max_size=16),
+    st.lists(st.tuples(_LENGTHS, _LENGTHS), min_size=1, max_size=16),
+    st.lists(st.tuples(_LENGTHS, _LENGTHS, _RING_GAPS, _RING_GAPS), min_size=1, max_size=16),
+)
+@example(
+    [(1, 1, 1), (679, 1000, 680), (2, 679, 3)],
+    [(1, 1), (1, 679), (1000, 1000)],
+    [(1, 1, 0, 0), (700, 2, 0, 679), (1, 1000, 0, 1), (3, 2, 1, 0)],
+)
+def test_sector_spectra_equal_the_dense_solve_within_a_derived_bound(opens, adjacent, rings):
+    # the open, adjacent and ring stacks, touching ring gaps included,
+    # each solved by sector and by the dense complex 16x16 referee
+    la, lb = zip(*adjacent)
+    stacks = [open_stack(*zip(*opens)), open_stack(la, [0] * len(la), lb), ring_stack(*zip(*rings))]
+    for stack in stacks:
+        residuals = sector_residuals(stack)
+        assert residuals.shape == (2 * len(stack.normalized),)
+        assert residuals.max() <= SECTOR_RESIDUAL_BOUND
+        transposed = mode_partial_transpose(stack).normalized
+        for (block, pt, _), joint, swapped in zip(stacked_measures(stack), stack.normalized, transposed):
+            for report, matrix in ((block, joint), (pt, swapped)):
+                dense = np.linalg.eigvalsh(matrix.astype(complex))
+                assert np.max(np.abs(np.array(report.eigenvalues) - dense)) <= _SECTOR_SPECTRUM_BOUND
+
+
+def _rotation_from_its_columns(pairs):
+    """Q from its column list, with the pair (i, j) of each triplet mode 0, 1, 3."""
+
+    def pair(mu, rho):
+        column = np.zeros(16)
+        column[4 * mu + rho] = 1.0
+        return column
+
+    t = (0, 1, 3)
+    columns = [pair(2, 2), (pair(0, 0) + pair(1, 1) + pair(3, 3)) / np.sqrt(3.0)]
+    columns += [pair(2, k) for k in t] + [pair(k, 2) for k in t]
+    columns += [(pair(i, j) - pair(j, i)) / np.sqrt(2.0) for i, j in pairs]
+    columns += [(pair(i, j) + pair(j, i)) / np.sqrt(2.0) for i, j in pairs]
+    columns += [
+        (pair(0, 0) - pair(1, 1)) / np.sqrt(2.0),
+        (pair(0, 0) + pair(1, 1) - 2.0 * pair(3, 3)) / np.sqrt(6.0),
+    ]
+    return np.array(columns).T
+
+
+def test_sector_rotation_is_the_orthogonal_q_of_its_column_list():
+    q = _rotation_from_its_columns([(1, 3), (3, 0), (0, 1)])
+    assert np.array_equal(SECTOR_ROTATION, q)
+    assert np.max(np.abs(q.T @ q - np.eye(16))) <= 4 * _U
+
+
+def test_a_non_cyclic_triplet_order_fails_the_residual_check(monkeypatch):
+    # (i, j) in sorted order flips the sign of the second antisymmetric
+    # triplet column, so the three triplet copies no longer agree wherever
+    # the triplet block couples that column: not at a block of length 1,
+    # which has no singlet weight, nor on a ring with both gaps equal,
+    # where the epsilon term vanishes
+    ops = [
+        rho_ab_open(2, 1, 3),
+        rho_ab_open(2, 2, 2),
+        rho_ab_adjacent(1, 2),
+        rho_ab_pbc(2, 3, 0, 1),
+        rho_ab_pbc(2, 1, 1, 2),
+    ]
+    stack = EffectiveDensityOperator(np.array([op.normalized for op in ops]))
+    assert sector_residuals(stack).max() <= SECTOR_RESIDUAL_BOUND
+    monkeypatch.setattr(er, "SECTOR_ROTATION", _rotation_from_its_columns([(1, 3), (0, 3), (0, 1)]))
+    assert np.all(sector_residuals(stack) > 100 * SECTOR_RESIDUAL_BOUND)
+    with pytest.raises(ValueError, match="off-sector residual"):
+        stacked_measures(stack)
+    for op in ops:
+        with pytest.raises(ValueError, match="off-sector residual"):
+            op.spectrum()
+
+
+def test_the_sector_solve_rejects_a_broken_symmetry_and_a_nan_residual(monkeypatch):
+    # a Hermitian operator that couples the two singlet-sector states to a
+    # triplet one passes the Hermiticity check and fails the residual one
+    broken = rho_ab_open(1, 1, 1).normalized.copy()
+    broken[10, 0] = broken[0, 10] = 1e-14
+    with pytest.raises(ValueError, match=r"off-sector residual 1\.\d+e-14"):
+        measures(EffectiveDensityOperator(broken))
+    monkeypatch.setattr(er, "_off_sector", lambda rotated: np.full(len(rotated), np.nan))
+    with pytest.raises(ValueError, match="off-sector residual nan"):
+        measures(rho_ab_open(1, 1, 1))
 
 
 @settings(max_examples=60, deadline=None)

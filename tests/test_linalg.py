@@ -150,6 +150,9 @@ def test_spectrum_reports_equal_spectrum_report_bitwise(rows):
     assert repr(spectrum_reports(np.array(rows))) == repr(want)
     assert repr(spectrum_entropies(np.array(rows))) == repr([r.entropy for r in want])
     assert repr([spectrum_report(row) for row in rows]) == repr(want)
+    # numpy sums a strided row in another order than a contiguous one
+    assert repr(spectrum_reports(np.asfortranarray(rows))) == repr(want)
+    assert repr(spectrum_entropies(np.asfortranarray(rows))) == repr([r.entropy for r in want])
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,11 @@ from vbsent import mps_oracle as mo
 from vbsent import verify as vf
 from vbsent.cli import main
 
+SECTORS = er.SECTOR_RESIDUAL_BOUND
+# joint and transposed ring operators: every ring of 4 to max_sites sites
+# cut into four nonempty arcs, 1 at 4 sites and 70 at 8
+RING_OPERATORS = {4: 2, 8: 140}
+
 ROWS = [
     ("sigma-identities", "bilinear completeness", 0.0),
     ("sigma-identities", "2-bond contraction identity", 0.0),
@@ -40,18 +45,22 @@ ROWS = [
     ("disjoint-blocks", "anchor point (1,1,1)", 1e-10),
     ("disjoint-blocks", "independence from surroundings", 1e-10),
     ("disjoint-blocks", "three-block contraction identity", 1e-15),
+    ("disjoint-blocks", "SU(2) sectors: off-sector residual (40 operators)", SECTORS),
     ("open-transpose", "mode transpose min eigenvalue", 1e-12),
     ("open-transpose", "transfer-oracle transpose min eigenvalue", 1e-12),
     ("open-transpose", "transpose equals sign-flipped gap", 0.0),
+    ("open-transpose", "SU(2) sectors: off-sector residual (40 operators)", SECTORS),
     ("adjacent-blocks", "negativity vs transfer oracle", 1e-10),
     ("adjacent-blocks", "transpose spectrum vs z=-1 polynomials", 1e-10),
     ("adjacent-blocks", "equal-blocks radical formula", 1e-12),
     ("adjacent-blocks", "sine-form root is the cubic minimum", 1e-12),
+    ("adjacent-blocks", "SU(2) sectors: off-sector residual (18 operators)", SECTORS),
     ("ring-blocks", "mode spectrum vs ring oracle", 1e-10),
     ("ring-blocks", "mode transpose min eigenvalue", 1e-12),
     ("ring-blocks", "transfer-oracle transpose min eigenvalue", 1e-12),
     ("ring-blocks", "mixture weights within [0,1]", 0.0),
     ("ring-blocks", "mixture weights sum to 1", 1e-15),
+    ("ring-blocks", "SU(2) sectors: off-sector residual ({ring} operators)", SECTORS),
     ("hamiltonian", "open-chain energy", 1e-12),
     ("hamiltonian", "ring energy", 1e-12),
     ("hamiltonian", "kernel dimension 1 (N<=4)", 0.0),
@@ -62,6 +71,7 @@ ROWS = [
     ("mutual-information", "I(0) = 0", 0.0),
     ("mutual-information", "finite blocks vs limit at gap 1", 0.01),
     ("mutual-information", "finite blocks vs limit at gap 2", 0.002),
+    ("mutual-information", "SU(2) sectors: off-sector residual (4 operators)", SECTORS),
     ("end-blocks", "spectrum equals middle-length weights", 1e-10),
     ("end-blocks", "one-sided transpose spectrum", 1e-10),
     ("monte-carlo", "norm, open chain N=1", 4.0),
@@ -77,7 +87,10 @@ ROWS = [
 @pytest.mark.parametrize("max_sites", [4, 8])
 def test_battery_rows_are_pinned(max_sites):
     rows = vf.run_suites(max_sites=max_sites, samples=1000)
-    assert [(r.suite, r.name, r.bound) for r in rows] == ROWS
+    ring = RING_OPERATORS[max_sites]
+    assert [(r.suite, r.name, r.bound) for r in rows] == [
+        (suite, name.format(ring=ring), bound) for suite, name, bound in ROWS
+    ]
 
 
 @pytest.mark.parametrize("name", list(vf.SUITES))
@@ -122,8 +135,9 @@ def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, re
 
 
 def test_open_transpose_builds_its_grid_in_two_stacks(monkeypatch):
-    # the mode rows read two report stacks of the 20-point grid; the
-    # sign-flip row swaps the coefficients and builds no operator
+    # the mode rows read two report stacks of the 20-point grid, and the
+    # sector row rebuilds the same two; the sign-flip row swaps the
+    # coefficients and builds no operator
     sizes = []
     real = er.open_stack
 
@@ -134,7 +148,7 @@ def test_open_transpose_builds_its_grid_in_two_stacks(monkeypatch):
     monkeypatch.setattr(er, "open_stack", counted)
     rows = vf.SUITES["open-transpose"](max_sites=8, tol=1e-10)
     assert all(r.passed for r in rows)
-    assert sorted(sizes) == [4, 16]
+    assert sorted(sizes) == [4, 4, 16, 16]
 
 
 @pytest.mark.parametrize("max_sites", [8, 12])
@@ -169,6 +183,19 @@ def test_nan_deviation_fails_its_row(monkeypatch):
         code = main(["verify", "--max-sites", "4", "--samples", "1000"])
     assert code == 1
     assert "disjoint-blocks: polynomial roots vs mode spectrum: worst nan" in err.getvalue()
+
+
+def test_a_sector_row_over_no_operators_fails():
+    name, bound, worst = vf._sector_case(vf.GEOMETRIES["disjoint"], [])
+    assert name == "SU(2) sectors: off-sector residual (0 operators)"
+    assert not worst <= bound
+
+
+def test_a_nan_sector_residual_fails_its_row(monkeypatch):
+    monkeypatch.setattr(er, "sector_residuals", lambda stack: [math.nan] * 2 * len(stack.normalized))
+    rows = {r.name: r for r in vf.run_suites(["ring-blocks"], max_sites=4)}
+    row = rows["SU(2) sectors: off-sector residual (2 operators)"]
+    assert math.isnan(row.worst) and not row.passed
 
 
 def test_monte_carlo_estimates_each_norm_once_plus_one_rerun(monkeypatch):
