@@ -104,6 +104,8 @@ class Geometry(NamedTuple):
         """
         if self.operators is not None:
             return [m for stack in self.stacks(points) for m in er.stacked_measures(stack)]
+        if not points:
+            return []
         blocks, transposes = zip(*[self.closed(**params) for params in points])
         # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
         return [

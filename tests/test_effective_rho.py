@@ -124,6 +124,11 @@ def _padded(values, size: int) -> np.ndarray:
     return np.sort(np.concatenate([values, np.zeros(size - len(values))]))
 
 
+def test_every_geometry_reports_no_points_as_no_reports():
+    for geo in GEOMETRIES.values():
+        assert geo.reports([]) == []
+
+
 def test_geometry_validation():
     # every block is nonempty
     for geo in GEOMETRIES.values():
