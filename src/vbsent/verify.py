@@ -17,7 +17,9 @@ as the table's oracles do, so only the `hamiltonian` and `correlations`
 suites build a dense state: there the state is what is checked.  Each
 suite that reads the mode route also has one "SU(2) sectors" row over
 the operators it read, joint and transposed: the off-sector residual and
-bound that the sector solve checks, named with the count of operators.  The CLI
+bound that the sector solve checks, named with the count of operators.
+open-transpose has none: it reads disjoint-blocks' grid, whose row
+already covers each of its operators in both forms.  The CLI
 `verify` subcommand prints the rows and folds them into an exit code, and
 the test suite reuses them.  A check passes when its worst deviation
 stays within its bound.  Suites take what they read as keywords and
@@ -219,7 +221,6 @@ def suite_open_transpose_positivity(*, tol: float, **_) -> Cases:
         swapped = er._swap_a_modes(er._obc_coefficients(z).reshape(16, 16))
         flipped = er._obc_coefficients(-z).reshape(16, 16)
         yield "transpose equals sign-flipped gap", EXACT, float(np.max(np.abs(swapped - flipped)))
-    yield _sector_case(geo, DISJOINT_GRID)
 
 
 @_suite("adjacent-blocks")

@@ -49,7 +49,6 @@ ROWS = [
     ("open-transpose", "mode transpose min eigenvalue", 1e-12),
     ("open-transpose", "transfer-oracle transpose min eigenvalue", 1e-12),
     ("open-transpose", "transpose equals sign-flipped gap", 0.0),
-    ("open-transpose", "SU(2) sectors: off-sector residual (40 operators)", SECTORS),
     ("adjacent-blocks", "negativity vs transfer oracle", 1e-10),
     ("adjacent-blocks", "transpose spectrum vs z=-1 polynomials", 1e-10),
     ("adjacent-blocks", "equal-blocks radical formula", 1e-12),
@@ -135,9 +134,8 @@ def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, re
 
 
 def test_open_transpose_builds_its_grid_in_two_stacks(monkeypatch):
-    # the mode rows read two report stacks of the 20-point grid, and the
-    # sector row rebuilds the same two; the sign-flip row swaps the
-    # coefficients and builds no operator
+    # the mode rows read two report stacks of the 20-point grid; the
+    # sign-flip row swaps the coefficients and builds no operator
     sizes = []
     real = er.open_stack
 
@@ -148,7 +146,7 @@ def test_open_transpose_builds_its_grid_in_two_stacks(monkeypatch):
     monkeypatch.setattr(er, "open_stack", counted)
     rows = vf.SUITES["open-transpose"](max_sites=8, tol=1e-10)
     assert all(r.passed for r in rows)
-    assert sorted(sizes) == [4, 4, 16, 16]
+    assert sorted(sizes) == [4, 16]
 
 
 @pytest.mark.parametrize("max_sites", [8, 12])
