@@ -201,7 +201,7 @@ def _reports_row(label: str, block, pt, mutual: float) -> dict:
 def cmd_geometry(args) -> int:
     geo = GEOMETRIES[args.subcommand]
     params = geo.params(**{name: getattr(args, name) for name in geo.names})
-    [(block, pt, mutual)] = geo.reports([params])
+    [(block, pt, mutual)], _ = geo.reports([params])
     if geo.limit is None:
         label = geo.label(params)
         spectra = _spectra_rows(f"{label} block", block)
@@ -362,7 +362,7 @@ def cmd_sweep(args) -> int:
     points = [geo.params(**{**given, swept: point}) for point in given[swept]]
     rows = [
         _reports_row(geo.label(params), *reports)
-        for params, reports in zip(points, geo.reports(points))
+        for params, reports in zip(points, geo.reports(points)[0])
     ]
     _emit_tables(args, [(MEASURES_HEADER, rows)])
     return 0

@@ -19,17 +19,18 @@ two singlets, three triplets and one quintet: the p1^5 p2 p3^3 of the
 closed forms.  The fixed orthogonal SECTOR_ROTATION Q takes every
 operator, joint or mode-transposed, to blockdiag(S, A (x) I_3, q I_5),
 with a 2x2 singlet block S, a 3x3 triplet block A and a quintet scalar
-q; `sector_residuals` measures how far a rotated operator is from that
-form.  The blocks come from the sigma-algebra coefficients, not from the
-closed forms.
+q; a member's off-sector residual measures how far its rotation is
+from that form.  The blocks come from the sigma-algebra coefficients,
+not from the closed forms.
 
 `stacked_measures` evaluates a stack as arrays.  It checks the joint
 matrices and their mode transposes, one (2P, 16, 16) stack, for
 Hermiticity, rotates it by Q in one stacked product, checks the whole
 off-sector residual against SECTOR_RESIDUAL_BOUND and solves the
-(2P, 2, 2) singlet and (2P, 3, 3) triplet blocks as real stacks.  The
-multiplicities 1, 3 and 5 come from the sector, not from a tolerance,
-and no 16x16 matrix is diagonalized.  The two block marginals need no
+(2P, 2, 2) singlet and (2P, 3, 3) triplet blocks as real stacks; it
+returns the checked residuals with the measures.  The multiplicities 1,
+3 and 5 come from the sector, not from a tolerance, and no 16x16 matrix
+is diagonalized.  The two block marginals need no
 solve: every coefficient that a partial trace sums into an entry off a
 marginal's diagonal, [mu, rho, alpha, rho] with mu != alpha or
 [mu, rho, mu, beta] with rho != beta, is exactly 0.0, so each marginal
@@ -92,7 +93,8 @@ class EffectiveDensityOperator:
 
     def spectrum(self) -> SpectrumReport:
         """The report of one operator, from its sector solve."""
-        return spectrum_report(_sector_eigvals(self.normalized[None])[0])
+        values, _ = _sector_eigvals(self.normalized[None])
+        return spectrum_report(values[0])
 
 
 def _decays(lengths: Sequence[int]) -> np.ndarray:
@@ -344,7 +346,7 @@ _FORM_INDEX, _FORM_MASK = _sector_form()
 # and the quintet level five times
 _MULTIPLIED = np.repeat(np.arange(6), (1, 1, 3, 3, 3, 5))
 
-# 22 u with u = 2^-53 the unit round-off (derivation in sector_residuals)
+# 22 u with u = 2^-53 the unit round-off (derivation in _off_sector)
 SECTOR_RESIDUAL_BOUND = 22 * (np.finfo(float).eps / 2)
 
 
@@ -354,18 +356,7 @@ def _rotated(modes: np.ndarray) -> np.ndarray:
 
 
 def _off_sector(rotated: np.ndarray) -> np.ndarray:
-    """Max |R - blockdiag(S, A (x) I_3, q I_5)| of each rotated member R."""
-    flat = rotated.reshape(-1, 256)
-    return np.abs(flat - np.take(flat, _FORM_INDEX, axis=1) * _FORM_MASK).max(axis=1)
-
-
-def _joint_and_transposed(stack: EffectiveDensityOperator) -> np.ndarray:
-    """The (2P, 16, 16) stack of the P joint matrices, then their mode transposes."""
-    return np.concatenate([stack.normalized, mode_partial_transpose(stack).normalized])
-
-
-def sector_residuals(stack: EffectiveDensityOperator) -> np.ndarray:
-    """The off-sector residual of each joint member, then of each transposed one.
+    """The off-sector residual of each rotated member R of a stack.
 
     The residual of a member rho is max |R - blockdiag(S, A (x) I_3, q I_5)|
     over R = fl(Q^T rho Q), with S, A and q read from R (see
@@ -394,18 +385,21 @@ def sector_residuals(stack: EffectiveDensityOperator) -> np.ndarray:
     hypothesis test over open, adjacent and ring stacks pins that the sum
     stays within the bound.
     """
-    return _off_sector(_rotated(_joint_and_transposed(stack)))
+    flat = rotated.reshape(-1, 256)
+    return np.abs(flat - np.take(flat, _FORM_INDEX, axis=1) * _FORM_MASK).max(axis=1)
 
 
-def _sector_eigvals(modes: np.ndarray) -> np.ndarray:
-    """The 16 eigenvalues of each member of a (n, 16, 16) stack, by sector.
+def _sector_eigvals(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 16 eigenvalues, by sector, and the off-sector residual of each member.
 
     Raises, as `linalg.check_hermitian` does, on a non-Hermitian stack and
-    on an off-sector residual above SECTOR_RESIDUAL_BOUND or NaN.
+    on an off-sector residual above SECTOR_RESIDUAL_BOUND or NaN, so every
+    residual it returns is within the bound.
     """
     check_hermitian(modes)
     rotated = _rotated(modes)
-    worst = float(_off_sector(rotated).max())
+    residuals = _off_sector(rotated)
+    worst = float(residuals.max())
     # a NaN residual fails the comparison, so it is rejected too
     if not worst <= SECTOR_RESIDUAL_BOUND:
         raise ValueError(
@@ -415,13 +409,13 @@ def _sector_eigvals(modes: np.ndarray) -> np.ndarray:
     singlets = hermitian_eigvals(rotated[:, :2, :2])
     triplets = hermitian_eigvals(rotated[:, 2:11:3, 2:11:3])
     levels = np.concatenate([singlets, triplets, rotated[:, 11, 11:12]], axis=1)
-    return np.take(levels, _MULTIPLIED, axis=1)
+    return np.take(levels, _MULTIPLIED, axis=1), residuals
 
 
 def stacked_measures(
     stack: EffectiveDensityOperator,
-) -> list[tuple[SpectrumReport, SpectrumReport, float]]:
-    """(block, transpose, mutual_information) of each operator of a stack.
+) -> tuple[list[tuple[SpectrumReport, SpectrumReport, float]], np.ndarray]:
+    """(block, transpose, mutual_information) of each operator, and the residuals.
 
     One sector solve over the joint and transposed stacks together,
     however long the stack is (callers pass at most STACK_POINTS): a
@@ -430,22 +424,28 @@ def stacked_measures(
     (2P, 3, 3) triplet blocks.  Then one report pass over the
     eigenvalues and one over the block marginals' spectra, which are the
     marginals' diagonals (see the module docstring).  A member's triple
-    does not depend on the rest of its stack, bitwise.
+    does not depend on the rest of its stack, bitwise.  The residuals are
+    the solve's checked (2P,) array, joint members first.
     """
     count = len(stack.normalized)
     modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
-    spectra = spectrum_reports(_sector_eigvals(_joint_and_transposed(stack)))
+    values, residuals = _sector_eigvals(
+        np.concatenate([stack.normalized, mode_partial_transpose(stack).normalized])
+    )
+    spectra = spectrum_reports(values)
     entropies = spectrum_entropies(
         np.concatenate([np.einsum("pabab->pa", modes), np.einsum("pabab->pb", modes)])
     )
-    return [
+    triples = [
         (report, transpose, entropy_a + entropy_b - report.entropy)
         for report, transpose, entropy_a, entropy_b in zip(
             spectra[:count], spectra[count:], entropies[:count], entropies[count:]
         )
     ]
+    return triples, residuals
 
 
 def measures(op: EffectiveDensityOperator) -> tuple[SpectrumReport, SpectrumReport, float]:
     """Joint and transpose spectra and the blocks' mutual information."""
-    return stacked_measures(op[None])[0]
+    triples, _ = stacked_measures(op[None])
+    return triples[0]

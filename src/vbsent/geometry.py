@@ -18,7 +18,6 @@ bound it) and reports at most 16 eigenvalues per spectrum.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Callable, NamedTuple
 
 from . import closed_forms as cf
@@ -84,34 +83,37 @@ class Geometry(NamedTuple):
     def label(self, params: dict, head: str | None = None) -> str:
         return " ".join([head or self.name] + [f"{k}={params[k]}" for k in self.names])
 
-    def stacks(self, points: list[dict]) -> Iterator[er.EffectiveDensityOperator]:
-        """The operator stacks of the points, at most er.STACK_POINTS each, in order."""
-        for start in range(0, len(points), er.STACK_POINTS):
-            stack = points[start : start + er.STACK_POINTS]
-            yield self.operators(**{name: [p[name] for p in stack] for name in self.names})
-
-    def reports(self, points: list[dict]) -> list[Reports]:
-        """One Reports per point of validated params, in order.
+    def reports(self, points: list[dict]) -> tuple[list[Reports], list[float]]:
+        """One Reports per point of validated params, in order, and the residuals.
 
         A closed-form geometry reads every point's block eigenvalues in
         one report pass and every point's transpose eigenvalues in
-        another.  An operator geometry takes its points in `stacks` and
-        evaluates each stack as arrays from build to report: one
-        broadcast build of the stack's operators, one sector solve and
-        two report passes in er.stacked_measures.  A call holds one
-        stack's operators at a time, and every float equals the one a
-        single-point call gives.
+        another, and has no residuals.  An operator geometry takes its
+        points in stacks of at most er.STACK_POINTS and evaluates each
+        stack as arrays from build to report: one broadcast build of the
+        stack's operators, one sector solve and two report passes in
+        er.stacked_measures, whose checked residuals it hands on in
+        stack order.  A call holds one stack's operators at a time, and
+        every float equals the one a single-point call gives.
         """
         if self.operators is not None:
-            return [m for stack in self.stacks(points) for m in er.stacked_measures(stack)]
+            reports, residuals = [], []
+            for start in range(0, len(points), er.STACK_POINTS):
+                stack = points[start : start + er.STACK_POINTS]
+                built = self.operators(**{name: [p[name] for p in stack] for name in self.names})
+                measured, checked = er.stacked_measures(built)
+                reports += measured
+                residuals.extend(checked)
+            return reports, residuals
         if not points:
-            return []
+            return [], []
         blocks, transposes = zip(*[self.closed(**params) for params in points])
         # the chain as a whole stays pure, so I(A:rest) = 2 S(A)
-        return [
+        pure = [
             (block, pt, 2.0 * block.entropy)
             for block, pt in zip(spectrum_reports(blocks), spectrum_reports(transposes))
         ]
+        return pure, []
 
 
 def _open_oracle(la: int, gap: int, lb: int) -> Spectra:

@@ -16,8 +16,9 @@ other oracle rows pass the blocks' runs to `mps_oracle.layout_spectra`
 as the table's oracles do, so only the `hamiltonian` and `correlations`
 suites build a dense state: there the state is what is checked.  Each
 suite that reads the mode route also has one "SU(2) sectors" row over
-the operators it read, joint and transposed: the off-sector residual and
-bound that the sector solve checks, named with the count of operators.
+the operators it read, joint and transposed: it folds the off-sector
+residuals that the sector solve checked against the same bound and
+`Geometry.reports` hands back, named with the count of operators.
 open-transpose has none: it reads disjoint-blocks' grid, whose row
 already covers each of its operators in both forms.  The CLI
 `verify` subcommand prints the rows and folds them into an exit code, and
@@ -108,15 +109,14 @@ def _spectrum_gap(a, b) -> float:
     return float(np.max(np.abs(x - y)))
 
 
-def _sector_case(geo, points) -> tuple[str, float, float]:
-    """The off-sector residual case of every mode operator of the points.
+def _sector_case(residuals) -> tuple[str, float, float]:
+    """The off-sector residual case of the mode operators a suite read.
 
-    One case over the points' operators, joint and transposed, rebuilt
-    in the stacks `Geometry.reports` builds and measured by the residual
-    function and bound that `effective_rho.stacked_measures` checks.  Its
-    name counts the operators, and a case over none fails.
+    One case over the residuals that `Geometry.reports` hands back, one
+    per operator, joint and transposed, each checked by
+    `effective_rho.stacked_measures` against the bound the case reports.
+    Its name counts the operators, and a case over none fails.
     """
-    residuals = [r for stack in geo.stacks(points) for r in er.sector_residuals(stack)]
     # np.max keeps a NaN where max() would drop it
     worst = float(np.max(residuals)) if residuals else math.inf
     name = f"SU(2) sectors: off-sector residual ({len(residuals)} operators)"
@@ -190,7 +190,8 @@ def suite_bond_cut(*, tol: float, **_) -> Cases:
 @_suite("disjoint-blocks")
 def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
     geo = GEOMETRIES["disjoint"]
-    for params, (mode, _, _) in zip(DISJOINT_GRID, geo.reports(DISJOINT_GRID)):
+    reports, residuals = geo.reports(DISJOINT_GRID)
+    for params, (mode, _, _) in zip(DISJOINT_GRID, reports):
         closed = cf.disjoint_spectrum(params["la"], params["gap"], params["lb"])
         poly_gap = _spectrum_gap(closed.eigenvalues, mode.eigenvalues)
         yield "polynomial roots vs mode spectrum", tol, poly_gap
@@ -207,13 +208,13 @@ def suite_disjoint_blocks(*, max_sites: int, tol: float, **_) -> Cases:
     # two-block coefficients at z(gap)
     for gap in range(1, max_sites + 1):
         yield "three-block contraction identity", 1e-15, er.contraction_defect(gap)
-    yield _sector_case(geo, DISJOINT_GRID)
+    yield _sector_case(residuals)
 
 
 @_suite("open-transpose")
 def suite_open_transpose_positivity(*, tol: float, **_) -> Cases:
     geo = GEOMETRIES["disjoint"]
-    for params, (_, mode_pt, _) in zip(DISJOINT_GRID, geo.reports(DISJOINT_GRID)):
+    for params, (_, mode_pt, _) in zip(DISJOINT_GRID, geo.reports(DISJOINT_GRID)[0]):
         yield "mode transpose min eigenvalue", 1e-12, -min(mode_pt.eigenvalues)
         _, ed_pt = geo.oracle(**params)
         yield "transfer-oracle transpose min eigenvalue", 1e-12, -min(ed_pt.eigenvalues)
@@ -227,7 +228,8 @@ def suite_open_transpose_positivity(*, tol: float, **_) -> Cases:
 def suite_adjacent_blocks(*, tol: float, **_) -> Cases:
     geo = GEOMETRIES["adjacent"]
     points = [dict(la=la, lb=lb) for la, lb in product(range(1, 4), repeat=2)]
-    for params, (_, mode_pt, _) in zip(points, geo.reports(points)):
+    reports, residuals = geo.reports(points)
+    for params, (_, mode_pt, _) in zip(points, reports):
         closed = cf.adjacent_pt_negativity(params["la"], params["lb"])
         _, ed_pt = geo.oracle(**params)
         yield "negativity vs transfer oracle", tol, abs(closed.negativity - ed_pt.negativity)
@@ -241,7 +243,7 @@ def suite_adjacent_blocks(*, tol: float, **_) -> Cases:
         cubic = cf.adjacent_pt_char_polys(l1, l2)[2]
         sine = cf.cubic_min_root_sine(*cubic) - cf.cubic_roots_trig(*cubic)[0]
         yield "sine-form root is the cubic minimum", 1e-12, abs(sine)
-    yield _sector_case(geo, points)
+    yield _sector_case(residuals)
 
 
 @_suite("ring-blocks")
@@ -250,7 +252,8 @@ def suite_ring_blocks(*, max_sites: int, tol: float, **_) -> Cases:
     # every ring of 4 to max_sites sites cut into four nonempty arcs
     arcs = product(range(1, max_sites - 2), repeat=4)
     points = [dict(la=a, lb=b, lc=c, ld=d) for a, b, c, d in arcs if a + b + c + d <= max_sites]
-    for params, (mode, mode_pt, _) in zip(points, geo.reports(points)):
+    reports, residuals = geo.reports(points)
+    for params, (mode, mode_pt, _) in zip(points, reports):
         ed, ed_pt = geo.oracle(**params)
         yield "mode spectrum vs ring oracle", tol, _spectrum_gap(mode.eigenvalues, ed.eigenvalues)
         yield "mode transpose min eigenvalue", 1e-12, -min(mode_pt.eigenvalues)
@@ -258,7 +261,7 @@ def suite_ring_blocks(*, max_sites: int, tol: float, **_) -> Cases:
         coeffs = er.convexity_coefficients(params["lc"], params["ld"])
         yield "mixture weights within [0,1]", EXACT, max(max(-c, c - 1.0) for c in coeffs)
         yield "mixture weights sum to 1", 1e-15, abs(sum(coeffs) - 1.0)
-    yield _sector_case(geo, points)
+    yield _sector_case(residuals)
 
 
 @_suite("hamiltonian")
@@ -299,10 +302,11 @@ def suite_mutual_information(*, tol: float, **_) -> Cases:
     yield "I(0) = 0", EXACT, abs(cf.mutual_information(0.0))
     geo = GEOMETRIES["mutual-info"]
     points = [geo.params(gap=gap) for gap in (1, 2)]
-    for params, bound, (_, _, finite) in zip(points, (0.01, 0.002), geo.reports(points)):
+    reports, residuals = geo.reports(points)
+    for params, bound, (_, _, finite) in zip(points, (0.01, 0.002), reports):
         gap_row = f"finite blocks vs limit at gap {params['gap']}"
         yield gap_row, bound, abs(finite - geo.limit(**params))
-    yield _sector_case(geo, points)
+    yield _sector_case(residuals)
 
 
 @_suite("end-blocks")

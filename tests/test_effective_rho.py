@@ -39,7 +39,6 @@ from vbsent.effective_rho import (
     rho_ab_pbc,
     rho_ce_spectra,
     ring_stack,
-    sector_residuals,
     stacked_measures,
 )
 from vbsent.geometry import GEOMETRIES
@@ -113,7 +112,7 @@ def test_mutual_info_oracle_matches_its_mode_route(params):
     # at the geometry's own default blocks of 6 sites among them
     geo = GEOMETRIES["mutual-info"]
     params = geo.params(**params)
-    [(mode, mode_pt, _)] = geo.reports([params])
+    [(mode, mode_pt, _)], _ = geo.reports([params])
     for got, want in zip(geo.oracle(**params), (mode, mode_pt)):
         size = max(len(got.eigenvalues), len(want.eigenvalues))
         gap = _padded(got.eigenvalues, size) - _padded(want.eigenvalues, size)
@@ -126,7 +125,7 @@ def _padded(values, size: int) -> np.ndarray:
 
 def test_every_geometry_reports_no_points_as_no_reports():
     for geo in GEOMETRIES.values():
-        assert geo.reports([]) == []
+        assert geo.reports([]) == ([], [])
 
 
 def test_geometry_validation():
@@ -390,7 +389,7 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
             chunk = ops[start : start + size]
             stacked += stacked_measures(
                 EffectiveDensityOperator(np.array([op.normalized for op in chunk]))
-            )
+            )[0]
         for op, m in zip(ops, stacked, strict=True):
             assert repr(m) == repr(_measures_one_by_one(op))
             assert repr(measures(op)) == repr(m)
@@ -406,7 +405,7 @@ _OPEN_GAPS = st.one_of(st.integers(0, 2), st.integers(0, 1000), st.integers(679,
 # u = 2^-53, the unit round-off of binary64
 _U = np.finfo(float).eps / 2
 # Each entry of a member's sector form is within 11 u of the exact
-# Q^T rho Q (the rotation's round-off, derived in sector_residuals) plus
+# Q^T rho Q (the rotation's round-off, derived in _off_sector) plus
 # its residual, at most SECTOR_RESIDUAL_BOUND = 22 u; an entrywise gap of
 # e moves the 2-norm by at most 16 e, hence each eigenvalue by at most
 # 16 x 33 u (Weyl).  A LAPACK symmetric solve moves an eigenvalue by at
@@ -432,11 +431,11 @@ def test_sector_spectra_equal_the_dense_solve_within_a_derived_bound(opens, adja
     la, lb = zip(*adjacent)
     stacks = [open_stack(*zip(*opens)), open_stack(la, [0] * len(la), lb), ring_stack(*zip(*rings))]
     for stack in stacks:
-        residuals = sector_residuals(stack)
+        measured, residuals = stacked_measures(stack)
         assert residuals.shape == (2 * len(stack.normalized),)
         assert residuals.max() <= SECTOR_RESIDUAL_BOUND
         transposed = mode_partial_transpose(stack).normalized
-        for (block, pt, _), joint, swapped in zip(stacked_measures(stack), stack.normalized, transposed):
+        for (block, pt, _), joint, swapped in zip(measured, stack.normalized, transposed):
             for report, matrix in ((block, joint), (pt, swapped)):
                 dense = np.linalg.eigvalsh(matrix.astype(complex))
                 assert np.max(np.abs(np.array(report.eigenvalues) - dense)) <= _SECTOR_SPECTRUM_BOUND
@@ -482,9 +481,12 @@ def test_a_non_cyclic_triplet_order_fails_the_residual_check(monkeypatch):
         rho_ab_pbc(2, 1, 1, 2),
     ]
     stack = EffectiveDensityOperator(np.array([op.normalized for op in ops]))
-    assert sector_residuals(stack).max() <= SECTOR_RESIDUAL_BOUND
+    _, residuals = stacked_measures(stack)
+    assert residuals.max() <= SECTOR_RESIDUAL_BOUND
     monkeypatch.setattr(er, "SECTOR_ROTATION", _rotation_from_its_columns([(1, 3), (0, 3), (0, 1)]))
-    assert np.all(sector_residuals(stack) > 100 * SECTOR_RESIDUAL_BOUND)
+    # every joint and transposed member, rotated by the broken Q
+    members = np.concatenate([stack.normalized, mode_partial_transpose(stack).normalized])
+    assert np.all(er._off_sector(er._rotated(members)) > 100 * SECTOR_RESIDUAL_BOUND)
     with pytest.raises(ValueError, match="off-sector residual"):
         stacked_measures(stack)
     for op in ops:
@@ -650,4 +652,4 @@ def test_geometry_reports_equal_the_per_point_reference_bitwise(drawn):
     # operator built, solved and reported at a time
     name, points = drawn
     want = [_measures_one_by_one(_operator_one_by_one(name, params)) for params in points]
-    assert repr(GEOMETRIES[name].reports(points)) == repr(want)
+    assert repr(GEOMETRIES[name].reports(points)[0]) == repr(want)

@@ -81,7 +81,9 @@ def _geometry_tables(la: int, gap: int, lb: int, lc: int, ld: int) -> list:
         values = {name: given[name] for name in geo.names}
         if geo.equal_blocks:
             values["lb"] = values["la"]
-        [(block, transpose, _)] = geo.reports([geo.params(**values)])
+        [(block, transpose, _)], residuals = geo.reports([geo.params(**values)])
+        # one joint and one transposed residual per operator, none for a closed form
+        assert len(residuals) == (0 if geo.operators is None else 2)
         reports += [block, transpose]
     return reports
 

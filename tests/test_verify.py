@@ -10,6 +10,7 @@ import io
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from vbsent import closed_forms as cf
@@ -133,20 +134,35 @@ def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, re
     assert len(calls) == reports
 
 
-def test_open_transpose_builds_its_grid_in_two_stacks(monkeypatch):
-    # the mode rows read two report stacks of the 20-point grid; the
-    # sign-flip row swaps the coefficients and builds no operator
-    sizes = []
-    real = er.open_stack
+@pytest.mark.parametrize(
+    "name, max_sites, sizes",
+    [
+        # the 20-point grid in two report stacks; the sector row folds
+        # their residuals and open-transpose's sign-flip row swaps the
+        # coefficients, so neither builds an operator
+        ("disjoint-blocks", 8, [4, 16]),
+        ("open-transpose", 8, [4, 16]),
+        ("adjacent-blocks", 8, [9]),
+        ("ring-blocks", 8, [6] + [16] * 4),
+        ("ring-blocks", 4, [1]),
+        ("mutual-information", 8, [2]),
+    ],
+)
+def test_each_mode_suite_builds_each_grid_point_once(monkeypatch, name, max_sites, sizes):
+    built = []
 
-    def counted(block_a, gap, block_b):
-        sizes.append(len(block_a))
-        return real(block_a, gap, block_b)
+    def counted(real):
+        def build(first, *rest):
+            built.append(len(first))
+            return real(first, *rest)
 
-    monkeypatch.setattr(er, "open_stack", counted)
-    rows = vf.SUITES["open-transpose"](max_sites=8, tol=1e-10)
+        return build
+
+    monkeypatch.setattr(er, "open_stack", counted(er.open_stack))
+    monkeypatch.setattr(er, "ring_stack", counted(er.ring_stack))
+    rows = vf.SUITES[name](max_sites=max_sites, tol=1e-10)
     assert all(r.passed for r in rows)
-    assert sorted(sizes) == [4, 16]
+    assert sorted(built) == sizes
 
 
 @pytest.mark.parametrize("max_sites", [8, 12])
@@ -184,16 +200,26 @@ def test_nan_deviation_fails_its_row(monkeypatch):
 
 
 def test_a_sector_row_over_no_operators_fails():
-    name, bound, worst = vf._sector_case(vf.GEOMETRIES["disjoint"], [])
+    name, bound, worst = vf._sector_case([])
     assert name == "SU(2) sectors: off-sector residual (0 operators)"
     assert not worst <= bound
 
 
-def test_a_nan_sector_residual_fails_its_row(monkeypatch):
-    monkeypatch.setattr(er, "sector_residuals", lambda stack: [math.nan] * 2 * len(stack.normalized))
-    rows = {r.name: r for r in vf.run_suites(["ring-blocks"], max_sites=4)}
-    row = rows["SU(2) sectors: off-sector residual (2 operators)"]
+def test_a_nan_sector_residual_fails_its_row():
+    # the sector solve rejects a NaN residual itself; the row's fold keeps one
+    name, bound, worst = vf._sector_case([0.0, math.nan])
+    row = vf.CheckResult("ring-blocks", name, worst, bound)
+    assert row.name == "SU(2) sectors: off-sector residual (2 operators)"
     assert math.isnan(row.worst) and not row.passed
+
+
+def test_a_sector_row_folds_the_residuals_of_its_reports():
+    _, residuals = vf.GEOMETRIES["disjoint"].reports(vf.DISJOINT_GRID)
+    rows = {r.name: r for r in vf.SUITES["disjoint-blocks"](max_sites=8, tol=1e-10)}
+    row = rows[f"SU(2) sectors: off-sector residual ({len(residuals)} operators)"]
+    assert len(residuals) == 2 * len(vf.DISJOINT_GRID)
+    assert row.worst.hex() == float(np.max(residuals)).hex()
+    assert row.bound == er.SECTOR_RESIDUAL_BOUND and row.passed
 
 
 def test_monte_carlo_estimates_each_norm_once_plus_one_rerun(monkeypatch):
