@@ -2,27 +2,30 @@
 
 Ground-state overlaps of the chain can be written as integrals over one
 unit vector per site, with one factor (1 - omega_i . omega_j) per bond
-and per-site spinors u = e^(i phi/2) cos(theta/2), v = e^(-i phi/2)
-sin(theta/2).  The estimators below sample those integrals with a
-deterministic, seedable generator; they exist to validate sign
-conventions, not to compete with the closed forms.
+and per-site spinors (u, v), u = cos(theta/2) and v = e^(-i phi)
+sin(theta/2) up to a per-site phase that no estimate reads.  The
+estimators below sample those integrals with a deterministic, seedable
+generator; they exist to validate sign conventions, not to compete with
+the closed forms.
 
-An estimate keeps only the angles it draws, cos(theta) and phi, from one
-generator in one fixed order (every cos(theta), then every phi).  It
-evaluates them in row blocks of ``ROW_BLOCK`` samples into one array of
-per-sample values: each site's direction is formed once, and spinors only
-at the two end sites of an overlap's spin block.  Every value comes from
-its own sample by the same floating-point operations as an evaluation of
-the whole arrays at once (the bond dot product adds x, y, then z, as a sum
-over a stacked component axis does), and the mean and standard error
-reduce the one array of values, so a seed gives the same estimate bit for
-bit however the rows are blocked.
+An estimate reads the angles cos(theta) and phi of one default_rng(seed)
+stream in one fixed order (every cos(theta), then every phi), the stream
+``SphereConfig.sample`` draws whole.  It evaluates them in row blocks of
+``ROW_BLOCK`` samples into one array of per-sample values, and draws each
+block's angles only when it evaluates the block, so no estimate holds the
+angles of more than one block per thread.  A bond takes one cosine,
+omega_i . omega_j = s_i s_j cos(phi_i - phi_j) + c_i c_j, and spinors are
+formed only at the two end sites of an overlap's spin block.  Every value
+comes from its own sample by the same floating-point operations however
+the rows are blocked, and the mean and standard error reduce the one array
+of values, so a seed gives the same estimate bit for bit.
 
 The row blocks are spread over the CPUs the process may use: the calling
 thread and up to ``CPUS - 1`` more take blocks one at a time from a shared
-counter, and each writes only its own blocks' slice of the values.  Which
-thread evaluates a block changes no operation on it, so an estimate is
-bitwise independent of the worker count.
+counter; each draws the blocks it takes from its own generator, advanced
+to the block's place in the stream, and writes only their slices of the
+values.  Which thread evaluates a block changes no operation on it, so an
+estimate is bitwise independent of the worker count.
 """
 from __future__ import annotations
 
@@ -34,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import CHANNEL_SIGNS, ChannelWeights, decay_parameter
-from .pauli_algebra import SIGMA
 
 MIN_SAMPLES = 1000
-# the most samples x sites one estimate draws, at 16 B of angles each (1.6 GB)
+# the most samples x sites one estimate draws: it bounds an estimate's run
+# time and its 8 B per-sample values (0.8 GB at one site)
 MAX_SAMPLE_SITES = 10**8
 # an estimate's defaults, read by the estimators and by the CLI's mc parser
 SAMPLES = 100_000
@@ -56,18 +59,49 @@ else:
     CPUS = os.cpu_count() or 1
 
 
-def _directions(cos_theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cartesian components (x, y, z) of the unit vectors."""
-    sin_theta = np.sqrt(1.0 - cos_theta * cos_theta)
-    return sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta
+# The stream: an estimate over samples x sites draws every cos(theta), row
+# after row, and then every phi from one generator, one output each.  Row
+# block `rows` takes its cos(theta) from offset rows.start * sites and its
+# phi from offset samples * sites + rows.start * sites.
+def _draw_rows(
+    rng: np.random.Generator, at: int, rows: slice, samples: int, sites: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """cos(theta) and phi of `rows`, and the stream offset after them.
+
+    rng's stream stands at offset `at`.  Drawing every row from offset 0,
+    as ``SphereConfig.sample`` does, advances nothing, so it works on any
+    generator.
+    """
+    shape = (rows.stop - rows.start, sites)
+    _advance(rng, rows.start * sites - at)
+    cos_theta = rng.uniform(-1.0, 1.0, size=shape)
+    _advance(rng, (samples - shape[0]) * sites)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=shape)
+    return cos_theta, phi, (samples + rows.stop) * sites
 
 
-def _spinors(cos_theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u = e^(i phi/2) cos(theta/2) and v = e^(-i phi/2) sin(theta/2)."""
-    phase = np.exp(0.5j * phi)
-    u = phase * np.sqrt((1.0 + cos_theta) / 2.0)
-    v = np.conj(phase) * np.sqrt((1.0 - cos_theta) / 2.0)
-    return u, v
+def _advance(rng: np.random.Generator, steps: int) -> None:
+    # advance takes steps modulo the period, so a negative step goes back
+    if steps:
+        rng.bit_generator.advance(steps)
+
+
+def _sin_theta(cos_theta: np.ndarray) -> np.ndarray:
+    return np.sqrt(1.0 - cos_theta * cos_theta)
+
+
+# The spinors in the gauge of the real u: the textbook pair
+# e^(i phi/2) cos(theta/2), e^(-i phi/2) sin(theta/2) times e^(-i phi/2).
+# A per-site phase multiplies every mode amplitude of a sample alike, so no
+# estimate reads it.
+def _spinor_u(cos_theta: np.ndarray) -> np.ndarray:
+    """u = cos(theta/2), real."""
+    return np.sqrt((1.0 + cos_theta) / 2.0)
+
+
+def _spinor_v(cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """v = e^(-i phi) sin(theta/2)."""
+    return np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(-1j * phi)
 
 
 @dataclass(frozen=True)
@@ -75,7 +109,8 @@ class SphereConfig:
     """A batch of uniform unit-sphere samples, shape (samples, sites).
 
     Only the angles are stored; ``omega``, ``u`` and ``v`` are built from
-    them on each access.
+    them on each access.  The estimators draw the same angles block by
+    block and never build a SphereConfig.
     """
 
     cos_theta: np.ndarray
@@ -83,21 +118,22 @@ class SphereConfig:
 
     @classmethod
     def sample(cls, rng: np.random.Generator, samples: int, sites: int) -> "SphereConfig":
-        z = rng.uniform(-1.0, 1.0, size=(samples, sites))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=(samples, sites))
-        return cls(z, phi)
+        cos_theta, phi, _ = _draw_rows(rng, 0, slice(0, samples), samples, sites)
+        return cls(cos_theta, phi)
 
     @property
     def omega(self) -> np.ndarray:
-        return np.stack(_directions(self.cos_theta, self.phi), axis=-1)
+        sin_theta = _sin_theta(self.cos_theta)
+        x, y = sin_theta * np.cos(self.phi), sin_theta * np.sin(self.phi)
+        return np.stack([x, y, self.cos_theta], axis=-1)
 
     @property
     def u(self) -> np.ndarray:
-        return _spinors(self.cos_theta, self.phi)[0]
+        return _spinor_u(self.cos_theta)
 
     @property
     def v(self) -> np.ndarray:
-        return _spinors(self.cos_theta, self.phi)[1]
+        return _spinor_v(self.cos_theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -154,18 +190,24 @@ def check_overlap_args(mu: int, nu: int, length: int, samples: int) -> int:
 
 def _row_blocks(samples: int) -> list[slice]:
     """Slices of at most ``ROW_BLOCK`` consecutive samples, in order."""
-    return [slice(start, start + ROW_BLOCK) for start in range(0, samples, ROW_BLOCK)]
+    return [
+        slice(start, min(start + ROW_BLOCK, samples))
+        for start in range(0, samples, ROW_BLOCK)
+    ]
 
 
-def _evaluate_blocks(samples: int, evaluate) -> np.ndarray:
-    """Per-sample values, ``evaluate(rows)`` for each row block, on up to ``CPUS`` threads.
+def _evaluate_blocks(samples: int, sites: int, seed: int, evaluate) -> np.ndarray:
+    """Per-sample values ``evaluate(cos_theta, phi)`` of each row block, on up to ``CPUS`` threads.
 
-    The calling thread works too, so a single block starts no thread.  Every
-    thread is joined before this returns or raises, and the first error a
-    block raised is raised here: no values return with a block unwritten.
-    Blocks run at once on several threads, so ``evaluate`` must call no
-    function that perfbench traces: its span tracer keeps a single stack of
-    open spans.
+    The angles are those ``SphereConfig.sample(default_rng(seed), samples,
+    sites)`` draws, bit for bit, but no thread holds more than its block's:
+    each draws the blocks it takes from its own ``default_rng(seed)``,
+    advanced to the block's place in the stream.  The calling thread works
+    too, so a single block starts no thread.  Every thread is joined before
+    this returns or raises, and the first error a block raised is raised
+    here: no values return with a block unwritten.  Blocks run at once on
+    several threads, so ``evaluate`` must call no function that perfbench
+    traces: its span tracer keeps a single stack of open spans.
     """
     values = np.empty(samples)
     blocks = _row_blocks(samples)
@@ -176,12 +218,15 @@ def _evaluate_blocks(samples: int, evaluate) -> np.ndarray:
 
     def work():
         try:
+            rng = np.random.default_rng(seed)
+            at = 0
             while not stop.is_set():
                 with lock:
                     rows = next(pending, None)
                 if rows is None:
                     return
-                values[rows] = evaluate(rows)
+                cos_theta, phi, at = _draw_rows(rng, at, rows, samples, sites)
+                values[rows] = evaluate(cos_theta, phi)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
             stop.set()
@@ -204,6 +249,11 @@ def _evaluate_blocks(samples: int, evaluate) -> np.ndarray:
 
 
 def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndarray:
+    """Product over bonds (i, i+1), and (last, 0) on a ring, of 1 - omega_i . omega_j.
+
+    omega_i . omega_j = s_i s_j cos(phi_i - phi_j) + c_i c_j with
+    c = cos(theta) and s = sin(theta): one cosine per bond.
+    """
     sites = phi.shape[1]
     pairs = [(i, i + 1) for i in range(sites - 1)]
     if ring:
@@ -211,10 +261,10 @@ def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndar
     weight = np.ones(phi.shape[0])
     if not pairs:
         return weight
-    x, y, z = _directions(cos_theta, phi)
+    sin_theta = _sin_theta(cos_theta)
     for i, j in pairs:
-        # x + y first, then z: the order np.sum takes a stacked omega's axis in
-        dot = x[:, i] * x[:, j] + y[:, i] * y[:, j] + z[:, i] * z[:, j]
+        sines = sin_theta[:, i] * sin_theta[:, j]
+        dot = sines * np.cos(phi[:, i] - phi[:, j]) + cos_theta[:, i] * cos_theta[:, j]
         weight = weight * (1.0 - dot)
     return weight
 
@@ -237,11 +287,10 @@ def estimate_vbs_norm(
     cyclic bond factors, integral 1 + 3(-1/3)^N.
     """
     samples = check_norm_args(n_bulk, samples, ring)
-    rng = np.random.default_rng(check_seed(seed))
     sites = n_bulk if ring else n_bulk + 2
-    config = SphereConfig.sample(rng, samples, sites)
     values = _evaluate_blocks(
-        samples, lambda rows: _bond_product(config.cos_theta[rows], config.phi[rows], ring)
+        samples, sites, check_seed(seed),
+        lambda cos_theta, phi: _bond_product(cos_theta, phi, ring),
     )
     return _finish(values, samples, seed)
 
@@ -251,22 +300,26 @@ def vbs_norm_target(n_bulk: int, ring: bool = False) -> float:
 
 
 def _mode_amplitude(first: tuple, last: tuple, mu: int) -> np.ndarray:
-    """T_mu = phi_first^a (sigma_mu)_ab phi_last^b with phi = (u, v)."""
+    """T_mu = phi_first^a (sigma_mu)_ab phi_last^b with phi = (u, v).
+
+    sigma_mu is ``pauli_algebra.SIGMA[mu]``: i times the identity, then the
+    three Pauli matrices.  Two of its entries are 0 and two are +-1 or
+    +-i, so T_mu is a signed sum of two spinor products, times i for
+    mu = 0 and 2.  The tests check the sums against SIGMA.
+    """
     uf, vf = first
     ul, vl = last
-    s = SIGMA[mu]
-    # form the spinor products before weighting by the matrix entries, and
-    # write the (1, 0) product as ul * vf: on a single-site block the two
-    # cross products then run over identical operands in identical order, so
-    # the antisymmetric mode cancels bitwise (complex multiplication is not
-    # bitwise commutative under FMA) instead of leaving roundoff that a
+    if mu == 0:
+        return 1j * (uf * ul + vf * vl)
+    if mu == 3:
+        return uf * ul - vf * vl
+    # write the (1, 0) product as ul * vf: on a single-site block it then
+    # runs over the same operands in the same order as uf * vl, so the
+    # antisymmetric mode cancels bitwise instead of leaving roundoff that a
     # zero-variance estimate would mistake for statistical evidence
-    return (
-        s[0, 0] * (uf * ul)
-        + s[0, 1] * (uf * vl)
-        + s[1, 0] * (ul * vf)
-        + s[1, 1] * (vf * vl)
-    )
+    if mu == 1:
+        return uf * vl + ul * vf
+    return 1j * (ul * vf - uf * vl)
 
 
 def estimate_block_overlap(
@@ -281,21 +334,23 @@ def estimate_block_overlap(
     E|T_0|^2 = 2/3 at L = 1, whose weight must come out as 1/3.
     """
     samples = check_overlap_args(mu, nu, length, samples)
-    rng = np.random.default_rng(check_seed(seed))
-    config = SphereConfig.sample(rng, samples, length)
 
-    def evaluate(rows):
-        cos_theta, phi = config.cos_theta[rows], config.phi[rows]
+    def evaluate(cos_theta, phi):
         weight = _bond_product(cos_theta, phi, ring=False)
-        first = _spinors(cos_theta[:, 0], phi[:, 0])
+        first = _spinor_u(cos_theta[:, 0]), _spinor_v(cos_theta[:, 0], phi[:, 0])
         # a single site is both ends: the same arrays keep the singlet's
         # bitwise cancellation in _mode_amplitude
-        last = first if length == 1 else _spinors(cos_theta[:, -1], phi[:, -1])
+        if length == 1:
+            last = first
+        else:
+            last = _spinor_u(cos_theta[:, -1]), _spinor_v(cos_theta[:, -1], phi[:, -1])
         t_mu = _mode_amplitude(first, last, mu)
         t_nu = t_mu if nu == mu else _mode_amplitude(first, last, nu)
-        return 0.5 * np.real(np.conj(t_mu) * t_nu) * weight
+        # Re(conj(T_mu) T_nu)
+        overlap = t_mu.real * t_nu.real + t_mu.imag * t_nu.imag
+        return 0.5 * overlap * weight
 
-    return _finish(_evaluate_blocks(samples, evaluate), samples, seed)
+    return _finish(_evaluate_blocks(samples, length, check_seed(seed), evaluate), samples, seed)
 
 
 def block_overlap_target(mu: int, nu: int, length: int) -> float:

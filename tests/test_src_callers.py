@@ -24,6 +24,7 @@ ALLOWED = {
     "linalg.SpectrumReport.entanglement_spectrum": "library API for the paper's xi",
     "linalg.HermitianOperator.dim": "perfbench reads it",
     "mps_oracle.StateVector.is_ring": "perfbench reads it",
+    "sphere_mc.SphereConfig.sample": "perfbench reads it; the estimators draw its stream by blocks",
     "sphere_mc.SphereConfig.omega": "perfbench reads it",
     "sphere_mc.SphereConfig.u": "perfbench reads it",
     "sphere_mc.SphereConfig.v": "perfbench reads it",
