@@ -185,8 +185,8 @@ def test_different_seeds_differ():
 # ------------------------------------------------ whole-array references
 # The estimators written out over all samples at once, from angles drawn
 # whole by default_rng(seed): every cos(theta), then every phi.  The
-# row-blocked, threaded estimators must reproduce the reference of today's
-# formulas bit for bit.  The trigonometric reference, the estimators as
+# row-blocked, threaded estimators must reproduce the one-cosine, real-u
+# reference bit for bit.  The trigonometric reference, the estimators as
 # first written, is kept as a per-sample cross-check within round-off.
 
 UNIT_ROUNDOFF = 2.0**-53
