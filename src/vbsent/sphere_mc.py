@@ -1,12 +1,13 @@
 """Monte Carlo checks of the classical-spinor representation.
 
 Ground-state overlaps of the chain can be written as integrals over one
-unit vector per site, with one factor (1 - omega_i . omega_j) per bond
-and per-site spinors (u, v), u = cos(theta/2) and v = e^(-i phi)
-sin(theta/2) up to a per-site phase that no estimate reads.  The
-estimators below sample those integrals with a deterministic, seedable
-generator; they exist to validate sign conventions, not to compete with
-the closed forms.
+unit vector per site, omega = (s cos(phi), s sin(phi), c) with
+c = cos(theta) and s = sin(theta), with one factor (1 - omega_i .
+omega_j) per bond.  A block's mode overlaps add a bilinear form in
+(1, omega) of its first and last sites, the spinor products written
+through phi phi^dagger = (I + n . sigma)/2.  The estimators below sample
+those integrals with a deterministic, seedable generator; they exist to
+validate sign conventions, not to compete with the closed forms.
 
 An estimate reads the angles cos(theta) and phi of one default_rng(seed)
 stream in one fixed order (every cos(theta), then every phi), the stream
@@ -14,11 +15,12 @@ stream in one fixed order (every cos(theta), then every phi), the stream
 ``ROW_BLOCK`` samples into one array of per-sample values, and draws each
 block's angles only when it evaluates the block, so no estimate holds the
 angles of more than one block per thread.  A bond takes one cosine,
-omega_i . omega_j = s_i s_j cos(phi_i - phi_j) + c_i c_j, and spinors are
-formed only at the two end sites of an overlap's spin block.  Every value
-comes from its own sample by the same floating-point operations however
-the rows are blocked, and the mean and standard error reduce the one array
-of values, so a seed gives the same estimate bit for bit.
+omega_i . omega_j = s_i s_j cos(phi_i - phi_j) + c_i c_j, and an
+overlap's end-site form one or two sines or cosines of phi_f +- phi_l or
+of phi_f and phi_l; no spinor and no complex number is formed.  Every
+value comes from its own sample by the same floating-point operations
+however the rows are blocked, and the mean and standard error reduce the
+one array of values, so a seed gives the same estimate bit for bit.
 
 The row blocks are spread over the CPUs the process may use: the calling
 thread and up to ``CPUS - 1`` more take blocks one at a time from a shared
@@ -90,18 +92,9 @@ def _sin_theta(cos_theta: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 - cos_theta * cos_theta)
 
 
-# The spinors in the gauge of the real u: the textbook pair
-# e^(i phi/2) cos(theta/2), e^(-i phi/2) sin(theta/2) times e^(-i phi/2).
-# A per-site phase multiplies every mode amplitude of a sample alike, so no
-# estimate reads it.
-def _spinor_u(cos_theta: np.ndarray) -> np.ndarray:
-    """u = cos(theta/2), real."""
-    return np.sqrt((1.0 + cos_theta) / 2.0)
-
-
-def _spinor_v(cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """v = e^(-i phi) sin(theta/2)."""
-    return np.sqrt((1.0 - cos_theta) / 2.0) * np.exp(-1j * phi)
+def _end_sine(cos_theta: np.ndarray) -> np.ndarray:
+    """sin(theta) as sqrt((1 - c)(1 + c)): within 2.5 u of exact, even near the poles."""
+    return np.sqrt((1.0 - cos_theta) * (1.0 + cos_theta))
 
 
 @dataclass(frozen=True)
@@ -109,8 +102,11 @@ class SphereConfig:
     """A batch of uniform unit-sphere samples, shape (samples, sites).
 
     Only the angles are stored; ``omega``, ``u`` and ``v`` are built from
-    them on each access.  The estimators draw the same angles block by
-    block and never build a SphereConfig.
+    them on each access.  (u, v) = (cos(theta/2), e^(-i phi) sin(theta/2))
+    is the textbook spinor e^(i phi/2) cos(theta/2), e^(-i phi/2)
+    sin(theta/2) times e^(-i phi/2), a per-site phase that no overlap
+    reads.  The estimators draw the same angles block by block and never
+    build a SphereConfig.
     """
 
     cos_theta: np.ndarray
@@ -129,11 +125,11 @@ class SphereConfig:
 
     @property
     def u(self) -> np.ndarray:
-        return _spinor_u(self.cos_theta)
+        return np.sqrt((1.0 + self.cos_theta) / 2.0)
 
     @property
     def v(self) -> np.ndarray:
-        return _spinor_v(self.cos_theta, self.phi)
+        return np.sqrt((1.0 - self.cos_theta) / 2.0) * np.exp(-1j * self.phi)
 
 
 @dataclass(frozen=True)
@@ -258,14 +254,14 @@ def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndar
     pairs = [(i, i + 1) for i in range(sites - 1)]
     if ring:
         pairs.append((sites - 1, 0))
-    weight = np.ones(phi.shape[0])
     if not pairs:
-        return weight
+        return np.ones(phi.shape[0])
     sin_theta = _sin_theta(cos_theta)
+    weight = None
     for i, j in pairs:
         sines = sin_theta[:, i] * sin_theta[:, j]
         dot = sines * np.cos(phi[:, i] - phi[:, j]) + cos_theta[:, i] * cos_theta[:, j]
-        weight = weight * (1.0 - dot)
+        weight = 1.0 - dot if weight is None else weight * (1.0 - dot)
     return weight
 
 
@@ -299,27 +295,52 @@ def vbs_norm_target(n_bulk: int, ring: bool = False) -> float:
     return 1.0 + 3.0 * decay_parameter(n_bulk) if ring else 1.0
 
 
-def _mode_amplitude(first: tuple, last: tuple, mu: int) -> np.ndarray:
-    """T_mu = phi_first^a (sigma_mu)_ab phi_last^b with phi = (u, v).
+def _end_form(mu: int, nu: int, cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """F_mu_nu of the block's first and last sites, symmetric in (mu, nu).
 
-    sigma_mu is ``pauli_algebra.SIGMA[mu]``: i times the identity, then the
-    three Pauli matrices.  Two of its entries are 0 and two are +-1 or
-    +-i, so T_mu is a signed sum of two spinor products, times i for
-    mu = 0 and 2.  The tests check the sums against SIGMA.
+    T_mu = phi_f^a (sigma_mu)_ab phi_l^b, with sigma_mu =
+    ``pauli_algebra.SIGMA[mu]`` and the spinor phi = (u, v) of
+    ``SphereConfig`` at each end.  Through phi phi^dagger = (I + n .
+    sigma)/2, with n = (x, -y, z) for this spinor, 2 Re(conj(T_mu) T_nu) =
+    F_mu_nu is a bilinear form in (1, omega_f) and (1, omega_l) with
+    signed unit entries:
+
+        F_00 = 1 + c_f c_l + s_f s_l cos(phi_f + phi_l)
+        F_33 = 1 + c_f c_l - s_f s_l cos(phi_f + phi_l)
+        F_11 = 1 - c_f c_l + s_f s_l cos(phi_f - phi_l)
+        F_22 = 1 - c_f c_l - s_f s_l cos(phi_f - phi_l) = 1 - omega_f . omega_l
+        F_03 = s_f s_l sin(phi_f + phi_l)     F_12 = s_f s_l sin(phi_f - phi_l)
+        F_01 = -(y_f c_l + c_f y_l)           F_23 = y_f c_l - c_f y_l
+        F_02 = x_f c_l - c_f x_l              F_13 = x_f c_l + c_f x_l
+
+    The tests derive the table from SIGMA.  The ends take s =
+    sqrt((1 - c)(1 + c)), within 2.5 u of exact (u = 2^-53) even near the
+    poles, where the bonds' sqrt(1 - c^2) can lose half its digits.  A
+    single site is both ends: there s_f s_l is written 1 - c c, so F_22 =
+    (1 - c c) - (1 - c c) cos(0), F_02, F_12 and F_23 are exactly 0 per
+    sample, and the singlet's zero carries no round-off that a
+    zero-variance estimate would mistake for statistical evidence.
     """
-    uf, vf = first
-    ul, vl = last
-    if mu == 0:
-        return 1j * (uf * ul + vf * vl)
-    if mu == 3:
-        return uf * ul - vf * vl
-    # write the (1, 0) product as ul * vf: on a single-site block it then
-    # runs over the same operands in the same order as uf * vl, so the
-    # antisymmetric mode cancels bitwise instead of leaving roundoff that a
-    # zero-variance estimate would mistake for statistical evidence
-    if mu == 1:
-        return uf * vl + ul * vf
-    return 1j * (ul * vf - uf * vl)
+    mu, nu = sorted((mu, nu))
+    single = cos_theta.shape[1] == 1
+    c_f, c_l, phi_f, phi_l = cos_theta[:, 0], cos_theta[:, -1], phi[:, 0], phi[:, -1]
+    if mu == nu or (mu, nu) in ((0, 3), (1, 2)):
+        sines = 1.0 - c_f * c_l if single else _end_sine(c_f) * _end_sine(c_l)
+        angle = phi_f + phi_l if mu in (0, 3) else phi_f - phi_l
+        if mu != nu:
+            return sines * np.sin(angle)
+        cc = c_f * c_l
+        kernel = 1.0 + cc if mu in (0, 3) else 1.0 - cc
+        cross = sines * np.cos(angle)
+        return kernel + cross if mu in (0, 1) else kernel - cross
+    # one end's x or y against the other's z
+    trig = np.sin if (mu, nu) in ((0, 1), (2, 3)) else np.cos
+    w_f = _end_sine(c_f) * trig(phi_f)
+    w_l = w_f if single else _end_sine(c_l) * trig(phi_l)
+    first, last = w_f * c_l, c_f * w_l
+    if (mu, nu) == (0, 1):
+        return -(first + last)
+    return first + last if (mu, nu) == (1, 3) else first - last
 
 
 def estimate_block_overlap(
@@ -327,28 +348,19 @@ def estimate_block_overlap(
 ) -> McEstimate:
     """Sample the mode overlap <A_mu|A_nu> of one block of the given length.
 
-    Estimator: (1/2) Re(conj(T_mu) T_nu) times the product over the
-    block's internal bonds; converges to (1/4)(1 + s_mu (-1/3)^L) for
-    mu = nu and to 0 otherwise.  The overall 1/2 normalizes the
-    spinor-pair measure: it is pinned by the exactly integrable case
-    E|T_0|^2 = 2/3 at L = 1, whose weight must come out as 1/3.
+    Estimator: (1/2) Re(conj(T_mu) T_nu) = (1/4) F_mu_nu, the end sites'
+    bilinear form (see ``_end_form``), times the product over the block's
+    internal bonds; converges to (1/4)(1 + s_mu (-1/3)^L) for mu = nu and
+    to 0 otherwise.  The overall 1/2 normalizes the spinor-pair measure:
+    it is pinned by the exactly integrable case E|T_0|^2 = 2/3 at L = 1,
+    whose weight must come out as 1/3.  The estimate reads only the end
+    sites' unit vectors and the bonds: no spinor is formed.
     """
     samples = check_overlap_args(mu, nu, length, samples)
 
     def evaluate(cos_theta, phi):
         weight = _bond_product(cos_theta, phi, ring=False)
-        first = _spinor_u(cos_theta[:, 0]), _spinor_v(cos_theta[:, 0], phi[:, 0])
-        # a single site is both ends: the same arrays keep the singlet's
-        # bitwise cancellation in _mode_amplitude
-        if length == 1:
-            last = first
-        else:
-            last = _spinor_u(cos_theta[:, -1]), _spinor_v(cos_theta[:, -1], phi[:, -1])
-        t_mu = _mode_amplitude(first, last, mu)
-        t_nu = t_mu if nu == mu else _mode_amplitude(first, last, nu)
-        # Re(conj(T_mu) T_nu)
-        overlap = t_mu.real * t_nu.real + t_mu.imag * t_nu.imag
-        return 0.5 * overlap * weight
+        return 0.25 * _end_form(mu, nu, cos_theta, phi) * weight
 
     return _finish(_evaluate_blocks(samples, length, check_seed(seed), evaluate), samples, seed)
 

@@ -10,6 +10,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,21 +144,145 @@ def test_off_diagonal_overlaps_vanish():
 
 def test_singlet_single_site_is_identically_zero():
     # the antisymmetric mode on a single site cancels per sample, giving
-    # a zero-variance exact zero; regression guard for the FMA-sensitive
-    # product grouping in the amplitude
+    # a zero-variance exact zero; regression guard for the single site's
+    # s_f s_l written as the kernel's 1 - c c in the end form
     est = estimate_block_overlap(2, 2, 1, samples=MIN_SAMPLES, seed=9)
     assert est.mean == 0.0
     assert est.standard_error == 0.0
 
 
-def test_mode_amplitudes_are_the_sigma_contractions():
-    # the signed sums written out in the sampler are phi_f^a SIGMA[mu]_ab phi_l^b
+# The Pauli basis (I, sigma_x, sigma_y, sigma_z) in SIGMA's matrices.
+PAULI = (np.eye(2), SIGMA[1], SIGMA[2], SIGMA[3])
+
+
+def _sigma_trace_table():
+    """table[mu, nu, a, b]: F_mu_nu = sum_ab e_f^a table[mu, nu, a, b] e_l^b, e = (1, omega).
+
+    T_mu = phi_f^T SIGMA[mu] phi_l gives conj(T_mu) T_nu = tr(SIGMA[mu]^dagger
+    (phi_f^* phi_f^T) SIGMA[nu] (phi_l phi_l^dagger)).  The sampler's spinor
+    (u, v) = (cos(theta/2), e^(-i phi) sin(theta/2)) has phi^* phi^T =
+    (I + omega . sigma)/2 and phi phi^dagger = (I + omega' . sigma)/2 with
+    omega' = (x, -y, z), so F_mu_nu = 2 Re(conj(T_mu) T_nu) is one half the
+    real trace against PAULI, with sigma_y's sign flipped at the last site.
+    """
+    reflect = (1.0, 1.0, -1.0, 1.0)
+    table = np.zeros((4, 4, 4, 4))
+    for mu, nu, a, b in itertools.product(range(4), repeat=4):
+        product = SIGMA[mu].conj().T @ PAULI[a] @ SIGMA[nu] @ PAULI[b]
+        table[mu, nu, a, b] = 0.5 * reflect[b] * np.trace(product).real
+    return table
+
+
+def test_end_forms_are_the_sigma_traces():
+    table = _sigma_trace_table()
+    # signed unit entries, symmetric in (mu, nu)
+    assert set(np.unique(table)) == {-1.0, 0.0, 1.0}
+    assert np.array_equal(table, table.transpose(1, 0, 2, 3))
     rng = np.random.default_rng(3)
-    first, last = (rng.normal(size=(2, 50)) + 1j * rng.normal(size=(2, 50)) for _ in range(2))
-    for mu in range(4):
-        want = np.einsum("as,ab,bs->s", first, SIGMA[mu], last)
-        got = sphere_mc._mode_amplitude(tuple(first), tuple(last), mu)
-        assert np.max(np.abs(got - want)) < 1e-13, mu
+    config = SphereConfig.sample(rng, 500, 1)
+    # the two projectors the derivation reads, at the sampler's spinors
+    spinor = np.stack([config.u[:, 0], config.v[:, 0]], axis=-1)
+    x, y, z = config.omega[:, 0].T
+    for vector, outer in (((x, y, z), np.einsum("sa,sb->sab", spinor.conj(), spinor)),
+                          ((x, -y, z), np.einsum("sa,sb->sab", spinor, spinor.conj()))):
+        want = 0.5 * (np.eye(2) + sum(w[:, None, None] * p for w, p in zip(vector, PAULI[1:])))
+        assert np.max(np.abs(outer - want)) < 1e-15
+    # the forms written out in the sampler, on one, two and three sites,
+    # against omega with s = sqrt((1 - c)(1 + c)), accurate at the poles
+    for length in (1, 2, 3):
+        config = SphereConfig.sample(rng, 500, length)
+        c, phi = config.cos_theta, config.phi
+        s = np.sqrt((1.0 - c) * (1.0 + c))
+        e = np.stack([np.ones_like(c), s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+        for mu, nu in itertools.product(range(4), repeat=2):
+            want = np.einsum("sa,ab,sb->s", e[:, 0], table[mu, nu], e[:, -1])
+            got = sphere_mc._end_form(mu, nu, c, phi)
+            assert np.max(np.abs(got - want)) < 1e-14, (mu, nu, length)
+
+
+# ------------------------------------------------ standard errors
+# At a single site the end forms reduce an overlap to a polynomial in one
+# unit vector, and an open chain's norm factors over its bonds, so the
+# variances the reported standard errors estimate are exact moments.  Over
+# the sphere E[x^a y^b z^c] = (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!! for
+# even a, b, c, and omega_i . omega_j is uniform on [-1, 1] given omega_j.
+
+
+def _double_factorial(n):
+    return math.prod(range(n, 0, -2))
+
+
+def _sphere_moment(a, b, c):
+    """E[x^a y^b z^c] over the unit sphere, exactly."""
+    if a % 2 or b % 2 or c % 2:
+        return Fraction(0)
+    numerator = _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
+    return Fraction(numerator, _double_factorial(a + b + c + 1))
+
+
+def _raw_moments(case):
+    """E[X^k], k = 1..4, of one sample's value X."""
+    if case == "overlap mu=1 nu=0 L=1":  # X = F_10 / 4 = -(1/2) y z
+        return [Fraction(-1, 2) ** k * _sphere_moment(0, k, k) for k in range(1, 5)]
+    if case == "overlap mu=0 nu=0 L=1":  # X = F_00 / 4 = (1 - y^2) / 2
+        return [
+            sum(math.comb(k, j) * (-1) ** j * _sphere_moment(0, 2 * j, 0) for j in range(k + 1))
+            / 2**k
+            for k in range(1, 5)
+        ]
+    # open norm, N = 1: X = (1 - t_1)(1 - t_2), t_i uniform on [-1, 1],
+    # E (1 - t)^k = 2^k / (k + 1)
+    return [Fraction(2**k, k + 1) ** 2 for k in range(1, 5)]
+
+
+def _variance_and_fourth_moment(case):
+    m1, m2, m3, m4 = _raw_moments(case)
+    return m2 - m1**2, m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+
+
+SE_CASES = {
+    "overlap mu=1 nu=0 L=1": lambda samples, seed: estimate_block_overlap(1, 0, 1, samples, seed),
+    "overlap mu=0 nu=0 L=1": lambda samples, seed: estimate_block_overlap(0, 0, 1, samples, seed),
+    "open norm N=1": lambda samples, seed: estimate_vbs_norm(1, samples, seed),
+}
+
+
+def _sample_variance_sigmas(estimate, case):
+    """|samples SE^2 - variance| in standard deviations of the sample variance.
+
+    samples SE^2 is the ddof=1 sample variance s^2 of the values, unbiased
+    for the variance sigma^2, with Var(s^2) = (mu_4 - sigma^4 (n - 3) /
+    (n - 1)) / n exactly for n samples and fourth central moment mu_4.
+    """
+    variance, fourth = (float(m) for m in _variance_and_fourth_moment(case))
+    n = estimate.samples
+    spread = math.sqrt((fourth - variance**2 * (n - 3) / (n - 1)) / n)
+    return abs(n * estimate.standard_error**2 - variance) / spread
+
+
+def test_standard_errors_estimate_the_exact_variances():
+    want = {
+        "overlap mu=1 nu=0 L=1": Fraction(1, 60),
+        "overlap mu=0 nu=0 L=1": Fraction(1, 45),
+        "open norm N=1": Fraction(7, 9),  # (4/3)^2 - 1
+    }
+    for case, variance in want.items():
+        assert _variance_and_fourth_moment(case)[0] == variance, case
+    # s^2 is a mean over n samples, near normal at these n: a bound of 4
+    # spreads fails a randomly drawn seed's check with probability about
+    # 6.3e-5, 6.3e-4 over the ten checks.  The relative spread is
+    # sqrt((kappa - 1) / n), 0.34% and 0.46% at 10^5 samples (kappa =
+    # mu_4 / sigma^4 is 15/7 for both overlaps and 3.15 for the norm), so
+    # an SE 2% off lands at least 7 spreads out.  The last check is an
+    # mc-sampling op that landed 4.81 sigmas from its target: its SE is the
+    # exact sqrt(1/60) / 1000 = 1.291e-4, so that op was a tail draw of the
+    # mean, not a misreported SE.
+    checks = [(case, 100_000, seed) for case in SE_CASES for seed in (0, 1, 2)]
+    checks.append(("overlap mu=1 nu=0 L=1", 10**6, 723987552))
+    for case, samples, seed in checks:
+        got = SE_CASES[case](samples, seed)
+        assert _sample_variance_sigmas(got, case) <= sphere_mc.SIGMA_BOUND, (case, seed)
+    assert 4.8 < got.sigmas_from(0.0) < 4.82
 
 
 def test_sign_discrimination_rejects_minus():
@@ -185,9 +310,10 @@ def test_different_seeds_differ():
 # ------------------------------------------------ whole-array references
 # The estimators written out over all samples at once, from angles drawn
 # whole by default_rng(seed): every cos(theta), then every phi.  The
-# row-blocked, threaded estimators must reproduce the one-cosine, real-u
-# reference bit for bit.  The trigonometric reference, the estimators as
-# first written, is kept as a per-sample cross-check within round-off.
+# row-blocked, threaded estimators must reproduce the one-cosine bonds and
+# the end sites' bilinear forms bit for bit.  The trigonometric reference,
+# the estimators as first written with spinors, is kept as a per-sample
+# cross-check within round-off.
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -214,18 +340,29 @@ def _reference_weight(z, phi, ring):
 
 
 def _reference_overlap_values(mu, nu, z, phi):
-    """(1/2) Re(conj(T_mu) T_nu) w with u = cos(theta/2), v = e^(-i phi) sin(theta/2)."""
-    u = np.sqrt((1.0 + z) / 2.0)
-    v = np.sqrt((1.0 - z) / 2.0) * np.exp(-1j * phi)
-    uf, vf, ul, vl = u[:, 0], v[:, 0], u[:, -1], v[:, -1]
-    amplitudes = (
-        1j * (uf * ul + vf * vl),
-        uf * vl + ul * vf,
-        1j * (ul * vf - uf * vl),
-        uf * ul - vf * vl,
-    )
-    t_mu, t_nu = amplitudes[mu], amplitudes[nu]
-    return 0.5 * (t_mu.real * t_nu.real + t_mu.imag * t_nu.imag) * _reference_weight(z, phi, False)
+    """(1/4) F_mu_nu w, F the end sites' form with s = sqrt((1 - c)(1 + c)).
+
+    A single site's s_f s_l is 1 - c c.  Each form is written as the
+    sampler evaluates it, term by term and in its order.
+    """
+    cf, cl, pf, pl = z[:, 0], z[:, -1], phi[:, 0], phi[:, -1]
+    sf, sl = np.sqrt((1.0 - cf) * (1.0 + cf)), np.sqrt((1.0 - cl) * (1.0 + cl))
+    ss = 1.0 - cf * cl if z.shape[1] == 1 else sf * sl
+    xf, yf, xl, yl = sf * np.cos(pf), sf * np.sin(pf), sl * np.cos(pl), sl * np.sin(pl)
+    forms = {
+        (0, 0): lambda: (1.0 + cf * cl) + ss * np.cos(pf + pl),
+        (3, 3): lambda: (1.0 + cf * cl) - ss * np.cos(pf + pl),
+        (1, 1): lambda: (1.0 - cf * cl) + ss * np.cos(pf - pl),
+        (2, 2): lambda: (1.0 - cf * cl) - ss * np.cos(pf - pl),
+        (0, 3): lambda: ss * np.sin(pf + pl),
+        (1, 2): lambda: ss * np.sin(pf - pl),
+        (0, 1): lambda: -(yf * cl + cf * yl),
+        (2, 3): lambda: yf * cl - cf * yl,
+        (0, 2): lambda: xf * cl - cf * xl,
+        (1, 3): lambda: xf * cl + cf * xl,
+    }
+    form = forms[min(mu, nu), max(mu, nu)]()
+    return 0.25 * form * _reference_weight(z, phi, False)
 
 
 def _trig_values(z, phi, ring, modes=None):
@@ -265,7 +402,7 @@ def _round_off_bound(bonds):
 
     Take u = 2^-53 and library cos, sin and complex exp good to 2u in each
     component of a result of modulus at most 1.  Both sides read the same
-    c, phi and s = sqrt(1 - c^2).
+    c and phi, and their bonds the same s = sqrt(1 - c^2).
     - A bond's dot product d, |d| <= 1: the trigonometric side rounds
       s cos(phi) and s sin(phi) to 2.5u each, their products to 5.5u and
       the sum of three to 12.5u of the exact d; the one-cosine side rounds
@@ -275,11 +412,23 @@ def _round_off_bound(bonds):
     - B factors of at most 2 multiply to at most 2^B; a factor's
       difference moves the product by 26u 2^(B-1), and each of the 2B
       roundings of the products by u 2^(B-1): 14 B 2^B u in all.
-    - An overlap's amplitude |T| <= 1 is a sum of two spinor products:
-      each spinor component is within 3u of exact, a product within 11u
-      and T within 24u, so each side's (1/2) Re(conj(T_mu) T_nu) is within
-      25u of exact, and the two values times their weights are within
-      (51 + 7 B) 2^B u.
+    - An overlap's end value F/4 = (1/2) Re(conj(T_mu) T_nu) has |T| <= 1,
+      so |F/4| <= 1/2.  The spinor side's T is a sum of two spinor
+      products: each spinor component is within 3u of exact, a product
+      within 11u and T within 24u, so its F/4 is within 25u of exact.
+    - The forms' side: the ends' s = sqrt((1 - c)(1 + c)) is within 2.5u
+      and c c within u.  Its one trig of phi_f +- phi_l, |phi_f +- phi_l| <
+      4 pi, rounds the argument by at most 4 pi u, which moves the trig as
+      much: within (2 + 4 pi) u < 15u; a trig of phi_f or phi_l is within
+      2u.  So s_f s_l, or a single site's 1 - c c, is within 6u, its
+      product with the trig within 22u and the kernel 1 +- c c within 3u:
+      a diagonal F is within 27u, F_03 and F_12 within 22u.  x = s cos(phi)
+      or y = s sin(phi) is within 5.5u and its product with c within 6.5u,
+      so F_01, F_02, F_13 and F_23 are within 15u.  F/4 is within 7u.
+    - The two end values are within 32u of each other; times weights of at
+      most 2^B that are within 14 B 2^B u, and with the last product's
+      rounding by u 2^(B-1) on each side, the values are within
+      (33 + 7 B) 2^B u.
     So both are within 64 (B + 1) 2^B u.
     """
     return 64.0 * (bonds + 1) * 2.0**bonds * UNIT_ROUNDOFF
@@ -345,8 +494,9 @@ def test_values_stay_within_round_off_of_the_trigonometric_formulas():
         values = _reference_overlap_values(mu, nu, z, phi)
         gap = np.abs(values - _trig_values(z, phi, False, modes=(mu, nu)))
         assert np.max(gap) <= _round_off_bound(length - 1), (mu, nu, length)
-    # the gauge and the signed sums change the singlet's single-site zero
-    # into no round-off: both sides are exactly 0 there
+    # a single site's s_f s_l written 1 - c c in the forms, and the gauge
+    # and the signed sums of the spinors, leave the singlet's single-site
+    # zero without round-off: both sides are exactly 0 there
     z, phi = _reference_angles(samples, 1, 9)
     assert not np.any(_reference_overlap_values(2, 2, z, phi))
     assert not np.any(_trig_values(z, phi, False, modes=(2, 2)))
