@@ -243,16 +243,28 @@ def dense_hamiltonian(site_dims) -> np.ndarray:
     Each term acts once on the identity, read as dim columns of shape
     site_dims; every output entry has at most one nonzero product, so the
     result equals applying H to each unit vector in turn, bit for bit.
+    The projectors are real, so H is built and solved as real.
     """
     dims = tuple(int(d) for d in site_dims)
     dim = math.prod(dims)
     if dim > 1000:
         raise ValueError(f"dense Hamiltonian limited to dim <= 1000, got {dim}")
-    basis = np.eye(dim, dtype=complex).reshape(dims + (dim,))
+    basis = np.eye(dim).reshape(dims + (dim,))
     h = np.zeros_like(basis)
     for op, i, j in _hamiltonian_terms(dims):
-        h += _apply_two_site(basis, op, i, j)
+        h += _apply_two_site(basis, _real(op), i, j)
     return h.reshape(dim, dim)
+
+
+def _real(op: np.ndarray) -> np.ndarray:
+    """The real part of a projector whose imaginary part is exactly 0.
+
+    S.S and s.S are real in the m = +1, 0, -1 and (up, down) bases: the
+    S_y products are the only complex ones, and their i i = -1 is exact.
+    """
+    if np.any(op.imag):
+        raise RuntimeError(f"projector is not real: imaginary part up to {np.max(np.abs(op.imag)):.3e}")
+    return op.real
 
 
 def zero_energy_degeneracy(site_dims) -> int:

@@ -25,6 +25,7 @@ from vbsent.mps_oracle import (
     RIGHT_BOUNDARY,
     StateVector,
     _mps_products,
+    _real,
     apply_hamiltonian,
     bond_projector,
     boundary_projector,
@@ -145,6 +146,15 @@ def test_dense_hamiltonian_equals_column_by_column_application():
             unit[k] = 1.0
             reference[:, k] = apply_hamiltonian(StateVector(unit, dims, 1.0))
         assert np.array_equal(dense_hamiltonian(dims), reference)
+
+
+def test_dense_hamiltonian_is_built_from_the_real_projectors():
+    for p in (bond_projector(), boundary_projector("left"), boundary_projector("right")):
+        assert not np.any(p.imag)
+    assert dense_hamiltonian((2, 3, 3, 2)).dtype == np.float64
+    # a projector with an imaginary part is refused, not truncated
+    with pytest.raises(RuntimeError, match="not real: imaginary part up to 1.000e-20"):
+        _real(bond_projector() + 1e-20j)
 
 
 def test_dense_hamiltonian_psd():
