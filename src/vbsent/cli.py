@@ -2,10 +2,12 @@
 
 One subcommand per entry of the geometry table (`pure`,
 `bipartition0`, `disjoint`, `adjacent`, `pbc`, `mutual-info`) prints
-its spectra and measures; the others run the Monte Carlo battery
-(`mc`), run the verification battery (`verify`), or sweep one flag of a
-geometry (`sweep`).  Output is CSV or JSON; reruns with the
-same arguments and seed are byte identical.
+its measures and, but for `mutual-info`, its spectra: one row per
+printed eigenvalue with the count of eigenvalues that print as it.  The
+others run the Monte Carlo battery (`mc`), run the verification battery
+(`verify`), or sweep one flag of a geometry (`sweep`).  Output is CSV
+or JSON, whose envelope names the tolerances the command applied;
+reruns with the same arguments and seed are byte identical.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments.
 """
@@ -16,7 +18,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import platform
 import sys
@@ -28,8 +29,6 @@ from . import sphere_mc as mc
 from . import verify as vf
 from .geometry import GEOMETRIES
 from .linalg import EIG_CLAMP, HERMITICITY_TOL
-
-GROUP_DISPLAY_TOL = 1e-9
 
 # points per sweep: from length 679 on z = (-1/3)^L is a signed zero, so
 # a longer sweep only repeats rows
@@ -68,27 +67,12 @@ def _rounded(value):
     return float(_fmt(value))
 
 
-def group_spectrum(values):
-    """Collapse a descending spectrum into (mean, multiplicity) groups.
-
-    Grouping affects display only; adjacent values are merged while they
-    stay within GROUP_DISPLAY_TOL of the previous member.
-    """
-    ordered = sorted(float(v) for v in values)[::-1]
-    groups: list[list[float]] = []
-    for v in ordered:
-        if groups and abs(groups[-1][-1] - v) <= GROUP_DISPLAY_TOL:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return [(math.fsum(g) / len(g), len(g)) for g in groups]
-
-
 def _zeroed(value):
     """0.0 for a value within EIG_CLAMP of 0, the value otherwise.
 
-    Zero eigenvalue groups and zero measures come out of LAPACK as
-    round-off, whose digits differ from one numeric stack to the next.
+    Zero eigenvalues and zero measures come out of LAPACK as round-off,
+    whose digits differ from one numeric stack to the next; zeroed, the
+    round-off copies of a zero eigenvalue print as one `0` row.
     """
     if value is None or abs(value) > EIG_CLAMP:
         return value
@@ -96,16 +80,29 @@ def _zeroed(value):
 
 
 def _spectra_rows(label: str, report) -> list[dict]:
+    """One row per printed eigenvalue, descending, with the count that print as it.
+
+    Printing is monotone in the value, so the eigenvalues that print as
+    one cell are a run of the sorted spectrum.  The copies the routes
+    make of one level are bitwise equal, so each distinct value is
+    formatted once.
+    """
     rows = []
-    for index, (value, mult) in enumerate(group_spectrum(report.eigenvalues)):
-        rows.append(
-            {
-                "geometry": label,
-                "index": index,
-                "eigenvalue": _zeroed(value),
-                "multiplicity": mult,
-            }
-        )
+    last = cell = None
+    for value in sorted(map(float, report.eigenvalues), reverse=True):
+        if value != last:
+            last, printed = value, _fmt(_zeroed(value))
+            if printed != cell:
+                cell = printed
+                rows.append(
+                    {
+                        "geometry": label,
+                        "index": len(rows),
+                        "eigenvalue": _zeroed(value),
+                        "multiplicity": 0,
+                    }
+                )
+        rows[-1]["multiplicity"] += 1
     return rows
 
 
@@ -162,16 +159,18 @@ def _json_envelope(args, results) -> dict:
     request = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
-    tolerances = {
-        "hermiticity": HERMITICITY_TOL,
-        "eigenvalue_clamp": EIG_CLAMP,
-        "display_grouping": GROUP_DISPLAY_TOL,
-    }
-    # each command's own bound, and only where that command applied it
-    if args.subcommand == "verify":
-        tolerances["verification"] = args.tol
-    elif args.subcommand == "mc":
-        tolerances["sigma_bound"] = mc.SIGMA_BOUND
+    # the bounds the command applied, and only those
+    if args.subcommand == "mc":
+        # the sampler checks no matrix and clamps no eigenvalue
+        tolerances = {"sigma_bound": mc.SIGMA_BOUND}
+    else:
+        tolerances = {"eigenvalue_clamp": EIG_CLAMP}
+        geo = GEOMETRIES.get(args.command if args.subcommand == "sweep" else args.subcommand)
+        # verify and the mode route check their matrices; the closed forms build none
+        if geo is None or geo.operators is not None:
+            tolerances["hermiticity"] = HERMITICITY_TOL
+        if args.subcommand == "verify":
+            tolerances["verification"] = args.tol
     return {
         "request": request,
         "results": results,

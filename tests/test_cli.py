@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vbsent.cli
 from vbsent import effective_rho as er
@@ -28,7 +31,8 @@ from vbsent import linalg
 from vbsent import mps_oracle as mo
 from vbsent import sphere_mc as mc
 from vbsent import verify as vf
-from vbsent.cli import _fmt, group_spectrum, main
+from vbsent.cli import _fmt, _zeroed, main
+from vbsent.geometry import GEOMETRIES
 
 
 def run_cli(argv):
@@ -60,22 +64,59 @@ def test_fmt_scalars():
     assert _fmt(1.0 / 3.0) == "0.333333333333"
 
 
-def test_group_spectrum_merges_within_tolerance():
-    values = [0.5, 0.5 + 1e-12, 0.25, -0.1]
-    groups = group_spectrum(values)
-    assert [m for _, m in groups] == [2, 1, 1]
-    assert groups[0][0] == pytest.approx(0.5, abs=1e-12)
-    # descending order regardless of input order
-    assert [v for v, _ in groups] == sorted((v for v, _ in groups), reverse=True)
+def test_spectrum_rows_split_only_where_the_printed_cell_changes():
+    # an ulp-apart copy prints as its level; round-off zeros of either sign
+    # print as one 0; a level apart in the 12th digit is a row of its own
+    values = [-1e-15, 0.25, 2e-15, math.nextafter(0.25, 1.0), 0.250000000003, 0.0, -0.1]
+    (report,) = linalg.spectrum_reports([values])
+    rows = vbsent.cli._spectra_rows("x", report)
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
+    assert [(_fmt(r["eigenvalue"]), r["multiplicity"]) for r in rows] == [
+        ("0.250000000003", 1),
+        ("0.25", 2),
+        ("0", 3),
+        ("-0.1", 1),
+    ]
+    assert rows[2]["eigenvalue"] == 0.0
 
 
-def test_group_spectrum_splits_at_the_display_tolerance():
-    assert vbsent.cli.GROUP_DISPLAY_TOL == 1e-9
-    merged = group_spectrum([0.5, 0.5 + 5e-10])
-    assert [m for _, m in merged] == [2]
-    assert merged[0][0] == pytest.approx(0.5 + 2.5e-10, abs=1e-15)
-    split = group_spectrum([0.5, 0.5 + 2e-9])
-    assert split == [(0.5 + 2e-9, 1), (0.5, 1)]
+@st.composite
+def spectrum_queries(draw):
+    """A geometry that prints spectra, with each flag drawn from 1-12 (or
+    its minimum up), 40, 679 and 1000, where z = (-1/3)^L underflows."""
+    name = draw(st.sampled_from(sorted(n for n, g in GEOMETRIES.items() if g.limit is None)))
+    flags = {
+        flag: draw(st.sampled_from((*range(low, 13), 40, 679, 1000)))
+        for flag, _, low in GEOMETRIES[name].flags
+    }
+    return name, flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum_queries(), st.sampled_from(("csv", "json")))
+# a singlet at 0.250000000003 and a triplet at 0.249999999999
+@example(("adjacent", {"la": 12, "lb": 12}), "csv")
+@example(("adjacent", {"la": 12, "lb": 12}), "json")
+def test_each_spectrum_row_counts_the_eigenvalues_that_print_as_its_cell(query, fmt):
+    name, flags = query
+    argv = [name, *itertools.chain(*((f"--{k}", str(v)) for k, v in flags.items()))]
+    code, out, err = run_cli(argv + ["--format", fmt])
+    assert code == 0 and err == ""
+    if fmt == "json":
+        spectra = json.loads(out)["results"]["spectra"]
+        rows = [(r["geometry"], _fmt(r["eigenvalue"]), r["multiplicity"]) for r in spectra]
+    else:
+        rows = [(r[0], r[2], int(r[3])) for r in csv_tables(out)[0][1:]]
+    geo = GEOMETRIES[name]
+    params = geo.params(**flags)
+    [(block, pt, _)], _ = geo.reports([params])
+    for part, report in (("block", block), ("transpose", pt)):
+        mine = [(cell, count) for g, cell, count in rows if g == f"{geo.label(params)} {part}"]
+        assert sum(count for _, count in mine) == len(report.eigenvalues)
+        members = [_fmt(_zeroed(v)) for v in sorted(report.eigenvalues, reverse=True)]
+        assert members == [cell for cell, count in mine for _ in range(count)]
+        cells = [cell for cell, _ in mine]
+        assert all(a != b for a, b in zip(cells, cells[1:]))
 
 
 # ------------------------------------------------------- shared definitions
@@ -158,9 +199,8 @@ def test_pure_json_envelope():
     assert sorted(doc) == ["request", "results", "tolerances", "versions"]
     assert doc["request"] == {"length": 2, "subcommand": "pure"}
     assert set(doc["results"]) == {"spectra", "measures"}
-    assert {"hermiticity", "eigenvalue_clamp", "display_grouping"} <= set(
-        doc["tolerances"]
-    )
+    # the closed forms check no matrix, so only the clamp applies
+    assert doc["tolerances"] == {"eigenvalue_clamp": linalg.EIG_CLAMP}
     assert {"artifact", "numpy", "python"} <= set(doc["versions"])
 
 
@@ -449,24 +489,25 @@ def test_ring_suite_passes_at_ten_sites():
 
 
 def test_json_tolerances_name_only_the_bounds_the_command_applied(monkeypatch):
-    shared = {"hermiticity", "eigenvalue_clamp", "display_grouping"}
-    for argv in (
-        ["pure", "--length", "2"],
-        ["bipartition0"],
-        ["disjoint", "--la", "1", "--gap", "1", "--lb", "1"],
-        ["pbc", "--la", "1", "--lb", "1", "--lc", "0", "--ld", "2"],
-        ["sweep", "mutual-info", "--gap", "1:2"],
+    closed = {"eigenvalue_clamp"}
+    modes = closed | {"hermiticity"}
+    for argv, applied in (
+        (["pure", "--length", "2"], closed),
+        (["bipartition0"], closed),
+        (["sweep", "pure", "--length", "1:2"], closed),
+        (["disjoint", "--la", "1", "--gap", "1", "--lb", "1"], modes),
+        (["pbc", "--la", "1", "--lb", "1", "--lc", "0", "--ld", "2"], modes),
+        (["sweep", "mutual-info", "--gap", "1:2"], modes),
     ):
         code, out, _ = run_cli(argv + ["--format", "json"])
         assert code == 0
-        assert set(json.loads(out)["tolerances"]) == shared, argv
-    # mc names the bound its checks read at run time
+        assert set(json.loads(out)["tolerances"]) == applied, argv
+    # mc names only the bound its checks read at run time
     monkeypatch.setattr(mc, "SIGMA_BOUND", 0.5)
     _, out, _ = run_cli(["mc", "--task", "discriminate", "--samples", "1000", "--format", "json"])
-    tolerances = json.loads(out)["tolerances"]
-    assert set(tolerances) == shared | {"sigma_bound"} and tolerances["sigma_bound"] == 0.5
+    assert json.loads(out)["tolerances"] == {"sigma_bound": 0.5}
     code, out, _ = run_cli(["verify", "--max-sites", "4", "--samples", "1000", "--format", "json"])
-    assert set(json.loads(out)["tolerances"]) == shared | {"verification"}
+    assert set(json.loads(out)["tolerances"]) == modes | {"verification"}
 
 
 def test_verify_reports_the_values_it_used():

@@ -5,9 +5,10 @@ stdout must equal the recorded ones byte for byte.  The JSON ``versions``
 object names the local numpy and Python, so it is cut from the output
 before recording and before comparing; nothing else is.
 
-Eigenvalue groups and measures within EIG_CLAMP of 0 print as 0, so the
-LAPACK round-off of zero eigenvalues leaves no trace in the output.  The
-data is re-recorded with
+A spectrum row is one printed eigenvalue with the count of eigenvalues
+that print as it.  Eigenvalues and measures within EIG_CLAMP of 0 print
+as 0, so the LAPACK round-off of zero eigenvalues is one `0` row and
+leaves no trace in the output.  The data is re-recorded with
 
     PYTHONPATH=src python tests/test_cli_golden.py --regenerate
 
