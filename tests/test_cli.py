@@ -82,8 +82,8 @@ def test_spectrum_rows_split_only_where_the_printed_cell_changes():
 
 @st.composite
 def spectrum_queries(draw):
-    """A geometry that prints spectra, with each flag drawn from 1-12 (or
-    its minimum up), 40, 679 and 1000, where z = (-1/3)^L underflows."""
+    """A geometry that prints spectra, each flag drawn from its minimum (1,
+    or 0 for a ring gap) to 12 and from 40, 679 and 1000, where z underflows."""
     name = draw(st.sampled_from(sorted(n for n, g in GEOMETRIES.items() if g.limit is None)))
     flags = {
         flag: draw(st.sampled_from((*range(low, 13), 40, 679, 1000)))
