@@ -12,21 +12,25 @@ validate sign conventions, not to compete with the closed forms.
 An estimate reads the angles cos(theta) and phi of one default_rng(seed)
 stream in one fixed order (every cos(theta), then every phi), the stream
 ``SphereConfig.sample`` draws whole.  It evaluates them in row blocks of
-``ROW_BLOCK`` samples into one array of per-sample values, and draws each
-block's angles only when it evaluates the block, so no estimate holds the
-angles of more than one block per thread.  A bond takes one cosine,
-omega_i . omega_j = s_i s_j cos(phi_i - phi_j) + c_i c_j, and an
-overlap's end-site form one or two sines or cosines of phi_f +- phi_l or
-of phi_f and phi_l; no spinor and no complex number is formed.  Every
+``ROW_BLOCK`` samples, draws each block's angles only when it evaluates the
+block, and reduces each block's values to their sum and centred sum of
+squares as soon as they are evaluated, so no estimate holds the angles or
+the values of more than one block per thread: its memory is those block
+temporaries plus 16 B per block, whatever the sample count.  A bond takes
+one cosine, omega_i . omega_j = s_i s_j cos(phi_i - phi_j) + c_i c_j, and
+an overlap's end-site form one or two sines or cosines of phi_f +- phi_l
+or of phi_f and phi_l; no spinor and no complex number is formed.  Every
 value comes from its own sample by the same floating-point operations
-however the rows are blocked, and the mean and standard error reduce the
-one array of values, so a seed gives the same estimate bit for bit.
+however the rows are blocked, and the mean and standard error combine the
+per-block sums in block order, so a seed gives the same estimate bit for
+bit.
 
 The row blocks are spread over the CPUs the process may use: the calling
 thread and up to ``CPUS - 1`` more take blocks one at a time from a shared
 counter; each draws the blocks it takes from its own generator, advanced
-to the block's place in the stream, and writes only their slices of the
-values.  Which thread evaluates a block changes no operation on it, so an
+to the block's place in the stream, and writes only those blocks' entries
+of the per-block sums.  Which thread evaluates a block changes no operation
+on it, and the sums are combined after every thread has joined, so an
 estimate is bitwise independent of the worker count.
 """
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .closed_forms import CHANNEL_SIGNS, ChannelWeights, decay_parameter
 
 MIN_SAMPLES = 1000
 # the most samples x sites one estimate draws: it bounds an estimate's run
-# time and its 8 B per-sample values (0.8 GB at one site)
+# time, as its memory does not grow with the samples
 MAX_SAMPLE_SITES = 10**8
 # an estimate's defaults, read by the estimators and by the CLI's mc parser
 SAMPLES = 100_000
@@ -184,30 +188,28 @@ def check_overlap_args(mu: int, nu: int, length: int, samples: int) -> int:
     return check_samples(samples, length)
 
 
-def _row_blocks(samples: int) -> list[slice]:
-    """Slices of at most ``ROW_BLOCK`` consecutive samples, in order."""
-    return [
-        slice(start, min(start + ROW_BLOCK, samples))
-        for start in range(0, samples, ROW_BLOCK)
-    ]
+def _evaluate_blocks(
+    samples: int, sites: int, seed: int, evaluate
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row block's sum and centred sum of squares of ``evaluate(cos_theta, phi)``.
 
-
-def _evaluate_blocks(samples: int, sites: int, seed: int, evaluate) -> np.ndarray:
-    """Per-sample values ``evaluate(cos_theta, phi)`` of each row block, on up to ``CPUS`` threads.
-
-    The angles are those ``SphereConfig.sample(default_rng(seed), samples,
-    sites)`` draws, bit for bit, but no thread holds more than its block's:
-    each draws the blocks it takes from its own ``default_rng(seed)``,
-    advanced to the block's place in the stream.  The calling thread works
-    too, so a single block starts no thread.  Every thread is joined before
-    this returns or raises, and the first error a block raised is raised
-    here: no values return with a block unwritten.  Blocks run at once on
-    several threads, so ``evaluate`` must call no function that perfbench
-    traces: its span tracer keeps a single stack of open spans.
+    Entry b of the two arrays is row block b's sum of values x and its sum
+    of (x - m_b)^2 about its own mean m_b; no array of all the values is
+    formed.  The blocks run on up to ``CPUS`` threads.  The angles are those
+    ``SphereConfig.sample(default_rng(seed), samples, sites)`` draws, bit
+    for bit, but no thread holds more than its block's: each draws the
+    blocks it takes from its own ``default_rng(seed)``, advanced to the
+    block's place in the stream, and reduces a block's values before it
+    takes the next.  The calling thread works too, so a single block starts
+    no thread.  Every thread is joined before this returns or raises, and
+    the first error a block raised is raised here: no sums return with a
+    block unwritten.  Blocks run at once on several threads, so
+    ``evaluate`` must call no function that perfbench traces: its span
+    tracer keeps a single stack of open spans.
     """
-    values = np.empty(samples)
-    blocks = _row_blocks(samples)
-    pending = iter(blocks)
+    blocks = (samples + ROW_BLOCK - 1) // ROW_BLOCK
+    sums, squares = np.empty(blocks), np.empty(blocks)
+    pending = iter(range(blocks))
     lock = threading.Lock()
     stop = threading.Event()
     errors = []
@@ -218,18 +220,23 @@ def _evaluate_blocks(samples: int, sites: int, seed: int, evaluate) -> np.ndarra
             at = 0
             while not stop.is_set():
                 with lock:
-                    rows = next(pending, None)
-                if rows is None:
+                    index = next(pending, None)
+                if index is None:
                     return
+                start = index * ROW_BLOCK
+                rows = slice(start, min(start + ROW_BLOCK, samples))
                 cos_theta, phi, at = _draw_rows(rng, at, rows, samples, sites)
-                values[rows] = evaluate(cos_theta, phi)
+                values = evaluate(cos_theta, phi)
+                sums[index] = total = np.sum(values)
+                centred = values - total / len(values)
+                squares[index] = np.sum(centred * centred)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
             stop.set()
 
     threads = []
     try:
-        for _ in range(min(CPUS, len(blocks)) - 1):
+        for _ in range(min(CPUS, blocks) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
@@ -241,7 +248,7 @@ def _evaluate_blocks(samples: int, sites: int, seed: int, evaluate) -> np.ndarra
             thread.join()
     if errors:
         raise errors[0]
-    return values
+    return sums, squares
 
 
 def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndarray:
@@ -265,11 +272,21 @@ def _bond_product(cos_theta: np.ndarray, phi: np.ndarray, ring: bool) -> np.ndar
     return weight
 
 
-def _finish(values: np.ndarray, samples: int, seed: int) -> McEstimate:
-    # np.mean reduces contiguous arrays pairwise, so the result does not
-    # depend on any chunked aggregation order
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+def _finish(sums: np.ndarray, squares: np.ndarray, samples: int, seed: int) -> McEstimate:
+    """The mean and standard error of all values, from ``_evaluate_blocks``' per-block sums.
+
+    The blocks combine in block order, after every worker has joined, by
+    the pairwise update of Chan, Golub & LeVeque (1979): mean = sum of the
+    sums / n, and the centred sum of squares of all values is M2 = sum of
+    the blocks' own plus sum of n_b (m_b - mean)^2, with m_b block b's
+    mean.  SE = sqrt(M2 / (n - 1)) / sqrt(n).  Values that are all exactly
+    0 give exactly 0.0 and 0.0.
+    """
+    counts = np.minimum(ROW_BLOCK, samples - ROW_BLOCK * np.arange(len(sums)))
+    mean = float(np.sum(sums) / samples)
+    offsets = sums / counts - mean
+    m2 = float(np.sum(squares) + np.sum(counts * (offsets * offsets)))
+    se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     return McEstimate(mean=mean, standard_error=se, samples=samples, seed=seed)
 
 
@@ -284,11 +301,11 @@ def estimate_vbs_norm(
     """
     samples = check_norm_args(n_bulk, samples, ring)
     sites = n_bulk if ring else n_bulk + 2
-    values = _evaluate_blocks(
+    sums, squares = _evaluate_blocks(
         samples, sites, check_seed(seed),
         lambda cos_theta, phi: _bond_product(cos_theta, phi, ring),
     )
-    return _finish(values, samples, seed)
+    return _finish(sums, squares, samples, seed)
 
 
 def vbs_norm_target(n_bulk: int, ring: bool = False) -> float:
@@ -362,7 +379,8 @@ def estimate_block_overlap(
         weight = _bond_product(cos_theta, phi, ring=False)
         return 0.25 * _end_form(mu, nu, cos_theta, phi) * weight
 
-    return _finish(_evaluate_blocks(samples, length, check_seed(seed), evaluate), samples, seed)
+    sums, squares = _evaluate_blocks(samples, length, check_seed(seed), evaluate)
+    return _finish(sums, squares, samples, seed)
 
 
 def block_overlap_target(mu: int, nu: int, length: int) -> float:

@@ -435,8 +435,20 @@ def _round_off_bound(bonds):
 
 
 def _estimate(values, samples, seed):
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+    """The whole array's values reduced block by block, as the estimators reduce them.
+
+    Each row block of ROW_BLOCK values gives its sum and the sum of squares
+    about its own mean; in block order, the mean is the sum of the sums
+    over n, and M2 is the sum of the blocks' squares plus n_b (m_b -
+    mean)^2 for each block's mean m_b (Chan, Golub & LeVeque 1979).
+    """
+    blocks = [values[start:start + ROW_BLOCK] for start in range(0, samples, ROW_BLOCK)]
+    counts = np.array([len(block) for block in blocks])
+    sums = np.array([np.sum(block) for block in blocks])
+    squares = np.array([np.sum((block - s / len(block)) ** 2) for block, s in zip(blocks, sums)])
+    mean = float(np.sum(sums) / samples)
+    m2 = float(np.sum(squares) + np.sum(counts * (sums / counts - mean) ** 2))
+    se = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     return McEstimate(mean=mean, standard_error=se, samples=samples, seed=seed)
 
 
@@ -478,6 +490,66 @@ def test_overlaps_equal_the_whole_array_reference_bitwise(samples, workers, monk
         got = estimate_block_overlap(mu, nu, length, samples=samples, seed=seed)
         want = _reference_overlap(mu, nu, length, samples, seed)
         assert got == want, (mu, nu, length)
+
+
+# The block-by-block reduction against numpy's whole-array mean and std.
+# numpy sums n values pairwise: 8 interleaved partial sums, joined in 3
+# levels, at most 7 more values added one at a time, and one level more per
+# halving above 128 values.  So a value meets at most 37 roundings in a sum
+# of n <= 10^6 values, 29 in a block's sum and 25 in the sum of the at most
+# 245 block sums.  To first order in u:
+# - the means, two sums of the values each divided once by n, are within
+#   (37 + 29 + 25 + 2) u mean|x| = 93 u mean|x|;
+# - a sum of squares of rounded differences is within 3 u more than its
+#   sum's roundings: np.std's M2 within 40 u of the exact M2, the blocks'
+#   within 58 u, except that a block mean m_b rounded by 30 u mean_b|x|
+#   moves the blocks' M2 by 2 n_b (m_b - mean) times that, so the SE by at
+#   most 30 u rms(x) / sqrt(n - 1), and rms(x) <= sqrt(n - 1) SE + mean|x|.
+#   With 7 u for the divisions and square roots, the SEs are within
+#   86 u SE + 30 u mean|x| / sqrt(n - 1).
+# The worst gaps measured over the cases below are 2.2 u mean|x| and
+# 1.7 u (SE + mean|x| / sqrt(n - 1)), 43 and 56 times inside the bound.
+REDUCTION_ROUND_OFF = 96
+
+
+@pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES + (10**6,))
+def test_estimates_agree_with_the_whole_array_mean_and_std(samples):
+    norms = [(n, False) for n in (1, 2, 3)] + [(n, True) for n in (2, 3)]
+    if samples < 10**6:
+        norms = list(itertools.product(norms, (0, 5)))
+        overlaps = list(itertools.product(range(4), range(4), (1, 2, 3)))
+    else:
+        norms = [((1, False), 0), ((3, True), 5)]
+        overlaps = [(0, 0, 1), (1, 0, 1), (2, 2, 1), (3, 3, 2), (0, 2, 3)]
+
+    def runs():
+        for (n, ring), seed in norms:
+            z, phi = _reference_angles(samples, n if ring else n + 2, seed)
+            got = estimate_vbs_norm(n, samples=samples, seed=seed, ring=ring)
+            yield got, _reference_weight(z, phi, ring)
+        for mu, nu, length in overlaps:
+            seed = 16 * length + 4 * mu + nu
+            z, phi = _reference_angles(samples, length, seed)
+            got = estimate_block_overlap(mu, nu, length, samples=samples, seed=seed)
+            yield got, _reference_overlap_values(mu, nu, z, phi)
+
+    bound = REDUCTION_ROUND_OFF * UNIT_ROUNDOFF
+    worst = 0.0
+    for got, values in runs():
+        scale = float(np.mean(np.abs(values)))
+        mean = float(np.mean(values))
+        se = float(np.std(values, ddof=1) / math.sqrt(samples))
+        assert abs(got.mean - mean) <= bound * scale, (got, mean, scale)
+        se_scale = se + scale / math.sqrt(samples - 1)
+        assert abs(got.standard_error - se) <= bound * se_scale, (got, se, se_scale)
+        worst = max(worst, abs(got.mean - mean), abs(got.standard_error - se))
+    # one block is reduced as numpy reduces the whole array; more are not
+    assert (worst > 0.0) == (samples > ROW_BLOCK)
+    # the single-site singlet's values are all exactly 0, and so are both
+    # its reductions: a zero-variance exact zero
+    singlets = (estimate_block_overlap(2, 2, 1, samples=samples), sign_discrimination(samples).estimate)
+    for got in singlets:
+        assert (got.mean, got.standard_error) == (0.0, 0.0)
 
 
 def test_values_stay_within_round_off_of_the_trigonometric_formulas():
@@ -549,22 +621,36 @@ def test_config_views_equal_the_reference_arrays():
         assert got.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-def test_norm_memory_peak_is_the_values_plus_one_block_per_worker(workers, monkeypatch):
-    # the 8 B per-sample values (0.8 MB here) and, per worker, its block's
-    # cos(theta), phi and sin(theta) (3 x 0.33 MB) with as much again for
-    # temporaries and its generator; peaks measured 2.15 and 3.50 MB against
-    # bounds of 2.77 and 4.73 MB.  Whole angle arrays would add 16 MB.
-    monkeypatch.setattr(sphere_mc, "CPUS", workers)
-    samples, sites = 100_000, 10
+def _traced_peak(estimate):
     tracemalloc.start()
     try:
-        estimate_vbs_norm(sites - 2, samples=samples)
-        _, peak = tracemalloc.get_traced_memory()
+        estimate()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_estimate_memory_peak_does_not_grow_with_samples(workers, monkeypatch):
+    # Per worker, an estimate holds its block's cos(theta), phi and
+    # sin(theta) with as much again for temporaries and its generator, and
+    # 16 B per block: no per-sample array.  A 10-site norm peaks at 1.38 and
+    # 2.77 MB at 1 and 2 workers, 3.5 kB apart at 10^5 and 10^6 samples,
+    # against bounds of 1.97 and 3.93 MB; a one-site overlap, whose end form
+    # takes a dozen (ROW_BLOCK,) temporaries, peaks at 0.37 and 0.73 MB
+    # against 0.52 and 1.05 MB.  An array of the values, and np.std's copy
+    # of it, would add 16 MB at 10^6 samples.
+    monkeypatch.setattr(sphere_mc, "CPUS", workers)
+    # the first draw imports numpy.random's submodules
+    estimate_vbs_norm(1, samples=2 * ROW_BLOCK)
+    sites = 10
     block = ROW_BLOCK * sites * 8
-    assert peak < 8 * samples + workers * 6 * block, peak
+    peaks = [_traced_peak(lambda: estimate_vbs_norm(sites - 2, samples=samples))
+             for samples in (10**5, 10**6)]
+    assert abs(peaks[1] - peaks[0]) < block, peaks
+    assert max(peaks) < workers * 6 * block, peaks
+    peak = _traced_peak(lambda: estimate_block_overlap(0, 0, 1, samples=10**6))
+    assert peak < workers * 16 * ROW_BLOCK * 8, peak
 
 
 def test_one_block_starts_no_thread(monkeypatch):
