@@ -637,7 +637,7 @@ def test_estimate_memory_peak_does_not_grow_with_samples(workers, monkeypatch):
     # 16 B per block: no per-sample array.  A 10-site norm peaks at 1.38 and
     # 2.77 MB at 1 and 2 workers, 3.5 kB apart at 10^5 and 10^6 samples,
     # against bounds of 1.97 and 3.93 MB; a one-site overlap, whose end form
-    # takes a dozen (ROW_BLOCK,) temporaries, peaks at 0.37 and 0.73 MB
+    # takes a dozen (ROW_BLOCK,) temporaries, peaks at 0.37 and 0.74 MB
     # against 0.52 and 1.05 MB.  An array of the values, and np.std's copy
     # of it, would add 16 MB at 10^6 samples.
     monkeypatch.setattr(sphere_mc, "CPUS", workers)
