@@ -48,6 +48,9 @@ VERIFY_HEADER = ("suite", "check", "passed", "worst", "bound")
 
 
 def _fmt(value) -> str:
+    # adding 0.0 normalizes -0.0 so reruns cannot differ in sign bits
+    if type(value) is float:
+        return f"{value + 0.0:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -56,7 +59,6 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    # adding 0.0 normalizes -0.0 so reruns cannot differ in sign bits
     return f"{float(value) + 0.0:.12g}"
 
 
@@ -167,7 +169,7 @@ def _json_envelope(args, results) -> dict:
         tolerances = {"eigenvalue_clamp": EIG_CLAMP}
         geo = GEOMETRIES.get(args.command if args.subcommand == "sweep" else args.subcommand)
         # verify and the mode route check their matrices; the closed forms build none
-        if geo is None or geo.operators is not None:
+        if geo is None or geo.sectors is not None:
             tolerances["hermiticity"] = HERMITICITY_TOL
         if args.subcommand == "verify":
             tolerances["verification"] = args.tol

@@ -2,16 +2,10 @@
 
 A length-L block supports exactly four ground states |A_mu>, mutually
 orthogonal with norms w_mu(L).  Two disjoint blocks therefore live in a
-16-dimensional space.  An operator is stored only as its orthonormal-basis
-Hermitian matrix D^(1/2) C D^(1/2) / trace, built from the coefficient
-matrix C over the unnormalized product states and their diagonal Gram
-weights D.  Composite index order is A-major: (mu, rho) -> 4*mu+rho.
-
-An EffectiveDensityOperator holds one operator, or a stack of P along a
-leading axis, and indexing it indexes the stack.  `open_stack` and
-`ring_stack` take the lengths of P points and broadcast the coefficient
-tensor, the Gram weights and the trace check over them; `rho_ab_open`,
-`rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a one-point build.
+16-dimensional space.  An operator is the orthonormal-basis Hermitian
+matrix D^(1/2) C D^(1/2) / trace, built from the coefficient matrix C
+over the unnormalized product states and their diagonal Gram weights D.
+Composite index order is A-major: (mu, rho) -> 4*mu+rho.
 
 The state is SU(2)-invariant.  Each block's four modes are one singlet
 (mode 2) and one triplet (modes 0, 1, 3), so the 16 two-block modes are
@@ -23,28 +17,31 @@ q; a member's off-sector residual measures how far its rotation is
 from that form.  The blocks come from the sigma-algebra coefficients,
 not from the closed forms.
 
-`stacked_measures` evaluates a stack as arrays.  It checks the joint
-matrices and their mode transposes, one (2P, 16, 16) stack, for
-Hermiticity, rotates it by Q in one stacked product, checks the whole
-off-sector residual against SECTOR_RESIDUAL_BOUND and solves the
-(2P, 2, 2) singlet and (2P, 3, 3) triplet blocks as real stacks; it
-returns the checked residuals with the measures.  The multiplicities 1,
-3 and 5 come from the sector, not from a tolerance, and no 16x16 matrix
-is diagonalized.  The two block marginals need no
-solve: every coefficient that a partial trace sums into an entry off a
-marginal's diagonal, [mu, rho, alpha, rho] with mu != alpha or
-[mu, rho, mu, beta] with rho != beta, is exactly 0.0, so each marginal
-is diagonal and its spectrum is its diagonal.  The joint and transposed
-eigenvalues form one (2P, 16) array, which `linalg.spectrum_reports`
-reads in one pass, and the marginals' diagonals one (2P, 4) array,
-whose entropies `linalg.spectrum_entropies` reads in one pass.  The
-rotation and LAPACK act on every member of a stack on its own, and the
-report passes read every row on its own, so a member's (block,
-transpose, mutual information) triple does not depend on its stack;
-`measures` is the one-operator call, and
-`EffectiveDensityOperator.spectrum` reads the same sector solve.
-Callers build and evaluate at most STACK_POINTS operators at a time,
-which bounds the memory a long sweep holds.
+Every coefficient tensor is a fixed mix of constant tensors T_k:
+_OBC_BASE + z _OBC_LINEAR on the open chain, and (T0 + z_d T_d + z_c T_c
++ z_d z_c T_dc) / (1 + 3 z(N)) on the ring.  The mode transpose flips the
+sign of every gap parameter, so of each odd monomial.  D^(1/2) is
+constant on the support of each column of Q, because each sector state
+lies in singlet x singlet, singlet x triplet, triplet x singlet or
+triplet x triplet, so Q^T D^(1/2) C D^(1/2) Q = G (sum_k c_k Q^T T_k Q) G
+with diagonal G.  `open_measures` and `ring_measures` take the lengths of
+P points and combine the constants, rotated once at import, into each
+point's joint and transposed S, A and q, with the off-sector residual
+entries and the mode-basis diagonal, by elementwise operations: a
+member's floats do not depend on its stack.  They check the trace, the
+triplet weights and the residual, solve the (2P, 2, 2) and (2P, 3, 3)
+blocks as real stacks and read the measures in two report passes.  The
+two block marginals need no solve: every coefficient that a partial
+trace sums into an entry off a marginal's diagonal is exactly 0.0, so
+each marginal's spectrum is its diagonal.  No 16x16 matrix is built,
+rotated or diagonalized.  Callers evaluate at most STACK_POINTS points
+at a time, which bounds the memory a long sweep holds.
+
+An EffectiveDensityOperator holds one built 16x16 operator, or a stack
+of P along a leading axis: `open_stack` and `ring_stack` build them, and
+`rho_ab_open`, `rho_ab_adjacent` and `rho_ab_pbc` take element 0 of a
+one-point build.  `EffectiveDensityOperator.spectrum` and `measures` solve
+such a matrix by rotating it with Q.
 """
 from __future__ import annotations
 
@@ -67,8 +64,10 @@ from .pauli_algebra import PARITY, calibrated_epsilon, m4_tensor
 
 TRACE_TOL = 1e-12
 
-# operators per stacked evaluation (see the module docstring)
-STACK_POINTS = 16
+# points per stacked evaluation (see the module docstring): 64 beat 16 by
+# about a fifth on 200-point sweeps, and 128 was no faster on sweeps of
+# 10 to 200 points
+STACK_POINTS = 64
 
 _SIGNS = np.array(CHANNEL_SIGNS, dtype=float)
 
@@ -101,18 +100,27 @@ def _decays(lengths: Sequence[int]) -> np.ndarray:
     return np.array([decay_parameter(length) for length in lengths], dtype=float)
 
 
+def _weights(lengths: Sequence[int]) -> np.ndarray:
+    """The (n, 4) channel weights of n block lengths, each row ChannelWeights' bitwise."""
+    if any(length < 1 for length in lengths):
+        raise ValueError(f"block length must be >= 1, got {min(lengths)}")
+    return (1.0 + _SIGNS * _decays(lengths)[:, None]) / 4.0
+
+
+def _check_trace(trace: np.ndarray) -> None:
+    kept = np.abs(trace - 1.0) <= TRACE_TOL
+    if not kept.all():
+        raise ValueError(f"construction lost the unit trace: {float(trace[~kept][0])!r}")
+
+
 def _assemble(
     coeff4: np.ndarray, block_a: Sequence[int], block_b: Sequence[int]
 ) -> EffectiveDensityOperator:
     """The stack of coefficient tensors (P, 4, 4, 4, 4) with its blocks' weights."""
-    w = np.array([ChannelWeights.from_length(length).weights for length in [*block_a, *block_b]])
-    count = len(block_a)
-    half = np.sqrt((w[:count, :, None] * w[count:, None, :]).reshape(-1, 16))
+    half = np.sqrt((_weights(block_a)[:, :, None] * _weights(block_b)[:, None, :]).reshape(-1, 16))
     normalized = half[:, :, None] * coeff4.reshape(-1, 16, 16) * half[:, None, :]
     trace = normalized.trace(axis1=1, axis2=2)
-    kept = np.abs(trace - 1.0) <= TRACE_TOL
-    if not kept.all():
-        raise ValueError(f"construction lost the unit trace: {float(trace[~kept][0])!r}")
+    _check_trace(trace)
     return EffectiveDensityOperator(normalized / trace[:, None, None])
 
 
@@ -229,6 +237,20 @@ def _pbc_coefficients(z_c, z_d, z_total) -> np.ndarray:
     term3 = _EPS * r4.swapaxes(-4, -3).swapaxes(-2, -1)
     term4 = _D_MR_AB * gam(-x, -y)[..., :, None, :, None]
     return term1 - term2 + term3 - term4
+
+
+def _ring_parts() -> tuple[np.ndarray, ...]:
+    """T0, T_d, T_c and T_dc, with ring coefficients (T0 + z_d T_d + z_c T_c + z_d z_c T_dc) / norm.
+
+    The coefficients are bilinear in (z_d, z_c): their values at the
+    corners of the unit square, at norm 1, give the four tensors.  Every
+    entry is a small dyadic rational, so the build and the differences are
+    exact.
+    """
+    base = _pbc_coefficients(0.0, 0.0, 0.0)
+    z_d = _pbc_coefficients(0.0, 1.0, 0.0) - base
+    z_c = _pbc_coefficients(1.0, 0.0, 0.0) - base
+    return base, z_d, z_c, _pbc_coefficients(1.0, 1.0, 0.0) - base - z_d - z_c
 
 
 def ring_stack(
@@ -356,12 +378,12 @@ def _rotated(modes: np.ndarray) -> np.ndarray:
 
 
 def _off_sector(rotated: np.ndarray) -> np.ndarray:
-    """The off-sector residual of each rotated member R of a stack.
+    """R - blockdiag(S, A (x) I_3, q I_5) of each rotated member R, as (R, 256) rows.
 
-    The residual of a member rho is max |R - blockdiag(S, A (x) I_3, q I_5)|
-    over R = fl(Q^T rho Q), with S, A and q read from R (see
-    `_sector_form`).  SECTOR_RESIDUAL_BOUND = 22 u, u = 2^-53, bounds
-    the residual that the rotation's round-off leaves:
+    With R = fl(Q^T rho Q) and S, A and q read from R (see
+    `_sector_form`), a member's off-sector residual is the largest of its
+    entries.  SECTOR_RESIDUAL_BOUND = 22 u, u = 2^-53, bounds the residual
+    that the rotation's round-off leaves:
       - Every entry of Q is 0, 1 or c / sqrt(n) with integer c and n, one
         square root and one division: |fl(Q) - Q| <= gamma_2 |Q|, with
         gamma_k = k u / (1 - k u).
@@ -378,15 +400,45 @@ def _off_sector(rotated: np.ndarray) -> np.ndarray:
       - For an SU(2)-invariant rho the exact Q^T rho Q is the sector form.
         Each residual entry sets a rotated entry against another one (the
         copy the form reads) or against 0, so it is at most 2 x 11 u.
-    The bound budgets the rotation only.  Rotated in exact rational
-    arithmetic, open-chain builds leave a residual of exactly 0 and ring
-    builds one of at most 0.19 u (measured on 64 joint and 64 transposed
-    members each, touching gaps and underflowing z included); the
-    hypothesis test over open, adjacent and ring stacks pins that the sum
-    stays within the bound.
+    Rotated in exact rational arithmetic, open-chain builds leave a
+    residual of exactly 0 and ring builds one of at most 0.19 u.
+    The sector route rotates only the integer-valued constants T_k.  Each
+    is SU(2)-invariant (the coefficients are, at every z), so its entries
+    here are round-off, at most e = 4 u (pinned by a test).  A member's
+    entry is |sum_k c_k E_k| g_i g_j / trace, rounded in at most 8 steps,
+    with g_i g_j <= 1/9 (no channel weight of a block exceeds 1/3), a
+    trace within TRACE_TOL of 1, and sum_k |c_k| at most 1 + |z| <= 2 on
+    the open chain and (1 + |z_d|)(1 + |z_c|) / (1 + 3 z(N)) <= 4 / (8/9)
+    on a ring of N >= 2 sites: under 4.5 e / 9 (1 + 9 u) < 2.1 u.  The
+    bound is not tightened to that: verify reports one bound for both
+    routes, and the matrix route's budget is 22 u.
     """
     flat = rotated.reshape(-1, 256)
-    return np.abs(flat - np.take(flat, _FORM_INDEX, axis=1) * _FORM_MASK).max(axis=1)
+    return flat - np.take(flat, _FORM_INDEX, axis=1) * _FORM_MASK
+
+
+def _check_residuals(residuals: np.ndarray) -> None:
+    worst = float(residuals.max())
+    # a NaN residual fails the comparison, so it is rejected too
+    if not worst <= SECTOR_RESIDUAL_BOUND:
+        raise ValueError(
+            f"operator is not SU(2) block diagonal: off-sector residual {worst:.3e} "
+            f"exceeds {SECTOR_RESIDUAL_BOUND:.3e}"
+        )
+
+
+# the rotated entries of S, A (first copy) and q, in that order
+_BLOCK_ROWS, _BLOCK_COLUMNS = zip(
+    *[(i, j) for block in ((0, 1), (2, 5, 8), (11,)) for i in block for j in block]
+)
+
+
+def _solved(blocks: np.ndarray) -> np.ndarray:
+    """The 16 eigenvalues of each row of the 14 S, A and q entries, by sector."""
+    singlets = hermitian_eigvals(blocks[:, :4].reshape(-1, 2, 2))
+    triplets = hermitian_eigvals(blocks[:, 4:13].reshape(-1, 3, 3))
+    levels = np.concatenate([singlets, triplets, blocks[:, 13:14]], axis=1)
+    return np.take(levels, _MULTIPLIED, axis=1)
 
 
 def _sector_eigvals(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,54 +450,129 @@ def _sector_eigvals(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     check_hermitian(modes)
     rotated = _rotated(modes)
-    residuals = _off_sector(rotated)
-    worst = float(residuals.max())
-    # a NaN residual fails the comparison, so it is rejected too
-    if not worst <= SECTOR_RESIDUAL_BOUND:
-        raise ValueError(
-            f"operator is not SU(2) block diagonal: off-sector residual {worst:.3e} "
-            f"exceeds {SECTOR_RESIDUAL_BOUND:.3e}"
-        )
-    singlets = hermitian_eigvals(rotated[:, :2, :2])
-    triplets = hermitian_eigvals(rotated[:, 2:11:3, 2:11:3])
-    levels = np.concatenate([singlets, triplets, rotated[:, 11, 11:12]], axis=1)
-    return np.take(levels, _MULTIPLIED, axis=1), residuals
+    residuals = np.abs(_off_sector(rotated)).max(axis=1)
+    _check_residuals(residuals)
+    return _solved(rotated[:, _BLOCK_ROWS, _BLOCK_COLUMNS]), residuals
 
 
-def stacked_measures(
-    stack: EffectiveDensityOperator,
-) -> tuple[list[tuple[SpectrumReport, SpectrumReport, float]], np.ndarray]:
-    """(block, transpose, mutual_information) of each operator, and the residuals.
+Triple = tuple[SpectrumReport, SpectrumReport, float]
 
-    One sector solve over the joint and transposed stacks together,
-    however long the stack is (callers pass at most STACK_POINTS): a
-    Hermiticity check of the (2P, 16, 16) stack, one rotation, one
-    residual check and two real solves, of the (2P, 2, 2) singlet and
-    (2P, 3, 3) triplet blocks.  Then one report pass over the
-    eigenvalues and one over the block marginals' spectra, which are the
-    marginals' diagonals (see the module docstring).  A member's triple
-    does not depend on the rest of its stack, bitwise.  The residuals are
-    the solve's checked (2P,) array, joint members first.
+
+def _triples(values: np.ndarray, diagonals: np.ndarray) -> list[Triple]:
+    """(block, transpose, I(A:B)) per point.
+
+    values holds the (2P, 16) eigenvalues, joint members first, and
+    diagonals the joint members' (P, 4, 4) mode diagonals, whose row and
+    column sums are the block marginals' spectra.
     """
-    count = len(stack.normalized)
-    modes = stack.normalized.reshape(-1, 4, 4, 4, 4)
-    values, residuals = _sector_eigvals(
-        np.concatenate([stack.normalized, mode_partial_transpose(stack).normalized])
-    )
+    count = len(diagonals)
     spectra = spectrum_reports(values)
-    entropies = spectrum_entropies(
-        np.concatenate([np.einsum("pabab->pa", modes), np.einsum("pabab->pb", modes)])
-    )
-    triples = [
+    entropies = spectrum_entropies(np.concatenate([diagonals.sum(axis=2), diagonals.sum(axis=1)]))
+    return [
         (report, transpose, entropy_a + entropy_b - report.entropy)
         for report, transpose, entropy_a, entropy_b in zip(
             spectra[:count], spectra[count:], entropies[:count], entropies[count:]
         )
     ]
-    return triples, residuals
 
 
-def measures(op: EffectiveDensityOperator) -> tuple[SpectrumReport, SpectrumReport, float]:
-    """Joint and transpose spectra and the blocks' mutual information."""
-    triples, _ = stacked_measures(op[None])
-    return triples[0]
+def measures(op: EffectiveDensityOperator) -> Triple:
+    """Joint and transpose spectra and the blocks' mutual information of one operator."""
+    values, _ = _sector_eigvals(np.stack([op.normalized, mode_partial_transpose(op).normalized]))
+    return _triples(values, np.diagonal(op.normalized).reshape(1, 4, 4))[0]
+
+
+# a mode pair in the support of each sector state: D^(1/2) is constant there
+_SUPPORT = np.argmax(SECTOR_ROTATION != 0, axis=0)
+# columns of a packed row: the 14 block entries, the 16 mode diagonal
+# entries, then the off-sector entries
+_DIAGONAL, _OFF = slice(14, 30), slice(30, None)
+
+
+def _rotated_constants(matrices: np.ndarray) -> np.ndarray:
+    """Q^T T Q of each constant.
+
+    An einsum, not a matmul: a matmul at import would start BLAS, and map
+    its buffers, in every process that imports the package.
+    """
+    left = np.einsum("ia,kib->kab", SECTOR_ROTATION, matrices)
+    return np.einsum("kai,ib->kab", left, SECTOR_ROTATION)
+
+
+def _sectors(tensors: Sequence[np.ndarray], degrees: Sequence[int]):
+    """(packed, flips, first, second) of constants whose monomials have the given degrees.
+
+    packed holds one row per constant rotated by Q, checked for
+    Hermiticity; the off-sector columns are those where some constant's
+    entry is nonzero.  flips is each constant's sign under the mode
+    transpose, and first and second index the mode pairs whose D^(1/2)
+    scale each column.
+    """
+    matrices = np.array([tensor.reshape(16, 16) for tensor in tensors])
+    rotated = _rotated_constants(matrices)
+    check_hermitian(rotated)
+    off = _off_sector(rotated)
+    kept = np.flatnonzero((off != 0.0).any(axis=0))
+    diagonals = np.diagonal(matrices, axis1=1, axis2=2)
+    blocks = rotated[:, _BLOCK_ROWS, _BLOCK_COLUMNS]
+    packed = np.concatenate([blocks, diagonals, off[:, kept]], axis=1)
+    first = np.concatenate([_SUPPORT[list(_BLOCK_ROWS)], np.arange(16), _SUPPORT[kept // 16]])
+    second = np.concatenate([_SUPPORT[list(_BLOCK_COLUMNS)], np.arange(16), _SUPPORT[kept % 16]])
+    return packed, (-1.0) ** np.array(degrees), first, second
+
+
+_OPEN_SECTORS = _sectors([_OBC_BASE, _OBC_LINEAR], [0, 1])
+_RING_SECTORS = _sectors(_ring_parts(), [0, 1, 1, 2])
+
+
+def _sector_measures(
+    sectors, coefficients: np.ndarray, block_a: Sequence[int], block_b: Sequence[int]
+) -> tuple[list[Triple], np.ndarray]:
+    """The triples of P points from their (P, K) coefficients, and the (2P,) residuals.
+
+    Raises when a block's three triplet weights differ (G would not
+    commute with Q), on a trace off 1 by more than TRACE_TOL, and on an
+    off-sector residual above SECTOR_RESIDUAL_BOUND or NaN.
+    """
+    packed, flips, first, second = sectors
+    w_a, w_b = _weights(block_a), _weights(block_b)
+    w = np.concatenate([w_a, w_b])
+    if not (w[:, [1, 3]] == w[:, :1]).all():
+        raise ValueError("a block's three triplet weights differ")
+    half = np.sqrt((w_a[:, :, None] * w_b[:, None, :]).reshape(-1, 16))
+    half = np.concatenate([half, half])
+    coefficients = np.concatenate([coefficients, coefficients * flips])
+    # one constant at a time, in a fixed order: each member's floats are its own
+    entries = coefficients[:, :1] * packed[0]
+    for k in range(1, len(packed)):
+        entries = entries + coefficients[:, k : k + 1] * packed[k]
+    entries = entries * half[:, first] * half[:, second]
+    trace = entries[:, _DIAGONAL].sum(axis=1)
+    _check_trace(trace)
+    entries /= trace[:, None]
+    residuals = np.abs(entries[:, _OFF]).max(axis=1, initial=0.0)
+    _check_residuals(residuals)
+    diagonals = entries[: len(w_a), _DIAGONAL].reshape(-1, 4, 4)
+    return _triples(_solved(entries), diagonals), residuals
+
+
+def open_measures(block_a: Sequence[int], gap: Sequence[int], block_b: Sequence[int]):
+    """(block, transpose, I(A:B)) per open-chain point, and the residuals.
+
+    A gap of 0 gives touching blocks.  The joint coefficients are (1, z).
+    """
+    z = _decays(gap)
+    return _sector_measures(_OPEN_SECTORS, np.stack([np.ones_like(z), z], axis=1), block_a, block_b)
+
+
+def ring_measures(
+    block_a: Sequence[int], block_b: Sequence[int], gap_c: Sequence[int], gap_d: Sequence[int]
+):
+    """(block, transpose, I(A:B)) per ring point, arcs C, A, D, B, and the residuals.
+
+    The joint coefficients are (1, z_d, z_c, z_d z_c) / (1 + 3 z(N)).
+    """
+    rings = [a + b + c + d for a, b, c, d in zip(block_a, block_b, gap_c, gap_d)]
+    z_c, z_d, norm = _decays(gap_c), _decays(gap_d), 1.0 + 3.0 * _decays(rings)
+    coefficients = np.stack([np.ones_like(norm), z_d, z_c, z_d * z_c], axis=1) / norm[:, None]
+    return _sector_measures(_RING_SECTORS, coefficients, block_a, block_b)

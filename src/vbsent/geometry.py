@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import closed_forms as cf
 from . import effective_rho as er
 from . import mps_oracle as mo
@@ -39,9 +41,10 @@ class Geometry(NamedTuple):
     params as keywords.  A geometry has one of two routes to its Reports,
     the block spectrum, the partial-transpose spectrum and I(A:B), which
     `reports` reads: `closed` returns a point's block and
-    partial-transpose eigenvalues from the closed forms, and `operators`
-    builds the stack of 16x16 mode operators they are read from; it takes
-    each flag as the list of its values over the points.  A
+    partial-transpose eigenvalues from the closed forms, and `sectors`
+    returns the Reports of a stack of points and their checked off-sector
+    residuals from the mode route's sector form; it takes each flag as the
+    list of its values over the points.  A
     two-block geometry has a third route, `oracle`, which returns the
     block and partial-transpose spectra of mps_oracle.layout_spectra on
     the blocks' runs in its chain or ring.  `limit` is the closed-form
@@ -52,7 +55,7 @@ class Geometry(NamedTuple):
     help: str
     flags: tuple[tuple[str, int | None, int], ...]
     closed: Callable[..., Rows] | None = None
-    operators: Callable[..., er.EffectiveDensityOperator] | None = None
+    sectors: Callable[..., tuple[list[Reports], np.ndarray]] | None = None
     oracle: Callable[..., Spectra] | None = None
     limit: Callable[..., float] | None = None
     equal_blocks: bool = False
@@ -88,22 +91,20 @@ class Geometry(NamedTuple):
 
         A closed-form geometry reads every point's block eigenvalues in
         one report pass and every point's transpose eigenvalues in
-        another, and has no residuals.  An operator geometry takes its
-        points in stacks of at most er.STACK_POINTS and evaluates each
-        stack as arrays from build to report: one broadcast build of the
-        stack's operators, one sector solve and two report passes in
-        er.stacked_measures, whose checked residuals it hands on in
-        stack order.  A call holds one stack's operators at a time, and
-        every float equals the one a single-point call gives.
+        another, and has no residuals.  A mode geometry takes its points
+        in stacks of at most er.STACK_POINTS and evaluates each stack as
+        arrays from its lengths to its reports, in sector form (see
+        effective_rho), and hands on the checked residuals in stack order.
+        Every float equals the one a single-point call gives.
         """
-        if self.operators is not None:
+        if self.sectors is not None:
             reports, residuals = [], []
             for start in range(0, len(points), er.STACK_POINTS):
                 stack = points[start : start + er.STACK_POINTS]
-                built = self.operators(**{name: [p[name] for p in stack] for name in self.names})
-                measured, checked = er.stacked_measures(built)
+                columns = {name: [p[name] for p in stack] for name in self.names}
+                measured, checked = self.sectors(**columns)
                 reports += measured
-                residuals.extend(checked)
+                residuals += checked.tolist()
             return reports, residuals
         if not points:
             return [], []
@@ -146,28 +147,28 @@ GEOMETRIES = {
             "disjoint",
             "two separated blocks on the open chain",
             (("la", None, 1), ("gap", None, 1), ("lb", None, 1)),
-            operators=lambda la, gap, lb: er.open_stack(la, gap, lb),
+            sectors=lambda la, gap, lb: er.open_measures(la, gap, lb),
             oracle=_open_oracle,
         ),
         Geometry(
             "adjacent",
             "two touching blocks on the open chain",
             (("la", None, 1), ("lb", None, 1)),
-            operators=lambda la, lb: er.open_stack(la, [0] * len(la), lb),
+            sectors=lambda la, lb: er.open_measures(la, [0] * len(la), lb),
             oracle=lambda la, lb: _open_oracle(la, 0, lb),
         ),
         Geometry(
             "pbc",
             "two blocks on a ring",
             (("la", None, 1), ("lb", None, 1), ("lc", None, 0), ("ld", None, 0)),
-            operators=lambda la, lb, lc, ld: er.ring_stack(la, lb, lc, ld),
+            sectors=lambda la, lb, lc, ld: er.ring_measures(la, lb, lc, ld),
             oracle=_ring_oracle,
         ),
         Geometry(
             "mutual-info",
             "finite-size vs asymptotic mutual information",
             (("la", 6, 1), ("lb", 6, 1), ("gap", None, 1)),
-            operators=lambda la, lb, gap: er.open_stack(la, gap, lb),
+            sectors=lambda la, lb, gap: er.open_measures(la, gap, lb),
             oracle=_open_oracle,
             limit=lambda la, lb, gap: cf.mutual_information(cf.decay_parameter(gap)),
             equal_blocks=True,

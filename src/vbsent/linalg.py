@@ -141,8 +141,9 @@ def spectrum_reports(rows) -> list[SpectrumReport]:
     neg = np.empty_like(trace)
     for count, group in _groups((vals < -EIG_CLAMP).sum(axis=-1)):
         neg[group] = -vals[group, :count].sum(axis=-1)
+    # Python floats, not numpy scalars, in each report's eigenvalue tuple
     columns = zip(
-        vals,
+        vals.tolist(),
         trace.tolist(),
         neg.tolist(),
         (trace + 2.0 * neg).tolist(),

@@ -113,8 +113,8 @@ def _sector_case(residuals) -> tuple[str, float, float]:
     """The off-sector residual case of the mode operators a suite read.
 
     One case over the residuals that `Geometry.reports` hands back, one
-    per operator, joint and transposed, each checked by
-    `effective_rho.stacked_measures` against the bound the case reports.
+    per operator, joint and transposed, each checked by the sector route
+    of `effective_rho` against the bound the case reports.
     Its name counts the operators, and a case over none fails.
     """
     # np.max keeps a NaN where max() would drop it
@@ -261,6 +261,12 @@ def suite_ring_blocks(*, max_sites: int, tol: float, **_) -> Cases:
         coeffs = er.convexity_coefficients(params["lc"], params["ld"])
         yield "mixture weights within [0,1]", EXACT, max(max(-c, c - 1.0) for c in coeffs)
         yield "mixture weights sum to 1", 1e-15, abs(sum(coeffs) - 1.0)
+        # the sector route's ring transpose flips the signs of z_c and z_d
+        z_c, z_d = cf.decay_parameter(params["lc"]), cf.decay_parameter(params["ld"])
+        z_total = cf.decay_parameter(sum(params.values()))
+        swapped = er._swap_a_modes(er._pbc_coefficients(z_c, z_d, z_total).reshape(16, 16))
+        flipped = er._pbc_coefficients(-z_c, -z_d, z_total).reshape(16, 16)
+        yield "transpose equals sign-flipped gaps", 1e-15, float(np.max(np.abs(swapped - flipped)))
     yield _sector_case(residuals)
 
 

@@ -22,7 +22,7 @@ def reference_report(values) -> SpectrumReport:
     positive = vals[vals > EIG_CLAMP]
     entropy = float(-(positive * np.log(positive)).sum())
     return SpectrumReport(
-        eigenvalues=tuple(vals),
+        eigenvalues=tuple(vals.tolist()),
         trace=trace,
         negativity=neg,
         log_negativity=math.log2(trace_norm),

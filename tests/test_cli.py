@@ -609,12 +609,20 @@ def measures_lines(out, fmt):
     return out.strip().split("\n\n")[-1].split("\n")[1:]
 
 
+_S = er.STACK_POINTS
+
+
+def _stack_sizes(points: int) -> list[int]:
+    """The stacks Geometry.reports cuts a sweep of the given points into."""
+    return [min(_S, points - start) for start in range(0, points, _S)]
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
-@pytest.mark.parametrize("points", (1, 15, 16, 17, 40))
+@pytest.mark.parametrize("points", (1, _S - 1, _S, _S + 1, 2 * _S + 8))
 @pytest.mark.parametrize("command, fixed, swept, first", SWEEPS)
 def test_sweep_rows_equal_single_point_measures(command, fixed, swept, first, points, fmt):
-    # sweeps evaluate in stacks of 16 points; 15, 16, 17 and 40 points
-    # end a stack short, exactly, one over and partway through the third
+    # sweeps evaluate in stacks of er.STACK_POINTS points; the counts end a
+    # stack short, exactly, one over and partway through the third
     last = first + points - 1
     tail = fixed + ["--format", fmt]
     code, out, err = run_cli(["sweep", command, f"--{swept}", f"{first}:{last}"] + tail)
@@ -629,7 +637,7 @@ def test_sweep_rows_equal_single_point_measures(command, fixed, swept, first, po
         assert row == expected
 
 
-def test_sweep_solves_two_stacks_per_16_points_with_one_parser(monkeypatch):
+def test_sweep_solves_two_stacks_per_stack_of_points_with_one_parser(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -652,9 +660,8 @@ def test_sweep_solves_two_stacks_per_16_points_with_one_parser(monkeypatch):
         code, out, _ = run_cli(["sweep", "disjoint", "--la", "2", "--gap", "1:200", "--lb", "3"])
         assert code == 0 and len(csv_tables(out)[0]) == 201
         # per stack one singlet and one triplet solve, each over the
-        # stack's joint and transposed operators: 12 stacks of 16, then 8
-        stacks = [16] * (200 // 16) + [200 % 16]
-        assert shapes == [(2 * size, n, n) for size in stacks for n in (2, 3)]
+        # stack's joint and transposed members: stacks of _S, then the rest
+        assert shapes == [(2 * size, n, n) for size in _stack_sizes(200) for n in (2, 3)]
         assert run_cli(["pure", "--length", "2"])[0] == 0
     finally:
         vbsent.cli.build_parser.cache_clear()
@@ -679,10 +686,17 @@ def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
         return eigvalsh(a, *args, **kwargs)
 
     builds = []
+    sector_measures = er._sector_measures
+
+    def counted_build(sectors, coefficients, block_a, block_b):
+        builds.append(len(block_a))
+        return sector_measures(sectors, coefficients, block_a, block_b)
+
+    matrices = []
     assemble = er._assemble
 
     def counted_assemble(*args, **kwargs):
-        builds.append(args)
+        matrices.append(args)
         return assemble(*args, **kwargs)
 
     reports = []
@@ -693,6 +707,7 @@ def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
         return spectrum_report(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(er, "_sector_measures", counted_build)
     monkeypatch.setattr(er, "_assemble", counted_assemble)
     # every binding of spectrum_report in the package, module attribute or import
     for name, module in list(sys.modules.items()):
@@ -700,14 +715,14 @@ def test_sweep_stacks_run_as_arrays_from_build_to_report(monkeypatch, argv):
             monkeypatch.setattr(module, "spectrum_report", counted_report)
     code, out, _ = run_cli(["sweep"] + argv)
     assert code == 0 and len(csv_tables(out)[0]) == 201
-    stacks = math.ceil(200 / 16)
-    assert len(builds) == stacks
+    # one sector-form build per stack, and no 16x16 operator built
+    assert builds == _stack_sizes(200)
+    assert matrices == []
     assert reports == []
     # one real singlet and one real triplet solve per stack, each over the
-    # stack's joint and transposed operators; no 16x16 matrix is solved
-    sizes = [2 * min(16, 200 - start) for start in range(0, 200, 16)]
+    # stack's joint and transposed members; no 16x16 matrix is solved
     assert solved == [
-        (np.dtype(float), (size, n, n)) for size in sizes for n in (2, 3)
+        (np.dtype(float), (2 * size, n, n)) for size in _stack_sizes(200) for n in (2, 3)
     ]
 
 

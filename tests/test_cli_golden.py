@@ -156,20 +156,21 @@ def test_round_off_on_zero_mode_eigenvalues_leaves_the_output_unchanged(monkeypa
     # and quintet levels alike, each copy of a level on its own.  Nonzero
     # eigenvalues stay exact: their round-off moves the trailing digits of
     # measures that cancel, as a mutual information of 5e-12, whatever the
-    # display does.  verify is left out, as its rows print round-off.
+    # display does.  verify is left out, as its rows print round-off.  The
+    # noise goes in where the sector route hands its values to the report
+    # pass.
     rng = np.random.default_rng(0)
-    solve = effective_rho._sector_eigvals
+    read = effective_rho._triples
 
     perturbed = []
 
-    def noisy(modes):
-        vals, residuals = solve(modes)
-        zeros = np.abs(vals) <= EIG_CLAMP
+    def noisy(values, diagonals):
+        zeros = np.abs(values) <= EIG_CLAMP
         perturbed.append(int(zeros.sum()))
-        noise = np.where(zeros, rng.choice([-1e-15, 1e-15], size=vals.shape), 0.0)
-        return vals + noise, residuals
+        noise = np.where(zeros, rng.choice([-1e-15, 1e-15], size=values.shape), 0.0)
+        return read(values + noise, diagonals)
 
-    monkeypatch.setattr(effective_rho, "_sector_eigvals", noisy)
+    monkeypatch.setattr(effective_rho, "_triples", noisy)
     lines = [line for line in corpus() if not line.startswith("verify")]
     changed = [line for line in lines if run_line(line) != _recorded()[line]]
     assert changed == []

@@ -33,16 +33,18 @@ from vbsent.effective_rho import (
     convexity_coefficients,
     measures,
     mode_partial_transpose,
+    open_measures,
     open_stack,
     rho_ab_adjacent,
     rho_ab_open,
     rho_ab_pbc,
     rho_ce_spectra,
+    ring_measures,
     ring_stack,
-    stacked_measures,
 )
 from vbsent.geometry import GEOMETRIES
 from vbsent.linalg import (
+    EIG_CLAMP,
     HermitianOperator,
     hermitian_eigvals,
     partial_trace,
@@ -55,7 +57,7 @@ def mode_partial_trace(op, over):
     """Trace the orthonormal 16x16 matrix over one block's mode factor.
 
     The per-operator reference for the block marginals, whose spectra
-    `stacked_measures` reads off their diagonals without a solve.
+    `measures` and the sector route read off their diagonals without a solve.
     """
     if over not in ("A", "B"):
         raise ValueError(f"over must be 'A' or 'B', got {over!r}")
@@ -375,7 +377,7 @@ def _measures_one_by_one(op):
     )
 
 
-def test_stacked_measures_equal_per_operator_calls_bitwise():
+def test_measures_equal_the_per_operator_reference_bitwise():
     # open, adjacent and ring operators, up to lengths where z underflows,
     # touching ring blocks included; repr tells every float (and -0.0) apart
     lengths = (1, 2, 3, 5, 12, 40, 1000)
@@ -383,16 +385,8 @@ def test_stacked_measures_equal_per_operator_calls_bitwise():
     ops += [rho_ab_adjacent(la, lb) for la in lengths for lb in (1, 3, 1000)]
     ops += [rho_ab_pbc(la, lb, lc, ld) for la in (1, 2, 40) for lb in (1, 3)
             for lc in (0, 1, 5) for ld in (1, 2)]
-    for size in (1, 7, 16, len(ops)):
-        stacked = []
-        for start in range(0, len(ops), size):
-            chunk = ops[start : start + size]
-            stacked += stacked_measures(
-                EffectiveDensityOperator(np.array([op.normalized for op in chunk]))
-            )[0]
-        for op, m in zip(ops, stacked, strict=True):
-            assert repr(m) == repr(_measures_one_by_one(op))
-            assert repr(measures(op)) == repr(m)
+    for op in ops:
+        assert repr(measures(op)) == repr(_measures_one_by_one(op))
 
 
 # short blocks give clamped zeros (w_singlet(1) = 0) and negative transpose
@@ -431,14 +425,13 @@ def test_sector_spectra_equal_the_dense_solve_within_a_derived_bound(opens, adja
     la, lb = zip(*adjacent)
     stacks = [open_stack(*zip(*opens)), open_stack(la, [0] * len(la), lb), ring_stack(*zip(*rings))]
     for stack in stacks:
-        measured, residuals = stacked_measures(stack)
-        assert residuals.shape == (2 * len(stack.normalized),)
+        members = np.concatenate([stack.normalized, mode_partial_transpose(stack).normalized])
+        values, residuals = er._sector_eigvals(members)
+        assert residuals.shape == (len(members),)
         assert residuals.max() <= SECTOR_RESIDUAL_BOUND
-        transposed = mode_partial_transpose(stack).normalized
-        for (block, pt, _), joint, swapped in zip(measured, stack.normalized, transposed):
-            for report, matrix in ((block, joint), (pt, swapped)):
-                dense = np.linalg.eigvalsh(matrix.astype(complex))
-                assert np.max(np.abs(np.array(report.eigenvalues) - dense)) <= _SECTOR_SPECTRUM_BOUND
+        for solved, matrix in zip(values, members):
+            dense = np.linalg.eigvalsh(matrix.astype(complex))
+            assert np.max(np.abs(np.sort(solved) - dense)) <= _SECTOR_SPECTRUM_BOUND
 
 
 def _rotation_from_its_columns(pairs):
@@ -473,25 +466,31 @@ def test_a_non_cyclic_triplet_order_fails_the_residual_check(monkeypatch):
     # the triplet block couples that column: not at a block of length 1,
     # which has no singlet weight, nor on a ring with both gaps equal,
     # where the epsilon term vanishes
-    ops = [
-        rho_ab_open(2, 1, 3),
-        rho_ab_open(2, 2, 2),
-        rho_ab_adjacent(1, 2),
-        rho_ab_pbc(2, 3, 0, 1),
-        rho_ab_pbc(2, 1, 1, 2),
-    ]
-    stack = EffectiveDensityOperator(np.array([op.normalized for op in ops]))
-    _, residuals = stacked_measures(stack)
-    assert residuals.max() <= SECTOR_RESIDUAL_BOUND
+    opens = [(2, 1, 3), (2, 2, 2), (1, 0, 2)]
+    rings = [(2, 3, 0, 1), (2, 1, 1, 2)]
+    ops = [open_stack(*zip(*opens)), ring_stack(*zip(*rings))]
+    assert open_measures(*zip(*opens))[1].max() <= SECTOR_RESIDUAL_BOUND
+    assert ring_measures(*zip(*rings))[1].max() <= SECTOR_RESIDUAL_BOUND
     monkeypatch.setattr(er, "SECTOR_ROTATION", _rotation_from_its_columns([(1, 3), (0, 3), (0, 1)]))
     # every joint and transposed member, rotated by the broken Q
-    members = np.concatenate([stack.normalized, mode_partial_transpose(stack).normalized])
-    assert np.all(er._off_sector(er._rotated(members)) > 100 * SECTOR_RESIDUAL_BOUND)
-    with pytest.raises(ValueError, match="off-sector residual"):
-        stacked_measures(stack)
-    for op in ops:
+    members = np.concatenate([np.concatenate([op.normalized, mode_partial_transpose(op).normalized]) for op in ops])
+    residuals = np.abs(er._off_sector(er._rotated(members))).max(axis=1)
+    assert np.all(residuals > 100 * SECTOR_RESIDUAL_BOUND)
+    for stack in ops:
+        for member in range(len(stack.normalized)):
+            with pytest.raises(ValueError, match="off-sector residual"):
+                measures(stack[member])
+            with pytest.raises(ValueError, match="off-sector residual"):
+                stack[member].spectrum()
+    # the sector route's constants, rotated by the broken Q
+    monkeypatch.setattr(er, "_OPEN_SECTORS", er._sectors([er._OBC_BASE, er._OBC_LINEAR], [0, 1]))
+    monkeypatch.setattr(er, "_RING_SECTORS", er._sectors(er._ring_parts(), [0, 1, 1, 2]))
+    for point in opens:
         with pytest.raises(ValueError, match="off-sector residual"):
-            op.spectrum()
+            open_measures(*zip(point))
+    for point in rings:
+        with pytest.raises(ValueError, match="off-sector residual"):
+            ring_measures(*zip(point))
 
 
 def test_the_sector_solve_rejects_a_broken_symmetry_and_a_nan_residual(monkeypatch):
@@ -501,7 +500,7 @@ def test_the_sector_solve_rejects_a_broken_symmetry_and_a_nan_residual(monkeypat
     broken[10, 0] = broken[0, 10] = 1e-14
     with pytest.raises(ValueError, match=r"off-sector residual 1\.\d+e-14"):
         measures(EffectiveDensityOperator(broken))
-    monkeypatch.setattr(er, "_off_sector", lambda rotated: np.full(len(rotated), np.nan))
+    monkeypatch.setattr(er, "_off_sector", lambda rotated: np.full((len(rotated), 256), np.nan))
     with pytest.raises(ValueError, match="off-sector residual nan"):
         measures(rho_ab_open(1, 1, 1))
 
@@ -513,7 +512,7 @@ def test_the_sector_solve_rejects_a_broken_symmetry_and_a_nan_residual(monkeypat
 )
 @example([(1, 0, 1), (1, 1, 1), (679, 1000, 680)], [(1, 1, 0, 0), (700, 2, 0, 679)])
 def test_block_marginals_are_diagonal_and_their_diagonal_is_their_spectrum(opens, rings):
-    # stacked_measures reads each marginal's spectrum off its diagonal
+    # measures and the sector route read each marginal's spectrum off its diagonal
     stacks = [open_stack(*zip(*opens)), ring_stack(*zip(*rings))]
     off = ~np.eye(4, dtype=bool)
     for stack in stacks:
@@ -629,12 +628,30 @@ def test_broadcast_coefficients_equal_the_einsum_reference_bitwise(rings):
         assert _obc_coefficients(float(z)).tobytes() == want
 
 
+def _built(name, points):
+    """The matrix route's one-point operators of a geometry's points, as one stack."""
+    column = {f: [params[f] for params in points] for f in GEOMETRIES[name].names}
+    if name == "pbc":
+        return ring_stack(column["la"], column["lb"], column["lc"], column["ld"])
+    gaps = [0] * len(points) if name == "adjacent" else column["gap"]
+    return open_stack(column["la"], gaps, column["lb"])
+
+
+def _sector_route(name, points):
+    """The sector route's builder over all points in one call, stack cap aside."""
+    column = {f: [params[f] for params in points] for f in GEOMETRIES[name].names}
+    if name == "pbc":
+        return ring_measures(column["la"], column["lb"], column["lc"], column["ld"])
+    gaps = [0] * len(points) if name == "adjacent" else column["gap"]
+    return open_measures(column["la"], gaps, column["lb"])
+
+
 @st.composite
-def _geometry_points(draw):
+def _geometry_points(draw, sizes=st.integers(1, 40)):
     name = draw(st.sampled_from(["disjoint", "adjacent", "pbc", "mutual-info"]))
     geo = GEOMETRIES[name]
     points = []
-    for _ in range(draw(st.integers(1, 40))):
+    for _ in range(draw(sizes)):
         given = {f: draw(_RING_GAPS if f in ("lc", "ld") else _LENGTHS) for f in geo.names}
         if geo.equal_blocks:
             given["lb"] = given["la"]
@@ -642,14 +659,205 @@ def _geometry_points(draw):
     return name, points
 
 
+# The sector route against the matrix route, entry by entry in units of u
+# and at first order.  Every member's entries are bounded through
+# B = max |Q|^T (sum_k |T_k|) |Q| / 8: a block's channel weights are at
+# most 1/3, so D^(1/2) is at most 1/3 entrywise, and each |c_k| is at most
+# 9/8 (1 + 3 z(N) >= 8/9 on a ring).  B is 3/8 on the open chain and 3/2
+# on the ring.
+#   - Sector route: 11 B from rotating each constant (the argument of
+#     _off_sector applied to T_k), 8 B from the coefficients and the sum
+#     over K <= 4 constants, 6 B from the two Gram factors and 17 from the
+#     division by the 16-term trace: 25 B + 17.
+#   - Matrix route: 11 from its rotation, plus 16 x 12 B from the built
+#     operator's own round-off (at most 12 roundings of terms of size at
+#     most B per entry, carried into every rotated entry through the
+#     2-norm, which is at most 16 times the largest entry).
+# Weyl on blocks of at most 3 rows, and LAPACK's 3 u on each side, give
+# each eigenvalue's gap.  A marginal's value sums 4 diagonal entries, each
+# within (25 B + 17) + 12 B.
+_B = max(
+    float((np.abs(SECTOR_ROTATION).T @ sum(np.abs(t.reshape(16, 16)) for t in parts)
+           @ np.abs(SECTOR_ROTATION)).max()) / 8
+    for parts in ([er._OBC_BASE, er._OBC_LINEAR], er._ring_parts())
+)
+_ROUTE_SPECTRUM_BOUND = (3 * (25 * _B + 17 + 11 + 16 * 12 * _B) + 6) * _U
+_ROUTE_MARGINAL_BOUND = (4 * (25 * _B + 17 + 12 * _B) + 3) * _U
+
+
+def _entropy_gap_bound(values, delta):
+    """The largest move of the clamped entropy when each value moves by at most delta.
+
+    No value may lie within delta of EIG_CLAMP, so a moved value keeps its
+    side of the clamp; past it, |d(-x ln x)/dx| = |1 + ln x| <= 1 + |ln x|
+    on (0, 1], taken at the smallest value the move allows.
+    """
+    values = np.asarray(values, dtype=float)
+    assert not np.any(np.abs(values - EIG_CLAMP) <= delta)
+    kept = values[values > EIG_CLAMP]
+    return float(np.sum(delta * (1.0 + np.abs(np.log(kept - delta)))))
+
+
+def test_the_route_bounds_read_the_constants():
+    assert _B == pytest.approx(1.5)
+    assert _ROUTE_SPECTRUM_BOUND < 1.2e-13 and _ROUTE_MARGINAL_BOUND < 4e-14
+
+
 @settings(max_examples=60, deadline=None)
 @given(_geometry_points())
 @example(("adjacent", [dict(la=1, lb=1), dict(la=1, lb=3), dict(la=2, lb=679)]))
 @example(("disjoint", [dict(la=1, gap=1, lb=1), dict(la=679, gap=1000, lb=680)]))
 @example(("pbc", [dict(la=1, lb=1, lc=0, ld=0), dict(la=700, lb=2, lc=0, ld=679)]))
-def test_geometry_reports_equal_the_per_point_reference_bitwise(drawn):
-    # the stacked route from broadcast build to report pass against one
-    # operator built, solved and reported at a time
+def test_geometry_reports_agree_with_the_matrix_route_within_a_derived_bound(drawn):
+    # the sector route against each point's 16x16 operator, built as one
+    # point at a time builds it, rotated and solved by _sector_eigvals
     name, points = drawn
-    want = [_measures_one_by_one(_operator_one_by_one(name, params)) for params in points]
-    assert repr(GEOMETRIES[name].reports(points)[0]) == repr(want)
+    built = _built(name, points)
+    reports, residuals = GEOMETRIES[name].reports(points)
+    assert max(residuals) <= SECTOR_RESIDUAL_BOUND
+    for params, op, (block, pt, mutual) in zip(points, built, reports, strict=True):
+        assert op.normalized.tobytes() == _operator_one_by_one(name, params).normalized.tobytes()
+        values, _ = er._sector_eigvals(np.stack([op.normalized, mode_partial_transpose(op).normalized]))
+        want_block, want_pt, want_mutual = measures(op)
+        for report, solved in ((block, values[0]), (pt, values[1])):
+            gap = np.abs(np.array(report.eigenvalues) - np.sort(solved))
+            assert gap.max() <= _ROUTE_SPECTRUM_BOUND
+        marginals = [
+            np.sort(hermitian_eigvals(mode_partial_trace(op, side)).real) for side in ("B", "A")
+        ]
+        bound = _entropy_gap_bound(want_block.eigenvalues, _ROUTE_SPECTRUM_BOUND)
+        bound += sum(_entropy_gap_bound(m, _ROUTE_MARGINAL_BOUND) for m in marginals)
+        assert abs(mutual - want_mutual) <= bound
+
+
+_S = er.STACK_POINTS
+# a stack of one, one short of the cap, the cap, one over it, and two
+# full stacks and a partial third
+_STACK_EDGES = (1, _S - 1, _S, _S + 1, 2 * _S + 8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_geometry_points(st.sampled_from(_STACK_EDGES)))
+@example(("pbc", [dict(la=1, lb=1, lc=0, ld=0), dict(la=700, lb=2, lc=0, ld=679)] * (_S // 2)))
+def test_each_member_equals_its_one_point_call_at_stack_edges(drawn):
+    # the constants are combined by elementwise operations in a fixed
+    # order, so no member's floats depend on its stack: tobytes and repr
+    # tell every float (and -0.0) apart
+    name, points = drawn
+    geo = GEOMETRIES[name]
+    singles = [geo.reports([params]) for params in points]
+    reports, residuals = geo.reports(points)
+    assert repr(reports) == repr([report for (report,), _ in singles])
+    together, checked = _sector_route(name, points)
+    assert repr(together) == repr(reports)
+    count = len(points)
+    for member, (_, (joint, transposed)) in enumerate(singles):
+        assert checked[member].hex() == joint.hex()
+        assert checked[count + member].hex() == transposed.hex()
+    # Geometry.reports hands on each stack's joint, then transposed, residuals
+    ends = [(start, min(start + _S, count)) for start in range(0, count, _S)]
+    parts = [checked[shift + start : shift + end] for start, end in ends for shift in (0, count)]
+    assert residuals == [x for part in parts for x in part.tolist()]
+
+
+def test_each_rotated_constant_is_hermitian_and_in_sector_form_to_4_u():
+    # the route's residual budget reads e = 4 u (see _off_sector)
+    for parts in ([er._OBC_BASE, er._OBC_LINEAR], er._ring_parts()):
+        rotated = er._rotated_constants(np.array([t.reshape(16, 16) for t in parts]))
+        assert np.abs(rotated - rotated.swapaxes(1, 2)).max() <= 4 * _U
+        assert np.abs(er._off_sector(rotated)).max() == 4 * _U
+
+
+def test_each_constant_is_even_or_odd_under_the_mode_transpose():
+    # the transpose flips the sign of every gap parameter, so of each
+    # monomial of odd degree; the routes' flips are exact
+    for sectors, parts in ((er._OPEN_SECTORS, [er._OBC_BASE, er._OBC_LINEAR]),
+                           (er._RING_SECTORS, er._ring_parts())):
+        _, flips, _, _ = sectors
+        for flip, tensor in zip(flips, parts, strict=True):
+            matrix = tensor.reshape(16, 16)
+            assert np.array_equal(er._swap_a_modes(matrix), flip * matrix)
+
+
+@pytest.mark.parametrize("z_c, z_d, z_total", [(1 / 3, -1 / 9, 1 / 81), (-1 / 3, 1.0, -1 / 27), (0.0, -0.0, 0.0)])
+def test_ring_parts_rebuild_the_ring_coefficients(z_c, z_d, z_total):
+    base, d, c, dc = er._ring_parts()
+    mixed = (base + z_d * d + z_c * c + z_d * z_c * dc) / (1.0 + 3.0 * z_total)
+    assert np.abs(mixed - _pbc_coefficients(z_c, z_d, z_total)).max() <= 4 * _U
+
+
+@pytest.mark.parametrize("length_a, length_b", [(1, 1), (2, 7), (1000, 3), (679, 680)])
+def test_gram_weighting_is_constant_on_each_sector_state(length_a, length_b):
+    # h Q = Q diag(g): so Q^T (h C h) Q = G (Q^T C Q) G, exactly
+    half = np.sqrt(np.outer(er._weights([length_a])[0], er._weights([length_b])[0]).reshape(16))
+    g = half[er._SUPPORT]
+    assert np.array_equal(half[:, None] * SECTOR_ROTATION, SECTOR_ROTATION * g[None, :])
+
+
+def test_an_unequal_triplet_weight_fails_the_sector_route(monkeypatch):
+    weights = er._weights
+
+    def broken(lengths):
+        w = weights(lengths)
+        w[:, 3] = np.nextafter(w[:, 3], 1.0)
+        return w
+
+    assert open_measures([2], [1], [3])[1].max() <= SECTOR_RESIDUAL_BOUND
+    monkeypatch.setattr(er, "_weights", broken)
+    with pytest.raises(ValueError, match="triplet weights differ"):
+        open_measures([2], [1], [3])
+    with pytest.raises(ValueError, match="triplet weights differ"):
+        ring_measures([2], [3], [1], [1])
+
+
+@pytest.mark.parametrize(
+    "family, constant", [("open", 0), ("open", 1), ("ring", 0), ("ring", 1), ("ring", 2), ("ring", 3)]
+)
+def test_an_off_sector_perturbation_of_a_rotated_constant_fails(monkeypatch, family, constant):
+    # 1e-13 on one off-sector entry, between two triplet x triplet states
+    # (quintet rows 11 and 12), of one rotated constant; at touching gaps
+    # every constant enters with a coefficient near 1
+    if family == "open":
+        parts, degrees, name, call = [er._OBC_BASE, er._OBC_LINEAR], [0, 1], "_OPEN_SECTORS", open_measures
+        point = ([2], [0], [2])
+    else:
+        parts, degrees, name, call = er._ring_parts(), [0, 1, 1, 2], "_RING_SECTORS", ring_measures
+        point = ([2], [2], [0], [0])
+    assert call(*point)[1].max() <= SECTOR_RESIDUAL_BOUND
+    rotated = er._rotated_constants
+
+    def perturbed(matrices):
+        out = rotated(matrices)
+        out[constant, 11, 12] += 1e-13
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(er, "_rotated_constants", perturbed)
+        sectors = er._sectors(parts, degrees)
+    monkeypatch.setattr(er, name, sectors)
+    with pytest.raises(ValueError, match="off-sector residual"):
+        call(*point)
+
+
+def test_a_non_hermitian_rotated_constant_is_rejected_at_packing(monkeypatch):
+    rotated = er._rotated_constants
+
+    def perturbed(matrices):
+        out = rotated(matrices)
+        out[1, 0, 1] += 1e-11
+        return out
+
+    monkeypatch.setattr(er, "_rotated_constants", perturbed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        er._sectors([er._OBC_BASE, er._OBC_LINEAR], [0, 1])
+
+
+def test_a_lost_unit_trace_is_rejected_by_both_builds(monkeypatch):
+    # doubled coefficients double the trace, in sector form and as a matrix
+    with pytest.raises(ValueError, match=r"lost the unit trace: 2\.0"):
+        er._assemble(2.0 * _obc_coefficients(decay_parameter(1))[None], [2], [3])
+    packed, flips, first, second = er._OPEN_SECTORS
+    assert open_measures([2], [1], [3])[1].max() <= SECTOR_RESIDUAL_BOUND
+    monkeypatch.setattr(er, "_OPEN_SECTORS", (2.0 * packed, flips, first, second))
+    with pytest.raises(ValueError, match=r"lost the unit trace: 2\.0"):
+        open_measures([2], [1], [3])

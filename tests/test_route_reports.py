@@ -83,7 +83,7 @@ def _geometry_tables(la: int, gap: int, lb: int, lc: int, ld: int) -> list:
             values["lb"] = values["la"]
         [(block, transpose, _)], residuals = geo.reports([geo.params(**values)])
         # one joint and one transposed residual per operator, none for a closed form
-        assert len(residuals) == (0 if geo.operators is None else 2)
+        assert len(residuals) == (0 if geo.sectors is None else 2)
         reports += [block, transpose]
     return reports
 

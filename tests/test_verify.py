@@ -60,6 +60,7 @@ ROWS = [
     ("ring-blocks", "transfer-oracle transpose min eigenvalue", 1e-12),
     ("ring-blocks", "mixture weights within [0,1]", 0.0),
     ("ring-blocks", "mixture weights sum to 1", 1e-15),
+    ("ring-blocks", "transpose equals sign-flipped gaps", 1e-15),
     ("ring-blocks", "SU(2) sectors: off-sector residual ({ring} operators)", SECTORS),
     ("hamiltonian", "open-chain energy", 1e-12),
     ("hamiltonian", "ring energy", 1e-12),
@@ -135,20 +136,19 @@ def test_two_block_suites_keep_their_case_grids(monkeypatch, name, max_sites, re
 
 
 @pytest.mark.parametrize(
-    "name, max_sites, sizes",
+    "name, max_sites, points",
     [
-        # the 20-point grid in two report stacks; the sector row folds
-        # their residuals and open-transpose's sign-flip row swaps the
-        # coefficients, so neither builds an operator
-        ("disjoint-blocks", 8, [4, 16]),
-        ("open-transpose", 8, [4, 16]),
-        ("adjacent-blocks", 8, [9]),
-        ("ring-blocks", 8, [6] + [16] * 4),
-        ("ring-blocks", 4, [1]),
-        ("mutual-information", 8, [2]),
+        # the sector row folds the grid's residuals and open-transpose's
+        # sign-flip row swaps the coefficients, so neither builds a stack
+        ("disjoint-blocks", 8, 20),
+        ("open-transpose", 8, 20),
+        ("adjacent-blocks", 8, 9),
+        ("ring-blocks", 8, 70),
+        ("ring-blocks", 4, 1),
+        ("mutual-information", 8, 2),
     ],
 )
-def test_each_mode_suite_builds_each_grid_point_once(monkeypatch, name, max_sites, sizes):
+def test_each_mode_suite_builds_each_grid_point_once(monkeypatch, name, max_sites, points):
     built = []
 
     def counted(real):
@@ -158,11 +158,13 @@ def test_each_mode_suite_builds_each_grid_point_once(monkeypatch, name, max_site
 
         return build
 
-    monkeypatch.setattr(er, "open_stack", counted(er.open_stack))
-    monkeypatch.setattr(er, "ring_stack", counted(er.ring_stack))
+    monkeypatch.setattr(er, "open_measures", counted(er.open_measures))
+    monkeypatch.setattr(er, "ring_measures", counted(er.ring_measures))
     rows = vf.SUITES[name](max_sites=max_sites, tol=1e-10)
     assert all(r.passed for r in rows)
-    assert sorted(built) == sizes
+    # the grid in stacks of er.STACK_POINTS, in order
+    size = er.STACK_POINTS
+    assert built == [min(size, points - start) for start in range(0, points, size)]
 
 
 @pytest.mark.parametrize("max_sites", [8, 12])
